@@ -51,10 +51,16 @@ __all__ = [
 _MIN_LADDER_HORIZON = 1_000
 _MIN_LADDER_REPS = 10_000
 _MIN_DRIFT_REPS = 10_000
+# Increments per draw of the ladder estimator. The mixture llr of a batch holds
+# one array per family member: 2^18 rows peak near 100 MB at m = 3 and 340 MB
+# at m = 4 (26 members), and larger batches are no faster per row.
+_LADDER_CHUNK = 1 << 18
+_CHERNOFF_THETAS = np.geomspace(1e-3, 1.0, 61)
 
 
 class DegenerateBoundError(RuntimeError):
-    """An estimated escape probability is zero, so a bound degenerates to infinity."""
+    """An estimated escape probability is zero or a post-change drift is not
+    positive, so a bound degenerates to infinity."""
 
 
 @dataclass(frozen=True)
@@ -200,38 +206,61 @@ def llr_second_moment(
     return Estimate(var, se)
 
 
-def _escape_probability(
+def _spitzer_escape(
     draw: Callable[[np.random.Generator, int], np.ndarray],
     rng: np.random.Generator,
     horizon: int,
     reps: int,
     descend: bool,
 ) -> Estimate:
-    """Fraction of random walks that never cross zero within the horizon.
+    """Probability that a random walk with increments from ``draw`` never
+    crosses zero strictly: never below it with ``descend=True``, never above
+    it otherwise.
 
-    ``descend=True`` estimates the probability of never going strictly below 0
-    (the post-change case); ``descend=False`` of never going strictly above 0.
-    The finite horizon biases both estimates upward.
+    With tau the first n at which S_n is on the wrong side of zero, Spitzer's
+    identity gives P(tau = inf) = exp(-sum_n P(S_n wrong side) / n).
+    A pilot batch of ``reps`` increments gives the Chernoff rate rho, the
+    smallest mean of exp(theta X) over theta in (0, 1] with X signed so that
+    the escape direction is negative; then P(S_n wrong side) <= rho^n and the
+    series tail beyond N is at most rho^(N+1) / ((N+1)(1 - rho)). The series is
+    cut at the first N where that is below a hundredth of the Monte Carlo
+    error, or at ``horizon``. Each of ``reps`` paths of N steps gives
+    Z = sum_{n <= N} 1{S_n wrong side} / n; the estimate is exp(-mean Z) with
+    the delta-method standard error. When the horizon binds, the dropped tail
+    biases the estimate upward by at most a factor exp(tail), reported in the
+    note. A walk with rho >= 1 does not drift away from zero and escapes with
+    probability 0.
     """
-    chunk = 128
-    alive = reps
-    carry = np.zeros(reps)
-    done = 0
-    while done < horizon and alive > 0:
-        w = min(chunk, horizon - done)
-        inc = draw(rng, alive * w).reshape(alive, w)
-        path = carry[:alive, None] + np.cumsum(inc, axis=1)
-        if descend:
-            dead = (path < 0.0).any(axis=1)
-        else:
-            dead = (path > 0.0).any(axis=1)
-        keep = ~dead
-        carry = path[keep, -1]
-        alive = int(keep.sum())
-        done += w
-        chunk = min(2 * chunk, 2048)
-    p = alive / reps
-    return Estimate(p, math.sqrt(p * (1.0 - p) / reps))
+    sign = -1.0 if descend else 1.0
+    with np.errstate(over="ignore"):
+        pilot = sign * draw(rng, reps)
+        rho = min(float(np.exp(theta * pilot).mean()) for theta in _CHERNOFF_THETAS)
+    if not rho < 1.0:
+        return Estimate(0.0, 0.0, note=f"walk does not drift away from zero: Chernoff rate {rho:.4g}")
+    n = np.arange(1, horizon + 1)
+    tail = rho ** (n + 1) / ((n + 1) * (1.0 - rho))
+    settled = tail <= 0.01 / math.sqrt(reps)
+    cut = not settled.any()
+    steps = horizon if cut else int(np.argmax(settled)) + 1
+    weights = 1.0 / n[:steps]
+    # Paths are simulated in blocks of at most _LADDER_CHUNK increments, so
+    # memory does not grow with reps or with the horizon.
+    block = max(1, min(reps, _LADDER_CHUNK // steps))
+    width = min(steps, _LADDER_CHUNK // block)
+    z = np.zeros(reps)
+    for lo in range(0, reps, block):
+        b = min(block, reps - lo)
+        level = np.zeros(b)
+        for t in range(0, steps, width):
+            w = min(width, steps - t)
+            walk = level[:, None] + np.cumsum(sign * draw(rng, b * w).reshape(b, w), axis=1)
+            z[lo : lo + b] += (walk > 0.0) @ weights[t : t + w]
+            level = walk[:, -1]
+    q = math.exp(-float(z.mean()))
+    note = None
+    if cut:
+        note = f"series cut at horizon {horizon}: biased upward by at most a factor exp({tail[-1]:.3g})"
+    return Estimate(q, q * float(z.std(ddof=1)) / math.sqrt(reps), note=note)
 
 
 def _unit_increment_sampler(
@@ -252,7 +281,12 @@ def ladder_prob_no_descend(
     seed: int = 0,
 ) -> Estimate:
     """Probability that the post-change random walk of an affected unit never
-    drops below zero, estimated over a finite horizon (which biases it upward).
+    drops below zero, by Spitzer's identity over one batch of ``reps`` paths.
+
+    The paths walk only as many steps as a Chernoff bound on the rest of the
+    series requires, and never more than ``horizon``; a note reports the
+    truncation bias when the horizon binds, and an estimate of exactly 0 when
+    the walk does not drift upward.
     """
     if horizon < _MIN_LADDER_HORIZON:
         raise ValueError(f"horizon must be at least {_MIN_LADDER_HORIZON}, got {horizon}")
@@ -261,7 +295,7 @@ def ladder_prob_no_descend(
     if not hypothesis.is_affected(unit):
         raise ValueError(f"unit {unit} is not affected under {hypothesis.label}")
     draw = _unit_increment_sampler(model, unit, hypothesis.local_post[unit])
-    return _escape_probability(draw, _rng(seed, 0x5F0), horizon, reps, descend=True)
+    return _spitzer_escape(draw, _rng(seed, 0x5F0), horizon, reps, descend=True)
 
 
 def ladder_prob_no_ascend(
@@ -272,14 +306,19 @@ def ladder_prob_no_ascend(
     seed: int = 0,
 ) -> Estimate:
     """Probability that the pre-change random walk of a unit never exceeds zero,
-    estimated over a finite horizon (which biases it upward).
+    by Spitzer's identity over one batch of ``reps`` paths.
+
+    The paths walk only as many steps as a Chernoff bound on the rest of the
+    series requires, and never more than ``horizon``; a note reports the
+    truncation bias when the horizon binds, and an estimate of exactly 0 when
+    the walk does not drift downward.
     """
     if horizon < _MIN_LADDER_HORIZON:
         raise ValueError(f"horizon must be at least {_MIN_LADDER_HORIZON}, got {horizon}")
     if reps < _MIN_LADDER_REPS:
         raise ValueError(f"reps must be at least {_MIN_LADDER_REPS}, got {reps}")
     draw = _unit_increment_sampler(model, unit, model.pre_local[unit])
-    return _escape_probability(draw, _rng(seed, 0x6F0), horizon, reps, descend=False)
+    return _spitzer_escape(draw, _rng(seed, 0x6F0), horizon, reps, descend=False)
 
 
 def _law_key(dist: LocalDistribution):
@@ -308,8 +347,9 @@ def compute_unit_statistics(
     class of units (same pre-change law, same family, same post-change law)
     and shared across the class.
 
-    Ladder probabilities are refined by doubling the horizon until two
-    successive estimates agree within twice their pooled standard error.
+    Each class makes one call to ``ladder_prob_no_ascend`` and, when
+    affected, one to ``ladder_prob_no_descend``, with ``ladder_reps`` paths of
+    at most ``horizon`` steps.
     """
     cache: dict = {}
     out: dict[Unit, UnitStatistics] = {}
@@ -326,8 +366,8 @@ def compute_unit_statistics(
                     reps=reps, seed=_salted(seed, idx, 1),
                 ) if is_affected else Estimate(0.0, 0.0, note="not affected"),
                 drift_pre=drift_pre(model, E, reps=reps, seed=_salted(seed, idx, 2)),
-                q_no_ascend=_stabilized_ladder(
-                    model, None, E, horizon, ladder_reps, _salted(seed, idx, 3)
+                q_no_ascend=ladder_prob_no_ascend(
+                    model, E, horizon=horizon, reps=ladder_reps, seed=_salted(seed, idx, 3)
                 ),
             )
             if is_affected:
@@ -335,8 +375,8 @@ def compute_unit_statistics(
                 stats["second_moment"] = llr_second_moment(
                     model, hypothesis, E, reps=reps, seed=_salted(seed, idx, 5)
                 )
-                stats["q_no_descend"] = _stabilized_ladder(
-                    model, hypothesis, E, horizon, ladder_reps, _salted(seed, idx, 6)
+                stats["q_no_descend"] = ladder_prob_no_descend(
+                    model, hypothesis, E, horizon=horizon, reps=ladder_reps, seed=_salted(seed, idx, 6)
                 )
             cache[key] = stats
         out[E] = UnitStatistics(unit=E, **cache[key])
@@ -351,37 +391,6 @@ def _gaussian_pair(model: ChangePointModel, hypothesis: PostChangeHypothesis, un
 
 def _salted(seed: int, *salt: int) -> int:
     return int(np.random.SeedSequence((seed, *salt)).generate_state(1)[0])
-
-
-def _stabilized_ladder(
-    model: ChangePointModel,
-    hypothesis: PostChangeHypothesis | None,
-    unit: Unit,
-    horizon: int,
-    reps: int,
-    seed: int,
-    max_doublings: int = 3,
-) -> Estimate:
-    """Ladder probability with the horizon doubled until the estimate settles.
-
-    Two successive horizons must agree within twice the pooled standard error;
-    the longer-horizon estimate is returned. A note records failure to settle.
-    """
-    def run(h: int, s: int) -> Estimate:
-        if hypothesis is None:
-            return ladder_prob_no_ascend(model, unit, horizon=h, reps=reps, seed=s)
-        return ladder_prob_no_descend(model, hypothesis, unit, horizon=h, reps=reps, seed=s)
-
-    prev = run(horizon, _salted(seed, 0))
-    h = horizon
-    for i in range(1, max_doublings + 1):
-        h *= 2
-        cur = run(h, _salted(seed, i))
-        tol = 2.0 * math.hypot(prev.stderr, cur.stderr)
-        if abs(cur.value - prev.value) <= tol:
-            return cur
-        prev = cur
-    return Estimate(prev.value, prev.stderr, note=f"horizon doubling did not settle by {h}")
 
 
 def _max_info(
@@ -464,12 +473,13 @@ def upper_bound_first_order(
 ) -> float:
     """First-order upper bound on the worst-case expected detection delay of
     the round-robin policy at threshold A: the largest A / J over affected
-    sampled units, dropping o(A) terms."""
+    sampled units, dropping o(A) terms. Raises DegenerateBoundError when that
+    drift is not positive."""
     if not A > 0.0:
         raise ValueError(f"threshold must be positive, got {A}")
     j = _min_drift(model, hypothesis, reps=reps, seed=seed)
     if j <= 0.0:
-        raise ValueError(f"upper bound degenerate: smallest post-change drift is {j:.4g}")
+        raise DegenerateBoundError(f"upper bound degenerate: smallest post-change drift is {j:.4g}")
     return A / j
 
 
@@ -481,11 +491,14 @@ def are_upper_bound(
 ) -> float:
     """Upper bound on the asymptotic relative efficiency: largest information
     number over affected subsets divided by smallest post-change drift over
-    affected sampled units. At least 1 up to Monte Carlo error."""
+    affected sampled units. At least 1 up to Monte Carlo error. Raises
+    DegenerateBoundError when that drift is not positive."""
     top, _ = _max_info(model, hypothesis, reps=reps, seed=seed)
+    if top <= 0.0:
+        raise ValueError("efficiency ratio undefined: no affected subset carries information")
     j = _min_drift(model, hypothesis, reps=reps, seed=seed)
-    if j <= 0.0 or top <= 0.0:
-        raise ValueError("efficiency ratio undefined: nonpositive drift or information")
+    if j <= 0.0:
+        raise DegenerateBoundError(f"efficiency ratio degenerate: smallest post-change drift is {j:.4g}")
     return top / j
 
 
@@ -625,6 +638,9 @@ def nonasymptotic_upper_bound(
         if p_plus <= 0.0:
             raise DegenerateBoundError("smallest no-ascend probability estimated as zero")
         coarse = (len(unaffected) / p_plus) / (1.0 - (1.0 - p_minus) ** len(affected))
+        # The coarse term dominates in exact arithmetic, with equality when the
+        # escape probabilities coincide; rounding can put it an ulp below.
+        coarse = max(coarse, passage)
     else:
         passage = 0.0
         coarse = 0.0
@@ -673,9 +689,10 @@ class BoundsReport:
             out["upper_bound_unaffected_passage"] = b.unaffected_passage
             out["upper_bound_affected_overshoot"] = b.affected_overshoot
             out["upper_bound_additive_constant"] = b.additive_constant
-        if self.degenerate is not None:
+        else:
             out["upper_bound_total"] = math.inf
             out["upper_bound_coarse"] = math.inf
+        if self.degenerate is not None:
             out["degenerate"] = self.degenerate
         for E in sorted(self.unit_stats):
             st = self.unit_stats[E]
@@ -706,7 +723,11 @@ def bounds_report(
     seed: int = 0,
     additive_constant: float = 0.0,
 ) -> BoundsReport:
-    """Compute every bound for the model and hypothesis at threshold log(gamma)."""
+    """Compute every bound for the model and hypothesis at threshold log(gamma).
+
+    A bound that degenerates is reported as infinite, and ``degenerate``
+    says why.
+    """
     if not gamma > 1.0:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
     A = math.log(gamma)
@@ -715,15 +736,19 @@ def bounds_report(
     )
     _, restricted = _max_info(model, hypothesis, reps=reps, seed=seed)
     lower = lower_bound_first_order(gamma, model, hypothesis, reps=reps, seed=seed)
-    upper1 = upper_bound_first_order(A, model, hypothesis, reps=reps, seed=seed)
-    are = are_upper_bound(model, hypothesis, reps=reps, seed=seed)
     optimality = classify_optimality(model, hypothesis)
+    reasons = []
+    try:
+        upper1 = upper_bound_first_order(A, model, hypothesis, reps=reps, seed=seed)
+        are = are_upper_bound(model, hypothesis, reps=reps, seed=seed)
+    except DegenerateBoundError as exc:
+        upper1 = are = math.inf
+        reasons.append(str(exc))
     nonasym = None
-    degenerate = None
     try:
         nonasym = nonasymptotic_upper_bound(A, model, hypothesis, stats, additive_constant)
     except DegenerateBoundError as exc:
-        degenerate = str(exc)
+        reasons.append(str(exc))
     return BoundsReport(
         gamma=gamma,
         threshold=A,
@@ -735,5 +760,5 @@ def bounds_report(
         optimality=optimality,
         unit_stats=stats,
         nonasymptotic=nonasym,
-        degenerate=degenerate,
+        degenerate="; ".join(reasons) or None,
     )

@@ -318,8 +318,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         nu=args.nu,
     )
     est = estimate_delay(model, hypothesis, config, threads=args.threads)
-    if est.high_stderr:
-        print("warning: standard error exceeds 5% of the estimate", file=sys.stderr)
     header = [
         "preset",
         "K",

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from rrcusum.bounds import (
     DegenerateBoundError,
@@ -149,6 +151,12 @@ def stub_model(increment: float):
     return m, h, u
 
 
+def _mean_change_escape(mu: float) -> float:
+    """exp(-sum_n Phi(-sqrt(n) mu / 2) / n), summed until the terms vanish."""
+    n = np.arange(1, 200_001)
+    return math.exp(-float((ndtr(-np.sqrt(n) * mu / 2.0) / n).sum()))
+
+
 class TestLadderProbabilities:
     def test_ascending_walk(self):
         m, h, u = stub_model(+0.5)
@@ -175,6 +183,50 @@ class TestLadderProbabilities:
         assert 0.0 < q_up.value < 1.0
         assert 0.0 < q_down.value < 1.0
         assert q_up.stderr > 0.0
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0])
+    def test_spitzer_matches_exact_mean_change(self, mu):
+        # the unit llr is N(-mu^2/2, mu^2) before the change and N(mu^2/2, mu^2)
+        # after, so P(S_n on the wrong side) = Phi(-sqrt(n) mu / 2) both ways
+        exact = _mean_change_escape(mu)
+        m = mean_change_model(3, mu)
+        h = mean_change_hypothesis(m, (1,), mu)
+        up = ladder_prob_no_descend(m, h, unit(1), reps=10_000, seed=11)
+        down = ladder_prob_no_ascend(m, unit(1), reps=10_000, seed=12)
+        for est in (up, down):
+            assert est.note is None
+            assert abs(est.value - exact) < 4.0 * est.stderr
+
+    def test_horizon_cut_reports_upward_bias(self):
+        # a weak drift needs more than the horizon; the note bounds the bias
+        mu = 0.2
+        est = ladder_prob_no_ascend(mean_change_model(1, mu), unit(1), horizon=1000, reps=10_000, seed=3)
+        assert est.note is not None and "horizon 1000" in est.note
+        assert abs(est.value - _mean_change_escape(mu)) < 4.0 * est.stderr
+
+    def test_wrong_drift_is_exactly_zero(self):
+        # the post-change law shifts the mean against the family, so the
+        # post-change walk drifts down and never stays above zero
+        m = mean_change_model(1, 1.0)
+        u = unit(1)
+        h = PostChangeHypothesis(
+            label="reversed", affected_units=frozenset({u}), local_post={u: GaussianLocal(-1.0, np.eye(1))}
+        )
+        est = ladder_prob_no_descend(m, h, u, reps=10_000, seed=0)
+        assert est.value == 0.0
+        assert est.stderr == 0.0
+        assert est.note is not None
+
+    def test_memory_is_flat_at_m3(self):
+        model, hyp = build_preset("corr-pairs", m=3, s=4)
+        tracemalloc.start()
+        try:
+            est = ladder_prob_no_descend(model, hyp, unit(7, 8, 9), reps=10_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < est.value < 1.0
+        assert peak < 400 * 2**20
 
     def test_preconditions(self, corr_pairs):
         model, hyp = corr_pairs
@@ -287,6 +339,27 @@ class TestNonAsymptoticBound:
         assert b.coarse_unaffected_passage == pytest.approx(20.0)
         assert b.total == pytest.approx(20.0)
         assert b.coarse_total == pytest.approx(28.0)
+        assert b.coarse_total >= b.total
+
+    def test_coarse_dominates_under_rounding(self):
+        # one affected source and 44 unaffected ones with the same escape
+        # probability: both passage terms are 44 / q in exact arithmetic, but
+        # 44 summed copies of 1 / 0.37 round above 44 / 0.37
+        K, q = 45, 0.37
+        m = mean_change_model(K, 1.0)
+        h = mean_change_hypothesis(m, (K,), 1.0)
+        post = dict(drift_post=Estimate(0.5), second_moment=Estimate(1.0), q_no_descend=Estimate(0.5))
+        stats = {}
+        for E in m.units:
+            stats[E] = UnitStatistics(
+                unit=E,
+                info_number=Estimate(0.5),
+                drift_pre=Estimate(0.5),
+                q_no_ascend=Estimate(q),
+                **(post if E == unit(K) else {}),
+            )
+        b = nonasymptotic_upper_bound(2.0, m, h, stats)
+        assert b.coarse_unaffected_passage >= b.unaffected_passage
         assert b.coarse_total >= b.total
 
     def test_additive_constant_flows_through(self, scalar_triplet):

@@ -148,6 +148,18 @@ class TestBoundsCommand:
         assert "lower_bound = 34.1962" in out
         assert "are_bound = 1" in out
 
+    @pytest.mark.slow
+    def test_degenerate_first_order_bound_exits_0(self, capsys):
+        # at m = 3 a unit holding one affected source has a negative
+        # post-change drift, so every upper bound is infinite
+        code = main(["bounds", "corr-pairs", "--m", "3", "--s", "4", "--reps", "10000"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "upper_bound_first_order = inf" in out
+        assert "are_bound = inf" in out
+        assert "upper_bound_total = inf" in out
+        assert "degenerate = upper bound degenerate" in out
+
     def test_bad_rho_exits_2(self, capsys):
         code = main(["bounds", "corr-pairs", "--rho", "1.2", "--reps", "10000"])
         assert code == 2
@@ -190,6 +202,14 @@ class TestSimulateCommand:
         assert row["m"] == "2"
         assert float(row["mean_delay"]) > 0.0
         assert int(row["replications"]) == 200
+
+    def test_high_stderr_is_warned_once(self, capsys):
+        args = ["simulate", "corr-pairs", "--K", "5", "--gamma", "8", "--reps", "10", "--threads", "1"]
+        with pytest.warns(UserWarning, match="exceeds 5%") as record:
+            code = main(args)
+        assert code == 0
+        assert len(record) == 1
+        assert "exceeds 5%" not in capsys.readouterr().err
 
     def test_delay_output_is_deterministic(self, tmp_path):
         args = [
