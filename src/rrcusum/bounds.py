@@ -19,12 +19,20 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, MutableMapping
 
 import numpy as np
 
 from .gaussian import GaussianLocal, gaussian_kl
-from .model import ChangePointModel, LocalDistribution, PostChangeHypothesis, Unit, affected_units
+from .model import (
+    ChangePointModel,
+    LocalDistribution,
+    PostChangeHypothesis,
+    Unit,
+    affected_units,
+    derive_rng,
+    derive_seed,
+)
 
 __all__ = [
     "DegenerateBoundError",
@@ -91,10 +99,6 @@ class UnitStatistics:
     q_no_descend: Estimate | None = None
 
 
-def _rng(seed, *salt) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *salt))))
-
-
 def _plain_llr(f: LocalDistribution, g: LocalDistribution, x: np.ndarray) -> np.ndarray:
     return np.asarray(g.logpdf(x)) - np.asarray(f.logpdf(x))
 
@@ -121,7 +125,7 @@ def info_number(
             raise ValueError("closed form requires Gaussian local laws; use method='monte_carlo'")
         return Estimate(gaussian_kl(g, f), 0.0)
     if method == "monte_carlo":
-        rng = _rng(seed, 0x1F0)
+        rng = derive_rng(seed, 0x1F0)
         vals = _plain_llr(f, g, g.sample(rng, reps))
         return Estimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps)))
     raise ValueError(f"unknown method {method!r}, expected 'closed_form' or 'monte_carlo'")
@@ -145,8 +149,7 @@ def drift_post(
     if not hypothesis.is_affected(unit):
         raise ValueError(f"unit {unit} is not affected under {hypothesis.label}")
     g = hypothesis.local_post[unit]
-    rng = _rng(seed, 0x2F0)
-    vals = np.asarray(model.mixture_llr(unit, g.sample(rng, reps)))
+    vals = model.unit_class(unit, g).draw(derive_rng(seed, 0x2F0), reps)
     est = Estimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps)))
     f = model.pre_local[unit]
     if (
@@ -174,9 +177,7 @@ def drift_pre(
     """
     if reps < _MIN_DRIFT_REPS:
         raise ValueError(f"reps must be at least {_MIN_DRIFT_REPS}, got {reps}")
-    f = model.pre_local[unit]
-    rng = _rng(seed, 0x3F0)
-    vals = -np.asarray(model.mixture_llr(unit, f.sample(rng, reps)))
+    vals = -model.unit_class(unit).draw(derive_rng(seed, 0x3F0), reps)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(reps))
     note = None if mean > 3.0 * se else "drift sign not resolved at three standard errors"
@@ -195,9 +196,7 @@ def llr_second_moment(
         raise ValueError(f"reps must be at least {_MIN_DRIFT_REPS}, got {reps}")
     if not hypothesis.is_affected(unit):
         raise ValueError(f"unit {unit} is not affected under {hypothesis.label}")
-    g = hypothesis.local_post[unit]
-    rng = _rng(seed, 0x4F0)
-    vals = np.asarray(model.mixture_llr(unit, g.sample(rng, reps)))
+    vals = model.unit_class(unit, hypothesis.local_post[unit]).draw(derive_rng(seed, 0x4F0), reps)
     var = float(vals.var(ddof=1))
     # standard error of the sample variance via the fourth central moment
     centered = vals - vals.mean()
@@ -263,15 +262,6 @@ def _spitzer_escape(
     return Estimate(q, q * float(z.std(ddof=1)) / math.sqrt(reps), note=note)
 
 
-def _unit_increment_sampler(
-    model: ChangePointModel, unit: Unit, law: LocalDistribution
-) -> Callable[[np.random.Generator, int], np.ndarray]:
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.asarray(model.mixture_llr(unit, law.sample(rng, n)), dtype=float)
-
-    return draw
-
-
 def ladder_prob_no_descend(
     model: ChangePointModel,
     hypothesis: PostChangeHypothesis,
@@ -294,8 +284,8 @@ def ladder_prob_no_descend(
         raise ValueError(f"reps must be at least {_MIN_LADDER_REPS}, got {reps}")
     if not hypothesis.is_affected(unit):
         raise ValueError(f"unit {unit} is not affected under {hypothesis.label}")
-    draw = _unit_increment_sampler(model, unit, hypothesis.local_post[unit])
-    return _spitzer_escape(draw, _rng(seed, 0x5F0), horizon, reps, descend=True)
+    draw = model.unit_class(unit, hypothesis.local_post[unit]).draw
+    return _spitzer_escape(draw, derive_rng(seed, 0x5F0), horizon, reps, descend=True)
 
 
 def ladder_prob_no_ascend(
@@ -317,22 +307,8 @@ def ladder_prob_no_ascend(
         raise ValueError(f"horizon must be at least {_MIN_LADDER_HORIZON}, got {horizon}")
     if reps < _MIN_LADDER_REPS:
         raise ValueError(f"reps must be at least {_MIN_LADDER_REPS}, got {reps}")
-    draw = _unit_increment_sampler(model, unit, model.pre_local[unit])
-    return _spitzer_escape(draw, _rng(seed, 0x6F0), horizon, reps, descend=False)
-
-
-def _law_key(dist: LocalDistribution):
-    if isinstance(dist, GaussianLocal):
-        return ("gauss", dist.mean.tobytes(), dist.cov.tobytes())
-    return ("obj", id(dist))
-
-
-def _stats_key(model: ChangePointModel, unit: Unit, post: LocalDistribution | None):
-    return (
-        _law_key(model.pre_local[unit]),
-        tuple(_law_key(c) for c in model.post_family[unit]),
-        None if post is None else _law_key(post),
-    )
+    draw = model.unit_class(unit).draw
+    return _spitzer_escape(draw, derive_rng(seed, 0x6F0), horizon, reps, descend=False)
 
 
 def compute_unit_statistics(
@@ -342,6 +318,7 @@ def compute_unit_statistics(
     ladder_reps: int = 2 * _MIN_LADDER_REPS,
     horizon: int = _MIN_LADDER_HORIZON,
     seed: int = 0,
+    cache: MutableMapping | None = None,
 ) -> dict[Unit, UnitStatistics]:
     """Per-unit statistics for the delay bounds, computed once per equivalence
     class of units (same pre-change law, same family, same post-change law)
@@ -349,34 +326,42 @@ def compute_unit_statistics(
 
     Each class makes one call to ``ladder_prob_no_ascend`` and, when
     affected, one to ``ladder_prob_no_descend``, with ``ladder_reps`` paths of
-    at most ``horizon`` steps.
+    at most ``horizon`` steps. The k-th class met in ``model.units`` order
+    draws from seeds salted with k. A ``cache`` shared between calls with the
+    same budgets and seed keeps the estimates per class, so a class already in
+    it is not estimated again; the results equal those of a call without it.
     """
-    cache: dict = {}
+    cache = {} if cache is None else cache
+    classes: dict = {}
     out: dict[Unit, UnitStatistics] = {}
     for E in model.units:
         is_affected = hypothesis.is_affected(E)
-        post = hypothesis.local_post[E] if is_affected else None
-        key = _stats_key(model, E, post)
+        key = (
+            model.unit_class(E).key,
+            model.unit_class(E, hypothesis.local_post[E]).key if is_affected else None,
+        )
+        idx = classes.setdefault(key, len(classes))
         if key not in cache:
-            idx = len(cache)
             stats = dict(
                 info_number=info_number(
                     model, hypothesis, E,
                     method="closed_form" if _gaussian_pair(model, hypothesis, E) else "monte_carlo",
-                    reps=reps, seed=_salted(seed, idx, 1),
+                    reps=reps, seed=derive_seed(seed, idx, 1),
                 ) if is_affected else Estimate(0.0, 0.0, note="not affected"),
-                drift_pre=drift_pre(model, E, reps=reps, seed=_salted(seed, idx, 2)),
+                drift_pre=drift_pre(model, E, reps=reps, seed=derive_seed(seed, idx, 2)),
                 q_no_ascend=ladder_prob_no_ascend(
-                    model, E, horizon=horizon, reps=ladder_reps, seed=_salted(seed, idx, 3)
+                    model, E, horizon=horizon, reps=ladder_reps, seed=derive_seed(seed, idx, 3)
                 ),
             )
             if is_affected:
-                stats["drift_post"] = drift_post(model, hypothesis, E, reps=reps, seed=_salted(seed, idx, 4))
+                stats["drift_post"] = drift_post(
+                    model, hypothesis, E, reps=reps, seed=derive_seed(seed, idx, 4)
+                )
                 stats["second_moment"] = llr_second_moment(
-                    model, hypothesis, E, reps=reps, seed=_salted(seed, idx, 5)
+                    model, hypothesis, E, reps=reps, seed=derive_seed(seed, idx, 5)
                 )
                 stats["q_no_descend"] = ladder_prob_no_descend(
-                    model, hypothesis, E, horizon=horizon, reps=ladder_reps, seed=_salted(seed, idx, 6)
+                    model, hypothesis, E, horizon=horizon, reps=ladder_reps, seed=derive_seed(seed, idx, 6)
                 )
             cache[key] = stats
         out[E] = UnitStatistics(unit=E, **cache[key])
@@ -387,10 +372,6 @@ def _gaussian_pair(model: ChangePointModel, hypothesis: PostChangeHypothesis, un
     return isinstance(model.pre_local[unit], GaussianLocal) and isinstance(
         hypothesis.local_post[unit], GaussianLocal
     )
-
-
-def _salted(seed: int, *salt: int) -> int:
-    return int(np.random.SeedSequence((seed, *salt)).generate_state(1)[0])
 
 
 def _max_info(
@@ -434,7 +415,7 @@ def _min_drift(
     vals = []
     seen = set()
     for E in sorted(affected):
-        key = _stats_key(model, E, hypothesis.local_post[E])
+        key = model.unit_class(E, hypothesis.local_post[E]).key
         if key in seen:
             continue
         seen.add(key)
@@ -459,6 +440,10 @@ def lower_bound_first_order(
     if not gamma > 1.0:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
     top, _ = _max_info(model, hypothesis, reps=reps, seed=seed)
+    return _lower_bound(gamma, top)
+
+
+def _lower_bound(gamma: float, top: float) -> float:
     if top <= 0.0:
         raise ValueError("lower bound undefined: no affected subset carries information")
     return math.log(gamma) / top
@@ -477,7 +462,10 @@ def upper_bound_first_order(
     drift is not positive."""
     if not A > 0.0:
         raise ValueError(f"threshold must be positive, got {A}")
-    j = _min_drift(model, hypothesis, reps=reps, seed=seed)
+    return _upper_bound(A, _min_drift(model, hypothesis, reps=reps, seed=seed))
+
+
+def _upper_bound(A: float, j: float) -> float:
     if j <= 0.0:
         raise DegenerateBoundError(f"upper bound degenerate: smallest post-change drift is {j:.4g}")
     return A / j
@@ -496,7 +484,10 @@ def are_upper_bound(
     top, _ = _max_info(model, hypothesis, reps=reps, seed=seed)
     if top <= 0.0:
         raise ValueError("efficiency ratio undefined: no affected subset carries information")
-    j = _min_drift(model, hypothesis, reps=reps, seed=seed)
+    return _are_bound(top, _min_drift(model, hypothesis, reps=reps, seed=seed))
+
+
+def _are_bound(top: float, j: float) -> float:
     if j <= 0.0:
         raise DegenerateBoundError(f"efficiency ratio degenerate: smallest post-change drift is {j:.4g}")
     return top / j
@@ -726,7 +717,8 @@ def bounds_report(
     """Compute every bound for the model and hypothesis at threshold log(gamma).
 
     A bound that degenerates is reported as infinite, and ``degenerate``
-    says why.
+    says why. The largest information number and the smallest post-change
+    drift are estimated once and shared by the first-order bounds.
     """
     if not gamma > 1.0:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
@@ -734,13 +726,14 @@ def bounds_report(
     stats = compute_unit_statistics(
         model, hypothesis, reps=reps, ladder_reps=ladder_reps, horizon=horizon, seed=seed
     )
-    _, restricted = _max_info(model, hypothesis, reps=reps, seed=seed)
-    lower = lower_bound_first_order(gamma, model, hypothesis, reps=reps, seed=seed)
+    top, restricted = _max_info(model, hypothesis, reps=reps, seed=seed)
+    lower = _lower_bound(gamma, top)
     optimality = classify_optimality(model, hypothesis)
     reasons = []
     try:
-        upper1 = upper_bound_first_order(A, model, hypothesis, reps=reps, seed=seed)
-        are = are_upper_bound(model, hypothesis, reps=reps, seed=seed)
+        j = _min_drift(model, hypothesis, reps=reps, seed=seed)
+        upper1 = _upper_bound(A, j)
+        are = _are_bound(top, j)
     except DegenerateBoundError as exc:
         upper1 = are = math.inf
         reasons.append(str(exc))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -20,6 +20,7 @@ __all__ = [
     "ModelInfeasibleError",
     "CorrelationMatrix",
     "GaussianLocal",
+    "GaussianMixtureKernel",
     "equicorrelation_det",
     "gaussian_info_number",
     "mean_change_info_number",
@@ -131,8 +132,104 @@ class GaussianLocal(LocalDistribution):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.standard_normal((n, self.dim)) @ self.chol.T + self.mean
 
+    def key(self) -> tuple:
+        return ("gauss", self.mean.tobytes(), self.cov.tobytes())
+
+    def compile_llr(
+        self, pre: LocalDistribution, family: Sequence[LocalDistribution]
+    ) -> "GaussianMixtureKernel | None":
+        if isinstance(pre, GaussianLocal) and all(isinstance(g, GaussianLocal) for g in family):
+            return GaussianMixtureKernel(self, pre, family)
+        return None
+
     def __repr__(self) -> str:
         return f"GaussianLocal(dim={self.dim})"
+
+
+def _solve_factor(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """chol^{-1} rhs for a small matrix right-hand side.
+
+    A matrix right-hand side sent to scipy's solve_triangular reaches the
+    threaded BLAS trsm, whose worker threads then keep a second core busy for
+    about 0.1 s; a bounds computation at m = 3 spent 1.7x its wall time in CPU
+    that way. numpy's solve, which factors the triangular matrix, does not.
+    """
+    return np.linalg.solve(chol, rhs)
+
+
+def _quadratic(law: GaussianLocal, g: GaussianLocal) -> tuple[np.ndarray, np.ndarray, float]:
+    """(A, b, c) with -2 log g(L z + mu) = z'Az + 2b'z + c + dim log(2 pi),
+    where L and mu are the Cholesky factor and mean of ``law``."""
+    M = _solve_factor(g.chol, law.chol)
+    d = solve_triangular(g.chol, law.mean - g.mean, lower=True, check_finite=False)
+    return M.T @ M, M.T @ d, float(d @ d) + g.log_det
+
+
+# Large batches are scored in slices of this many rows, so that the features
+# and the per-member terms of a slice stay in cache. On 2 cores the bounds
+# workload (2^18-row ladder draws) ran in about half the time of whole-batch
+# scoring, with slices of 2048 to 8192 rows within 20% of each other.
+_KERNEL_SLICE = 4096
+
+
+class GaussianMixtureKernel:
+    """Mixture llr increments of a Gaussian unit class, straight from the
+    standard normals that draw the observations.
+
+    With x = L z + mu an observation of the sampled law, log g_k(x) - log f(x)
+    is a quadratic in z for the pre-change law f and each family member g_k,
+    so the llr is
+
+        logsumexp_k(w_k . phi(z) + c_k),
+
+    where phi(z) holds the products z_i z_j (i <= j) and z itself, and c_k
+    absorbs -log F. A batch of n costs one (F, p) @ (p, n) product, taken in
+    slices of at most _KERNEL_SLICE columns, instead of one triangular solve
+    per member. A call draws exactly the normals ``law.sample`` draws, so the
+    random stream is that of sampling and then calling ``mixture_llr``, and
+    the increments differ from that path's by rounding.
+    """
+
+    def __init__(self, law: GaussianLocal, pre: GaussianLocal, family: Sequence[GaussianLocal]):
+        self.dim = law.dim
+        rows, cols = np.triu_indices(law.dim)
+        self._pairs = tuple(zip(rows.tolist(), cols.tolist()))
+        # z'Qz = sum over i <= j of Q_ij z_i z_j, counting i < j twice
+        scale = np.where(rows == cols, 0.5, 1.0)
+        a0, b0, c0 = _quadratic(law, pre)
+        weights, const = [], []
+        for g in family:
+            a, b, c = _quadratic(law, g)
+            weights.append(np.concatenate(((a0 - a)[rows, cols] * scale, b0 - b)))
+            const.append(0.5 * (c0 - c) - math.log(len(family)))
+        self._weights = np.array(weights)
+        self._const = np.array(const)[:, None]
+
+    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        z = rng.standard_normal((n, self.dim)).T
+        if n <= _KERNEL_SLICE:
+            return self._llr(z)
+        out = np.empty(n)
+        for lo in range(0, n, _KERNEL_SLICE):
+            out[lo : lo + _KERNEL_SLICE] = self._llr(z[:, lo : lo + _KERNEL_SLICE])
+        return out
+
+    def _llr(self, z: np.ndarray) -> np.ndarray:
+        q = len(self._pairs)
+        # products written in place: fancy-indexed gathers and a concatenation
+        # would hold three more copies of the batch
+        phi = np.empty((q + self.dim, z.shape[1]))
+        for k, (i, j) in enumerate(self._pairs):
+            np.multiply(z[i], z[j], out=phi[k])
+        phi[q:] = z
+        t = self._weights @ phi
+        t += self._const
+        if t.shape[0] == 1:
+            return t[0]
+        top = t.max(axis=0)
+        t -= top
+        np.exp(t, out=t)
+        return top + np.log(t.sum(axis=0))
 
 
 def equicorrelation_det(k: int, rho: float) -> float:
@@ -176,7 +273,7 @@ def gaussian_kl(p: GaussianLocal, q: GaussianLocal) -> float:
     """Kullback-Leibler divergence KL(p || q) between two Gaussians."""
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    zc = solve_triangular(q.chol, p.chol, lower=True, check_finite=False)
+    zc = _solve_factor(q.chol, p.chol)
     zm = solve_triangular(q.chol, q.mean - p.mean, lower=True, check_finite=False)
     trace = float(np.einsum("ij,ij->", zc, zc))
     quad = float(zm @ zm)

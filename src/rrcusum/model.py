@@ -13,7 +13,8 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from functools import partial
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -22,13 +23,28 @@ __all__ = [
     "LocalDistribution",
     "Unit",
     "MixtureLikelihood",
+    "UnitClass",
     "PostChangeHypothesis",
     "ChangePointModel",
     "ValidationReport",
     "UnitValidation",
     "affected_units",
     "validate_model",
+    "derive_rng",
+    "derive_seed",
 ]
+
+IncrementDraw = Callable[[np.random.Generator, int], np.ndarray]
+
+
+def derive_rng(seed: int, *salt: int) -> np.random.Generator:
+    """Generator of the sub-stream of ``seed`` named by ``salt``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *salt))))
+
+
+def derive_seed(seed: int, *salt: int) -> int:
+    """Integer seed of the sub-stream of ``seed`` named by ``salt``."""
+    return int(np.random.SeedSequence((seed, *salt)).generate_state(1)[0])
 
 
 class LocalDistribution(abc.ABC):
@@ -48,6 +64,20 @@ class LocalDistribution(abc.ABC):
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
+
+    def key(self) -> Hashable:
+        """Laws with equal keys are the same law. Default: the object itself."""
+        return self
+
+    def compile_llr(
+        self, pre: "LocalDistribution", family: Sequence["LocalDistribution"]
+    ) -> IncrementDraw | None:
+        """A ``draw(rng, n)`` returning the mixture llr of ``family`` against
+        ``pre`` at n observations from this law, or None when the law has no
+        compiled form; the caller then samples and evaluates the llr. A draw
+        must consume ``rng`` exactly as ``self.sample(rng, n)`` does, so that
+        both paths see the same random stream."""
+        return None
 
 
 @dataclass(frozen=True, order=True)
@@ -105,6 +135,25 @@ class MixtureLikelihood:
 
 
 @dataclass(frozen=True)
+class UnitClass:
+    """Units whose observations come from the same law and are scored against
+    the same pre-change law and post-change family, so that their mixture llr
+    increments are identically distributed.
+
+    ``key`` identifies the class and ``draw(rng, n)`` returns n increments.
+    """
+
+    key: tuple
+    draw: IncrementDraw
+
+
+def _sample_and_score(
+    model: "ChangePointModel", unit: Unit, law: LocalDistribution, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    return np.asarray(model.mixture_llr(unit, law.sample(rng, n)), dtype=float)
+
+
+@dataclass(frozen=True)
 class PostChangeHypothesis:
     """One candidate global post-change distribution, seen through the sampled units.
 
@@ -159,6 +208,7 @@ class ChangePointModel:
     post_family: Mapping[Unit, tuple[LocalDistribution, ...]]
     hypotheses: tuple[PostChangeHypothesis, ...] = ()
     _mixtures: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _classes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.K < 1:
@@ -202,6 +252,27 @@ class ChangePointModel:
         if x.shape[-1] != self.m:
             raise ValueError(f"observation has dimension {x.shape[-1]}, expected m={self.m}")
         return mix.logpdf(x) - self.pre_local[unit].logpdf(x)
+
+    def unit_class(self, unit: Unit, law: LocalDistribution | None = None) -> UnitClass:
+        """Class of the unit when its observations follow ``law`` (default:
+        the pre-change law).
+
+        The class is compiled on first use and shared by every unit with the
+        same law, pre-change law and family. Its draw is the law's compiled
+        kernel when it has one, else ``law.sample`` followed by
+        ``mixture_llr``.
+        """
+        family = self.mixture(unit).components
+        pre = self.pre_local[unit]
+        law = pre if law is None else law
+        key = (law.key(), pre.key(), tuple(g.key() for g in family))
+        cls = self._classes.get(key)
+        if cls is None:
+            draw = law.compile_llr(pre, family)
+            if draw is None:
+                draw = partial(_sample_and_score, self, unit, law)
+            cls = self._classes[key] = UnitClass(key, draw)
+        return cls
 
 
 def mixture_llr(model: ChangePointModel, unit: Unit, x: np.ndarray) -> np.ndarray | float:
@@ -290,8 +361,7 @@ def validate_model(
     for E, child in zip(model.units, root.spawn(len(model.units))):
         rng = np.random.Generator(np.random.PCG64(child))
         family = model.post_family[E]
-        x = model.pre_local[E].sample(rng, mc_budget)
-        llr = np.asarray(model.mixture_llr(E, x))
+        llr = model.unit_class(E).draw(rng, mc_budget)
         pre_mean = float(-llr.mean())
         pre_se = float(llr.std(ddof=1) / math.sqrt(mc_budget))
         row = dict(
@@ -303,8 +373,7 @@ def validate_model(
             pre_drift_ok=pre_mean > 3.0 * pre_se,
         )
         if hypothesis is not None and E in affected:
-            y = hypothesis.local_post[E].sample(rng, mc_budget)
-            post = np.asarray(model.mixture_llr(E, y))
+            post = model.unit_class(E, hypothesis.local_post[E]).draw(rng, mc_budget)
             post_mean = float(post.mean())
             post_se = float(post.std(ddof=1) / math.sqrt(mc_budget))
             row.update(

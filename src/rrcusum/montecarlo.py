@@ -8,13 +8,16 @@ increments) can be evolved with cumulative sums:
 
     Y_t = W_t + max(y0, -min(0, W_1, ..., W_{t-1})),   W_t = sum of increments.
 
-Units are grouped into equivalence classes with the same pre-change law,
-candidate family, and (after the change) the same post-change law; consecutive
+Units are grouped into the model's unit classes (``ChangePointModel.unit_class``:
+same pre-change law, candidate family, and law being observed); consecutive
 units of one class form a stretch that is simulated in a handful of numpy
-operations. The engine consumes randomness differently from policy.run_to_alarm
-but draws from exactly the same increment distributions through the same
-likelihood code, so both produce the same stopping time law; the test suite
-cross-validates them. Every replication derives its own seed from the
+operations. For Gaussian classes the increments come from the class's compiled
+kernel, which evaluates the mixture llr as a quadratic form in the standard
+normals behind each observation; it agrees with ``model.mixture_llr``, the
+likelihood code of policy.run_to_alarm, up to rounding. The engine consumes
+randomness differently from policy.run_to_alarm but draws from the same
+increment distributions, so both produce the same stopping time law; the test
+suite cross-validates them. Every replication derives its own seed from the
 configured one, which makes results independent of chunking or thread count.
 """
 
@@ -26,7 +29,7 @@ import warnings
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -36,7 +39,14 @@ from .bounds import (
     lower_bound_first_order,
     nonasymptotic_upper_bound,
 )
-from .model import ChangePointModel, PostChangeHypothesis, Unit, affected_units
+from .model import (
+    ChangePointModel,
+    PostChangeHypothesis,
+    Unit,
+    affected_units,
+    derive_rng,
+    derive_seed,
+)
 from .scenarios import correlated_block_hypothesis, correlated_blocks_model
 
 __all__ = [
@@ -137,14 +147,6 @@ def worst_case_permutation(
 # Block-vectorised engine
 
 
-def _law_key(dist):
-    from .gaussian import GaussianLocal
-
-    if isinstance(dist, GaussianLocal):
-        return ("gauss", dist.mean.tobytes(), dist.cov.tobytes())
-    return ("obj", id(dist))
-
-
 @dataclass(frozen=True)
 class _Stretch:
     start: int
@@ -181,32 +183,17 @@ def _compile_regime(
     order: Sequence[Unit],
     hypothesis: PostChangeHypothesis | None,
 ) -> _Regime:
-    key_to_id: dict = {}
+    ids: dict = {}
     samplers: list = []
     class_of_pos: list[int] = []
     for E in order:
-        pre = model.pre_local[E]
-        if hypothesis is not None and hypothesis.is_affected(E):
-            law = hypothesis.local_post[E]
-        else:
-            law = pre
-        key = (
-            _law_key(law),
-            _law_key(pre),
-            tuple(_law_key(c) for c in model.post_family[E]),
-        )
-        if key not in key_to_id:
-            key_to_id[key] = len(samplers)
-            samplers.append(_make_sampler(model, E, law))
-        class_of_pos.append(key_to_id[key])
+        affected = hypothesis is not None and hypothesis.is_affected(E)
+        cls = model.unit_class(E, hypothesis.local_post[E] if affected else None)
+        if cls.key not in ids:
+            ids[cls.key] = len(samplers)
+            samplers.append(cls.draw)
+        class_of_pos.append(ids[cls.key])
     return _Regime(samplers, class_of_pos)
-
-
-def _make_sampler(model: ChangePointModel, unit: Unit, law) -> Callable:
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.asarray(model.mixture_llr(unit, law.sample(rng, n)), dtype=float)
-
-    return draw
 
 
 _BLOCK0 = 256
@@ -312,7 +299,7 @@ def _run_replications(
     truncations = 0
     discarded = 0
     for i in rep_range:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+        rng = derive_rng(seed, i)
         pos = 0
         y = 0.0
         if pre is not None:
@@ -470,10 +457,6 @@ STUDIES: dict[int, tuple[float, tuple[float, ...], tuple[int, ...]]] = {
 }
 
 
-def _point_seed(seed: int, *salt: int) -> int:
-    return int(np.random.SeedSequence((seed, *salt)).generate_state(1)[0])
-
-
 def run_custom_study(
     config: StudyConfig,
     label: str = "custom",
@@ -487,12 +470,17 @@ def run_custom_study(
     stats_cache: dict = {}
     for idx, s in enumerate(config.s_values):
         hypothesis = correlated_block_hypothesis(model, config.rho, s=s)
-        point = replace(config, s_values=(s,), seed=_point_seed(config.seed, config.m, idx))
+        point = replace(config, s_values=(s,), seed=derive_seed(config.seed, config.m, idx))
         est = estimate_delay(model, hypothesis, point, threads=threads)
         lower = lower_bound_first_order(config.gamma, model, hypothesis)
         try:
-            stats = _cached_unit_statistics(
-                model, hypothesis, stats_cache, config.seed, stats_reps, ladder_reps
+            stats = compute_unit_statistics(
+                model,
+                hypothesis,
+                reps=stats_reps,
+                ladder_reps=ladder_reps,
+                seed=config.seed,
+                cache=stats_cache,
             )
             bound = nonasymptotic_upper_bound(math.log(config.gamma), model, hypothesis, stats)
             upper, coarse = bound.total, bound.coarse_total
@@ -516,35 +504,6 @@ def run_custom_study(
             )
         )
     return rows
-
-
-def _cached_unit_statistics(model, hypothesis, cache, seed, reps, ladder_reps):
-    """Unit statistics reusing Monte Carlo work across block sizes.
-
-    The per-class estimates depend only on the pre-change law, the family, and
-    the unit's post-change law, all of which are shared across the s sweep, so
-    one statistics pass per distinct affected-law layout is enough.
-    """
-    from .bounds import _stats_key
-
-    missing = []
-    for E in model.units:
-        post = hypothesis.local_post[E] if hypothesis.is_affected(E) else None
-        key = _stats_key(model, E, post)
-        if key not in cache:
-            missing.append((E, key))
-    if missing:
-        fresh = compute_unit_statistics(
-            model, hypothesis, reps=reps, ladder_reps=ladder_reps, seed=seed
-        )
-        for E, key in missing:
-            cache[key] = fresh[E]
-    out = {}
-    for E in model.units:
-        post = hypothesis.local_post[E] if hypothesis.is_affected(E) else None
-        st = cache[_stats_key(model, E, post)]
-        out[E] = replace(st, unit=E)
-    return out
 
 
 def run_study(
@@ -579,7 +538,7 @@ def run_study(
                 rho=rho,
                 gamma=gamma,
                 replications=4000 if replications is None else replications,
-                seed=_point_seed(seed, study, gi, m),
+                seed=derive_seed(seed, study, gi, m),
                 nu=nu,
                 ordering=Ordering.AS_GIVEN,
             )

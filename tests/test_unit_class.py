@@ -1,0 +1,231 @@
+"""Unit classes: the compiled Gaussian kernel, the generic sample-and-score
+path, and the bounds that share them."""
+
+from __future__ import annotations
+
+import math
+import pickle
+
+import numpy as np
+import pytest
+
+from rrcusum import bounds
+from rrcusum.bounds import (
+    are_upper_bound,
+    bounds_report,
+    compute_unit_statistics,
+    ladder_prob_no_ascend,
+    lower_bound_first_order,
+    upper_bound_first_order,
+)
+from rrcusum.gaussian import GaussianLocal, GaussianMixtureKernel
+from rrcusum.model import ChangePointModel, LocalDistribution, PostChangeHypothesis
+from rrcusum.montecarlo import Ordering, StudyConfig, estimate_delay
+from rrcusum.scenarios import build_preset, mean_change_hypothesis, mean_change_model
+
+PRESET_CASES = [
+    ("corr-pairs", dict(K=6, m=2, s=4)),
+    ("corr-pairs", dict(K=6, m=3, s=4)),
+    ("corr-pairs", dict(K=6, m=4, s=5)),
+    ("signed-pairs", dict(K=5)),
+    ("mean-change", dict(K=5, s=2)),
+]
+
+
+def _case_id(case):
+    name, kw = case
+    return name + "-" + "-".join(f"{k}{v}" for k, v in kw.items())
+
+
+def _laws(model, hyp, E):
+    yield model.pre_local[E]
+    if hyp.is_affected(E):
+        yield hyp.local_post[E]
+
+
+@pytest.mark.parametrize("case", PRESET_CASES, ids=_case_id)
+@pytest.mark.parametrize("n", [1, 257, 9000])  # 9000 spans three kernel slices
+def test_kernel_matches_mixture_llr_and_random_stream(case, n):
+    name, kw = case
+    model, hyp = build_preset(name, **kw)
+    for E in model.units:
+        for law in _laws(model, hyp, E):
+            draw = model.unit_class(E, law).draw
+            assert isinstance(draw, GaussianMixtureKernel)
+            rng_kernel, rng_ref = np.random.default_rng(17), np.random.default_rng(17)
+            got = draw(rng_kernel, n)
+            want = np.asarray(model.mixture_llr(E, law.sample(rng_ref, n)))
+            assert got.shape == (n,)
+            assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want))), (E, law)
+            assert rng_kernel.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_kernel_handles_a_signed_mean_family():
+    model = mean_change_model(3, 0.8, signed=True)
+    hyp = mean_change_hypothesis(model, (3,), 0.8, sign=-1)
+    for E in model.units:
+        for law in _laws(model, hyp, E):
+            rng_kernel, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
+            got = model.unit_class(E, law).draw(rng_kernel, 100)
+            want = np.asarray(model.mixture_llr(E, law.sample(rng_ref, 100)))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_classes_are_shared_and_compiled_once():
+    model, hyp = build_preset("corr-pairs", K=6, m=2, s=3)
+    pre = {model.unit_class(E) for E in model.units}
+    assert len(pre) == 1
+    post = {model.unit_class(E, hyp.local_post[E]) for E in sorted(hyp.affected_units)}
+    assert len(post) == 1
+    # an equal law built separately falls in the same class
+    other = build_preset("corr-pairs", K=6, m=2, s=5)[1]
+    E = max(hyp.affected_units)
+    assert model.unit_class(E, other.local_post[E]) is next(iter(post))
+
+
+def test_model_with_compiled_classes_pickles():
+    model, hyp = build_preset("corr-pairs", K=5, m=3, s=3)
+    E = max(hyp.affected_units)
+    model.unit_class(E, hyp.local_post[E])
+    clone = pickle.loads(pickle.dumps(model))
+    a = clone.unit_class(E, hyp.local_post[E]).draw(np.random.default_rng(2), 10)
+    b = model.unit_class(E, hyp.local_post[E]).draw(np.random.default_rng(2), 10)
+    np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The generic path: a law without a compiled form
+
+
+class Wrapped(LocalDistribution):
+    """A non-Gaussian law type that delegates to a Gaussian one."""
+
+    def __init__(self, inner: GaussianLocal):
+        self.inner = inner
+        self.dim = inner.dim
+
+    def logpdf(self, x):
+        return self.inner.logpdf(x)
+
+    def sample(self, rng, n):
+        return self.inner.sample(rng, n)
+
+
+def _wrap(model: ChangePointModel, hyp: PostChangeHypothesis):
+    wrapped: dict[int, Wrapped] = {}
+
+    def w(law):
+        return wrapped.setdefault(id(law), Wrapped(law))
+
+    wmodel = ChangePointModel(
+        K=model.K,
+        m=model.m,
+        units=model.units,
+        pre_local={E: w(model.pre_local[E]) for E in model.units},
+        post_family={E: tuple(w(g) for g in model.post_family[E]) for E in model.units},
+    )
+    whyp = PostChangeHypothesis(
+        label=hyp.label,
+        affected_units=hyp.affected_units,
+        local_post={E: w(law) for E, law in hyp.local_post.items()},
+    )
+    return wmodel, whyp
+
+
+@pytest.fixture(scope="module")
+def gaussian_and_wrapped():
+    model, hyp = build_preset("corr-pairs", K=5, m=3, s=4)
+    return (model, hyp), _wrap(model, hyp)
+
+
+def test_wrapped_laws_take_the_generic_path(gaussian_and_wrapped):
+    (model, hyp), (wmodel, whyp) = gaussian_and_wrapped
+    E = max(hyp.affected_units)
+    assert isinstance(model.unit_class(E, hyp.local_post[E]).draw, GaussianMixtureKernel)
+    assert not isinstance(wmodel.unit_class(E, whyp.local_post[E]).draw, GaussianMixtureKernel)
+    # the default key is the law itself, so distinct wrappers of equal laws differ
+    assert Wrapped(model.pre_local[E]).key() != Wrapped(model.pre_local[E]).key()
+
+
+def test_generic_and_compiled_paths_give_the_same_delay(gaussian_and_wrapped):
+    (model, hyp), (wmodel, whyp) = gaussian_and_wrapped
+    config = StudyConfig(
+        K=5, m=3, rho=0.7, gamma=20.0, s_values=(4,), replications=200, seed=5,
+        ordering=Ordering.AS_GIVEN,
+    )
+    fast = estimate_delay(model, hyp, config)
+    generic = estimate_delay(wmodel, whyp, config)
+    assert generic.mean == pytest.approx(fast.mean, rel=1e-12)
+    assert generic.stderr == pytest.approx(fast.stderr, rel=1e-9)
+
+
+def test_generic_and_compiled_paths_give_the_same_ladder_estimate(gaussian_and_wrapped):
+    (model, _), (wmodel, _) = gaussian_and_wrapped
+    E = model.units[0]
+    fast = ladder_prob_no_ascend(model, E, reps=10_000, seed=3)
+    generic = ladder_prob_no_ascend(wmodel, E, reps=10_000, seed=3)
+    assert generic.value == pytest.approx(fast.value, rel=1e-9)
+    assert generic.stderr == pytest.approx(fast.stderr, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The bounds on top of the classes
+
+
+def _count_drift_post(monkeypatch):
+    calls = []
+    original = bounds.drift_post
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "drift_post", counted)
+    return calls
+
+
+BUDGET = dict(reps=10_000, seed=1)
+
+
+@pytest.mark.parametrize(
+    "case", [("signed-pairs", dict(K=5)), ("corr-pairs", dict(K=6, m=3, s=4))], ids=_case_id
+)
+def test_report_estimates_the_smallest_drift_once(case, monkeypatch):
+    name, kw = case
+    model, hyp = build_preset(name, **kw)
+    gamma = 100.0
+    calls = _count_drift_post(monkeypatch)
+    report = bounds_report(model, hyp, gamma, ladder_reps=10_000, **BUDGET)
+    in_report = len(calls)
+    calls.clear()
+    stats = compute_unit_statistics(model, hyp, ladder_reps=10_000, **BUDGET)
+    in_stats = len(calls)
+    calls.clear()
+    try:
+        upper = upper_bound_first_order(math.log(gamma), model, hyp, **BUDGET)
+        are = are_upper_bound(model, hyp, **BUDGET)
+    except bounds.DegenerateBoundError:
+        upper = are = math.inf
+    in_bounds = len(calls)
+    # one drift per affected class beyond the unit statistics, not one per bound
+    classes = {model.unit_class(E, hyp.local_post[E]).key for E in hyp.affected_units}
+    assert in_report == in_stats + len(classes)
+    if math.isfinite(upper):
+        assert in_bounds == 2 * len(classes)
+        assert in_report < in_stats + in_bounds
+    assert report.upper_bound_first_order == upper
+    assert report.are_bound == are
+    assert report.lower_bound == lower_bound_first_order(gamma, model, hyp, **BUDGET)
+    assert report.unit_stats == stats
+
+
+def test_unit_statistics_cache_skips_known_classes_and_changes_nothing(monkeypatch):
+    model, hyp3 = build_preset("corr-pairs", K=6, m=2, s=3)
+    hyp4 = build_preset("corr-pairs", K=6, m=2, s=4)[1]
+    budget = dict(reps=10_000, ladder_reps=10_000, seed=4)
+    cache: dict = {}
+    compute_unit_statistics(model, hyp3, cache=cache, **budget)
+    calls = _count_drift_post(monkeypatch)
+    cached = compute_unit_statistics(model, hyp4, cache=cache, **budget)
+    assert calls == []  # every class of s = 4 already appeared at s = 3
+    assert cached == compute_unit_statistics(model, hyp4, **budget)
