@@ -18,7 +18,6 @@ import configparser
 import csv
 import io
 import math
-import os
 import sys
 
 from . import montecarlo, scenarios
@@ -151,7 +150,7 @@ _DEFAULTS = {
     "gamma": 100.0,
     "seed": 0,
     "nu": 0,
-    "threads": os.cpu_count() or 1,
+    "threads": 1,
     "constant": 0.0,
 }
 
@@ -201,7 +200,7 @@ def _add_common(p: argparse.ArgumentParser, preset_positional: bool = True) -> N
     p.add_argument("--reps", type=int, default=None, help="Monte Carlo replications")
     p.add_argument("--seed", type=int, default=None, help="root seed")
     p.add_argument("--nu", type=int, default=None, help="change time")
-    p.add_argument("--threads", type=int, default=None, help="worker processes for replications")
+    p.add_argument("--threads", type=int, default=None, help="worker processes for replications (default 1)")
     p.add_argument("--config", default=None, help="INI file with [scenario] and [run] sections")
     p.add_argument("--dump-config", action="store_true", help="print the effective configuration and exit")
     p.add_argument("--out", default=None, help="output file (default stdout)")

@@ -17,8 +17,14 @@ normals behind each observation; it agrees with ``model.mixture_llr``, the
 likelihood code of policy.run_to_alarm, up to rounding. The engine consumes
 randomness differently from policy.run_to_alarm but draws from the same
 increment distributions, so both produce the same stopping time law; the test
-suite cross-validates them. Every replication derives its own seed from the
-configured one, which makes results independent of chunking or thread count.
+suite cross-validates them.
+
+Replications run in batches of _BATCH rows that advance together: each round
+moves every running row through the rest of its current stretch, with one
+block of draws per class shared by all rows in that class. Batch b draws from
+its own sub-stream of the configured seed, ``derive_rng(seed, b)``, and worker
+processes only ever receive whole batches, so results are reproducible bit for
+bit and independent of the thread count.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Collection, Sequence
@@ -148,34 +153,18 @@ def worst_case_permutation(
 
 
 @dataclass(frozen=True)
-class _Stretch:
-    start: int
-    length: int
-    class_id: int
-
-
 class _Regime:
-    """Units in sampling order, grouped into contiguous same-class stretches."""
+    """Units in sampling order, grouped into contiguous same-class stretches.
 
-    def __init__(self, samplers: list, class_of_pos: list[int]):
-        self.samplers = samplers
-        self.n_units = len(class_of_pos)
-        stretches: list[_Stretch] = []
-        i = 0
-        while i < self.n_units:
-            j = i
-            while j + 1 < self.n_units and class_of_pos[j + 1] == class_of_pos[i]:
-                j += 1
-            stretches.append(_Stretch(i, j - i + 1, class_of_pos[i]))
-            i = j + 1
-        self.stretches = stretches
-        self._starts = [s.start for s in stretches]
+    ``stretch_of`` maps each position to its stretch, ``stretch_end`` is the
+    position one past each stretch's last unit and ``class_of`` the class of
+    each stretch, an index into ``draws``.
+    """
 
-    def locate(self, pos: int) -> tuple[_Stretch, int]:
-        """Stretch containing the position and the number of units from the
-        position to the end of the stretch, current unit included."""
-        st = self.stretches[bisect_right(self._starts, pos) - 1]
-        return st, st.start + st.length - pos
+    draws: list
+    stretch_of: np.ndarray
+    stretch_end: np.ndarray
+    class_of: np.ndarray
 
 
 def _compile_regime(
@@ -184,67 +173,83 @@ def _compile_regime(
     hypothesis: PostChangeHypothesis | None,
 ) -> _Regime:
     ids: dict = {}
-    samplers: list = []
+    draws: list = []
     class_of_pos: list[int] = []
     for E in order:
         affected = hypothesis is not None and hypothesis.is_affected(E)
         cls = model.unit_class(E, hypothesis.local_post[E] if affected else None)
         if cls.key not in ids:
-            ids[cls.key] = len(samplers)
-            samplers.append(cls.draw)
+            ids[cls.key] = len(draws)
+            draws.append(cls.draw)
         class_of_pos.append(ids[cls.key])
-    return _Regime(samplers, class_of_pos)
+    classes = np.asarray(class_of_pos)
+    first = np.diff(classes, prepend=-1) != 0
+    starts = np.flatnonzero(first)
+    return _Regime(
+        draws=draws,
+        stretch_of=np.cumsum(first) - 1,
+        stretch_end=np.append(starts[1:], classes.size),
+        class_of=classes[starts],
+    )
 
 
-_BLOCK0 = 256
-_BLOCK_CAP = 1 << 15
+_BATCH = 256
+_COLS0 = 32
+_BLOCK_ELEMENTS = 1 << 14
 
 
 def _run_stretch(
     rng: np.random.Generator,
     draw: Callable,
-    y0: float,
+    y: np.ndarray,
     threshold: float,
-    switches_needed: int,
-    budget: int,
-) -> tuple[int, int, float, str]:
-    """Advance the statistic through consecutive units with iid increments.
+    need: np.ndarray,
+    budget: np.ndarray,
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Advance rows of the statistic through consecutive units of one class.
 
-    Stops at the switches_needed-th drop to or below zero (status 'switched'),
-    at the first crossing of the threshold (status 'alarm'), or after budget
-    steps (status 'budget'). Returns (steps, switches, statistic, status).
-    Increments drawn beyond the stopping step are discarded, which is sound
-    because they are independent of everything retained.
+    Row r starts at statistic y[r] and stops at its need[r]-th drop to or
+    below zero, at its first crossing of the threshold, or after budget[r]
+    steps. Every block draws the increments of all running rows in one call,
+    at most _BLOCK_ELEMENTS of them, with the columns per row doubling from
+    _COLS0. Returns (used, steps, switches, statistic, alarmed): the number of
+    increments consumed over all rows, then one array entry per row.
+    Increments drawn beyond a row's stopping step are discarded, which is
+    sound because they are independent of everything retained.
     """
-    y = y0
-    steps = 0
-    switches = 0
-    block = _BLOCK0
-    while True:
-        n = min(block, budget - steps)
-        if n <= 0:
-            return steps, switches, y, "budget"
-        xi = draw(rng, n)
-        w = np.cumsum(xi)
-        prev_min = np.minimum.accumulate(np.concatenate(([0.0], w[:-1])))
-        path = w + np.maximum(y, -prev_min)
-        switch_idx = np.flatnonzero(path <= 0.0)
-        alarm_idx = np.flatnonzero(path >= threshold)
-        a = int(alarm_idx[0]) if alarm_idx.size else -1
-        need = switches_needed - switches
-        if switch_idx.size >= need:
-            e = int(switch_idx[need - 1])
-            if 0 <= a < e:
-                before = int(np.searchsorted(switch_idx, a))
-                return steps + a + 1, switches + before, float(path[a]), "alarm"
-            return steps + e + 1, switches_needed, float(path[e]), "switched"
-        if a >= 0:
-            before = int(np.searchsorted(switch_idx, a))
-            return steps + a + 1, switches + before, float(path[a]), "alarm"
-        steps += n
-        switches += int(switch_idx.size)
-        y = float(path[-1])
-        block = min(2 * block, _BLOCK_CAP)
+    y = y.astype(float)
+    steps = np.zeros(y.size, dtype=np.int64)
+    switches = np.zeros(y.size, dtype=np.int64)
+    alarmed = np.zeros(y.size, dtype=bool)
+    run = np.arange(y.size)
+    used = 0
+    cols = _COLS0
+    while run.size:
+        k = run.size
+        left = budget[run] - steps[run]
+        n = int(min(cols, _BLOCK_ELEMENTS // k, left.max()))
+        w = np.cumsum(draw(rng, k * n).reshape(k, n), axis=1)
+        floor = np.zeros_like(w)
+        floor[:, 1:] = w[:, :-1]
+        np.minimum.accumulate(floor, axis=1, out=floor)
+        path = w + np.maximum(y[run, None], -floor)
+        hit = path >= threshold
+        sw = np.cumsum(path <= 0.0, axis=1)
+        stop = hit | (sw >= (need[run] - switches[run])[:, None])
+        ends = left <= n
+        stop[ends, left[ends] - 1] = True
+        j = stop.argmax(axis=1)
+        rows = np.arange(k)
+        done = stop[rows, j]
+        j[~done] = n - 1
+        steps[run] += j + 1
+        switches[run] += sw[rows, j]
+        y[run] = path[rows, j]
+        alarmed[run] = hit[rows, j]
+        used += int(j.sum()) + k
+        run = run[~done]
+        cols *= 2
+    return used, steps, switches, y, alarmed
 
 
 def _simulate(
@@ -252,66 +257,79 @@ def _simulate(
     regime: _Regime,
     threshold: float,
     budget: int,
-    start_pos: int = 0,
-    y0: float = 0.0,
-) -> tuple[int, bool, int, float]:
-    """One run of the policy under a fixed regime until alarm or budget.
+    pos: np.ndarray,
+    y: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Runs of the policy under a fixed regime until alarm or budget steps,
+    one per row, starting at the positions and statistics given.
 
-    Returns (steps, alarmed, position, statistic); position indexes the unit
-    the policy is at when the run ends.
+    Each round advances every running row through the rest of its current
+    stretch, with one _run_stretch call per class. Returns (steps, alarmed,
+    position, statistic) per row; position indexes the unit the policy is at
+    when the run ends.
     """
-    pos = start_pos
-    y = y0
-    total = 0
-    n = regime.n_units
-    single = len(regime.stretches) == 1
-    while total < budget:
-        st, units_left = regime.locate(pos)
-        needed = budget + 1 if single else units_left
-        steps, switches, y, status = _run_stretch(
-            rng, regime.samplers[st.class_id], y, threshold, needed, budget - total
-        )
-        total += steps
-        pos = (pos + switches) % n
-        if status == "alarm":
-            return total, True, pos, y
-    return total, False, pos, y
+    pos = np.array(pos, dtype=np.int64)
+    y = np.array(y, dtype=float)
+    steps = np.zeros(pos.size, dtype=np.int64)
+    alarmed = np.zeros(pos.size, dtype=bool)
+    n_units = regime.stretch_of.size
+    single = regime.class_of.size == 1
+    live = np.arange(pos.size)
+    while live.size:
+        stretch = regime.stretch_of[pos[live]]
+        cls = regime.class_of[stretch]
+        if single:
+            need = np.full(live.size, budget + 1)
+        else:
+            need = regime.stretch_end[stretch] - pos[live]
+        for c in np.unique(cls):
+            sel = cls == c
+            rows = live[sel]
+            _, s, sw, y[rows], alarmed[rows] = _run_stretch(
+                rng, regime.draws[c], y[rows], threshold, need[sel], budget - steps[rows]
+            )
+            steps[rows] += s
+            pos[rows] = (pos[rows] + sw) % n_units
+        live = live[~alarmed[live] & (steps[live] < budget)]
+    return steps, alarmed, pos, y
 
 
-def _run_replications(
+def _run_batches(
     model: ChangePointModel,
     hypothesis: PostChangeHypothesis | None,
     order: Sequence[Unit],
     threshold: float,
     nu: int,
     seed: int,
-    rep_range: range,
+    replications: int,
+    batches: range,
     cap: int,
-) -> tuple[list[int], int, int]:
-    """Delays (or capped run lengths) for the given replication indices.
+) -> tuple[np.ndarray, int, int]:
+    """Delays (or capped run lengths) of the replications in the given batches.
 
+    Batch b holds replications b * _BATCH onwards, at most _BATCH of them and
+    none past ``replications``, and draws from ``derive_rng(seed, b)``.
     Returns (values, truncations, discarded). A replication is discarded when
     it alarms at or before the change time nu.
     """
     post = _compile_regime(model, order, hypothesis)
     pre = _compile_regime(model, order, None) if nu > 0 else None
-    values: list[int] = []
+    values = []
     truncations = 0
     discarded = 0
-    for i in rep_range:
-        rng = derive_rng(seed, i)
-        pos = 0
-        y = 0.0
+    for b in batches:
+        rng = derive_rng(seed, b)
+        rows = min(_BATCH, replications - b * _BATCH)
+        pos = np.zeros(rows, dtype=np.int64)
+        y = np.zeros(rows)
         if pre is not None:
-            steps, alarmed, pos, y = _simulate(rng, pre, threshold, nu)
-            if alarmed:
-                discarded += 1
-                continue
+            _, alarmed, pos, y = _simulate(rng, pre, threshold, nu, pos, y)
+            discarded += int(alarmed.sum())
+            pos, y = pos[~alarmed], y[~alarmed]
         steps, alarmed, _, _ = _simulate(rng, post, threshold, cap, pos, y)
-        if not alarmed:
-            truncations += 1
+        truncations += int((~alarmed).sum())
         values.append(steps)
-    return values, truncations, discarded
+    return np.concatenate(values), truncations, discarded
 
 
 def _collect(
@@ -325,31 +343,23 @@ def _collect(
     cap: int,
     threads: int,
 ) -> DelayEstimate:
-    if threads <= 1 or replications < 2 * threads:
-        values, truncations, discarded = _run_replications(
-            model, hypothesis, order, threshold, nu, seed, range(replications), cap
-        )
+    n_batches = -(-replications // _BATCH)
+    workers = max(1, min(threads, n_batches))
+    shares = [range(n_batches * i // workers, n_batches * (i + 1) // workers) for i in range(workers)]
+    args = (model, hypothesis, tuple(order), threshold, nu, seed, replications)
+    if workers == 1:
+        parts = [_run_batches(*args, shares[0], cap)]
     else:
-        chunk = (replications + threads - 1) // threads
-        ranges = [range(lo, min(lo + chunk, replications)) for lo in range(0, replications, chunk)]
-        values = []
-        truncations = 0
-        discarded = 0
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(
-                    _run_replications, model, hypothesis, tuple(order), threshold, nu, seed, r, cap
-                )
-                for r in ranges
-            ]
-            for fut in futures:
-                v, t, d = fut.result()
-                values.extend(v)
-                truncations += t
-                discarded += d
-    if not values:
+        # Workers receive whole batches, so the streams do not depend on threads.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_batches, *args, share, cap) for share in shares]
+            parts = [fut.result() for fut in futures]
+    values = np.concatenate([v for v, _, _ in parts])
+    truncations = sum(t for _, t, _ in parts)
+    discarded = sum(d for _, _, d in parts)
+    if not values.size:
         raise RuntimeError("every replication alarmed before the change time; nothing to average")
-    arr = np.asarray(values, dtype=float)
+    arr = values.astype(float)
     stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else math.inf
     return DelayEstimate(
         mean=float(arr.mean()),
@@ -371,8 +381,8 @@ def estimate_delay(
     hypothesis, with the change at time config.nu.
 
     With the worst-case ordering the unaffected units are sampled first. Each
-    replication is seeded independently from config.seed, so the estimate is
-    reproducible bit for bit and independent of the thread count.
+    batch of replications is seeded independently from config.seed, so the
+    estimate is reproducible bit for bit and independent of the thread count.
     """
     affected = affected_units(model, hypothesis)
     if not affected:

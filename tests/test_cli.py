@@ -316,6 +316,13 @@ class TestConfigFiles:
         parser.read_file(io.StringIO(capsys.readouterr().out))
         assert parser["scenario"]["k"] == "8"
 
+    @pytest.mark.parametrize("command", [["simulate", "corr-pairs"], ["study", "1"]])
+    def test_threads_default_to_one(self, command, capsys):
+        assert main([*command, "--dump-config"]) == 0
+        parser = configparser.ConfigParser()
+        parser.read_file(io.StringIO(capsys.readouterr().out))
+        assert parser["run"]["threads"] == "1"
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
         path.write_text("[run]\nbogus = 1\n", encoding="utf-8")

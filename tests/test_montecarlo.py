@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from rrcusum.model import PostChangeHypothesis, Unit, unit
+from rrcusum import montecarlo
+from rrcusum.model import ChangePointModel, PostChangeHypothesis, Unit, UnitClass, unit
 from rrcusum.montecarlo import (
     STUDIES,
     DelayEstimate,
@@ -169,6 +170,106 @@ class TestEngineCrossValidation:
         assert abs(fast.mean - ref.mean()) < 3.0 * pooled
 
 
+def scalar_stretch(x, y, threshold, need, budget):
+    """One row of _run_stretch, one increment at a time: (steps, switches,
+    statistic, alarmed)."""
+    switches = 0
+    for t in range(budget):
+        y = max(y, 0.0) + x[t]
+        if y >= threshold:
+            return t + 1, switches, y, True
+        if y <= 0.0:
+            switches += 1
+            if switches == need:
+                return t + 1, switches, y, False
+    return budget, switches, y, False
+
+
+class FixedFeed:
+    """Deterministic draw serving fixed per-row increment streams.
+
+    _run_stretch lays each block out as (running rows, columns) in row order,
+    so a call for n increments hands every row still running (by the scalar
+    restatement) its next n / rows values.
+    """
+
+    def __init__(self, streams, stops):
+        self.streams = streams
+        self.stops = stops
+        self.cursor = [0] * len(streams)
+        self.drawn = 0
+
+    def __call__(self, rng, n):
+        running = [r for r, stop in enumerate(self.stops) if self.cursor[r] < stop]
+        cols, rest = divmod(n, len(running))
+        assert rest == 0 and cols > 0
+        out = []
+        for r in running:
+            out.append(self.streams[r][self.cursor[r] : self.cursor[r] + cols])
+            self.cursor[r] += cols
+        self.drawn += n
+        return np.concatenate(out)
+
+
+class TestRunStretch:
+    def check(self, prefixes, y0, threshold, need, budget):
+        pad = 1 << 15  # a block never outruns a row's stop by more than its width
+        streams = [np.concatenate([np.asarray(p, dtype=float), np.zeros(pad)]) for p in prefixes]
+        want = [
+            scalar_stretch(x, y, threshold, k, b) for x, y, k, b in zip(streams, y0, need, budget)
+        ]
+        feed = FixedFeed(streams, [w[0] for w in want])
+        used, steps, switches, y, alarmed = montecarlo._run_stretch(
+            None, feed, np.asarray(y0, dtype=float), threshold, np.asarray(need), np.asarray(budget)
+        )
+        assert type(used) is int and used == sum(w[0] for w in want) <= feed.drawn
+        # Dyadic increments keep every sum exact, so the paths agree exactly.
+        assert steps.tolist() == [w[0] for w in want]
+        assert switches.tolist() == [w[1] for w in want]
+        assert y.tolist() == [w[2] for w in want]
+        assert alarmed.tolist() == [w[3] for w in want]
+        return want
+
+    def test_targeted_rows(self):
+        climb = [0.125] * 400  # neither switches nor reaches the threshold in 97 steps
+        want = self.check(
+            prefixes=[
+                climb,  # budget ends exactly at the first block edge
+                climb,  # ... and at the second
+                climb,
+                [-1.0, 25.0, -1.0, -1.0],  # alarm before the need-th switch
+                [-1.0, -1.0, -1.0, 25.0],  # need-th switch before the alarm
+                [0.5, -1.0] * 200,  # switches carried across blocks
+                [-0.5, -0.5, -0.75, 0.25],  # y0 > 0, first switch at step 3
+                [0.0, 0.0, 0.0],  # a statistic of exactly 0 switches
+            ],
+            y0=[0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.5, 0.0],
+            threshold=20.0,
+            need=[1000, 1000, 1000, 3, 3, 150, 1, 2],
+            budget=[32, 96, 97, 1000, 1000, 1000, 1000, 1000],
+        )
+        assert want[0][:2] == (32, 0) and want[1][:2] == (96, 0)
+        assert want[2][3] is False and want[2][0] == 97
+        assert want[3][:2] == (2, 1) and want[3][3]
+        assert want[4][:2] == (3, 3) and not want[4][3]
+        assert want[5][:2] == (300, 150)
+        assert want[6][:2] == (3, 1)
+        assert want[7][:2] == (2, 2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = 70
+        prefixes = [rng.integers(-90, 80, size=400) / 64.0 for _ in range(rows)]
+        self.check(
+            prefixes,
+            y0=(rng.integers(-64, 160, size=rows) / 64.0).tolist(),
+            threshold=3.0,
+            need=rng.integers(1, 40, size=rows).tolist(),
+            budget=rng.integers(1, 400, size=rows).tolist(),
+        )
+
+
 class TestEstimateDelay:
     def make(self, **kw):
         model = correlated_blocks_model(5, 2, 0.7)
@@ -196,6 +297,45 @@ class TestEstimateDelay:
         a = estimate_delay(model, hyp, config, threads=1)
         b = estimate_delay(model, hyp, config, threads=3)
         assert a == b
+
+    def test_thread_count_does_not_change_results_with_change_time(self):
+        # 600 replications: two full batches and a partial one, one per worker.
+        model, hyp, config = self.make(replications=600, nu=5)
+        assert config.replications % montecarlo._BATCH
+        a = estimate_delay(model, hyp, config, threads=1)
+        b = estimate_delay(model, hyp, config, threads=3)
+        assert a.discarded > 0
+        assert a == b
+
+    def test_traced_stretches_see_every_increment(self, monkeypatch):
+        seen = {"class": 0, "stretch": 0, "used": 0}
+        unit_class = ChangePointModel.unit_class
+        run_stretch = montecarlo._run_stretch
+
+        def counting_class(self, *args):
+            cls = unit_class(self, *args)
+
+            def draw(rng, n):
+                seen["class"] += n
+                return cls.draw(rng, n)
+
+            return UnitClass(cls.key, draw)
+
+        def counting_stretch(rng, draw, *rest):
+            def counted(rng_, n):
+                seen["stretch"] += n
+                return draw(rng_, n)
+
+            out = run_stretch(rng, counted, *rest)
+            seen["used"] += out[0]
+            return out
+
+        monkeypatch.setattr(ChangePointModel, "unit_class", counting_class)
+        monkeypatch.setattr(montecarlo, "_run_stretch", counting_stretch)
+        model, hyp, config = self.make(replications=300)
+        est = estimate_delay(model, hyp, config)
+        assert seen["stretch"] == seen["class"] > 0
+        assert seen["used"] == round(est.mean * est.replications)
 
     def test_seed_changes_results(self):
         model, hyp, config = self.make()
