@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import math
 
-from rrcusum.montecarlo import StudyConfig, estimate_arl
+from rrcusum.montecarlo import RunSpec, estimate_arl
 from rrcusum.scenarios import correlated_blocks_model
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--K", type=int, default=10)
     ap.add_argument("--m", type=int, default=2)
@@ -23,22 +23,14 @@ def main() -> int:
     ap.add_argument("--replications", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--threads", type=int, default=1)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     model = correlated_blocks_model(args.K, args.m, args.rho)
     print(f"{'gamma':>8} {'run_length':>12} {'2se':>8} {'ratio':>7} {'truncated':>9}")
     worst = float("inf")
     for gamma in args.gammas:
-        config = StudyConfig(
-            K=args.K,
-            m=args.m,
-            rho=args.rho,
-            gamma=gamma,
-            s_values=(2,),
-            replications=args.replications,
-            seed=args.seed,
-        )
-        est = estimate_arl(model, config, cap=math.ceil(10 * gamma), threads=args.threads)
+        spec = RunSpec(gamma=gamma, replications=args.replications, seed=args.seed)
+        est = estimate_arl(model, spec, cap=math.ceil(10 * gamma), threads=args.threads)
         ratio = est.mean / gamma
         worst = min(worst, ratio)
         print(

@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 
 from rrcusum.bounds import bounds_report
-from rrcusum.montecarlo import StudyConfig, estimate_delay
+from rrcusum.montecarlo import RunSpec, estimate_delay
 from rrcusum.scenarios import build_preset
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--preset", default="corr-pairs")
     ap.add_argument("--K", type=int, default=10)
@@ -30,7 +30,7 @@ def main() -> int:
     ap.add_argument("--stats-reps", type=int, default=100_000)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--threads", type=int, default=1)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     model, hyp = build_preset(
         args.preset, K=args.K, m=args.m, rho=args.rho, s=args.s
@@ -43,16 +43,8 @@ def main() -> int:
         report = bounds_report(
             model, hyp, gamma, reps=args.stats_reps, seed=args.seed
         )
-        config = StudyConfig(
-            K=args.K,
-            m=args.m,
-            rho=args.rho,
-            gamma=gamma,
-            s_values=(max(args.s, 2),),
-            replications=args.replications,
-            seed=args.seed,
-        )
-        est = estimate_delay(model, hyp, config, threads=args.threads)
+        spec = RunSpec(gamma=gamma, replications=args.replications, seed=args.seed)
+        est = estimate_delay(model, hyp, spec, threads=args.threads)
         upper = "n/a" if report.nonasymptotic is None else f"{report.nonasymptotic.total:8.1f}"
         print(
             f"{gamma:10.0f} {report.lower_bound:8.2f} {est.mean:8.2f} "

@@ -7,7 +7,6 @@ from .model import (
     PostChangeHypothesis,
     Unit,
     affected_units,
-    mixture_llr,
     unit,
     validate_model,
 )
@@ -19,9 +18,7 @@ from .gaussian import (
     equicorrelation_det,
     gaussian_info_number,
     gaussian_kl,
-    gaussian_llr,
     mean_change_info_number,
-    sample_local,
 )
 from .policy import (
     Decision,
@@ -58,6 +55,7 @@ from .bounds import (
 from .montecarlo import (
     DelayEstimate,
     Ordering,
+    RunSpec,
     StudyConfig,
     StudyRow,
     estimate_arl,

@@ -26,7 +26,6 @@ import numpy as np
 from .gaussian import GaussianLocal, gaussian_kl
 from .model import (
     ChangePointModel,
-    LocalDistribution,
     PostChangeHypothesis,
     Unit,
     affected_units,
@@ -99,20 +98,18 @@ class UnitStatistics:
     q_no_descend: Estimate | None = None
 
 
-def _plain_llr(f: LocalDistribution, g: LocalDistribution, x: np.ndarray) -> np.ndarray:
-    return np.asarray(g.logpdf(x)) - np.asarray(f.logpdf(x))
-
-
 def info_number(
     model: ChangePointModel,
     hypothesis: PostChangeHypothesis,
     unit: Unit,
-    method: str = "closed_form",
     reps: int = 100_000,
     seed: int = 0,
 ) -> Estimate:
     """Information number of the unit: KL of its true post-change law against
     its pre-change law. Returns 0 with a note when the unit is not affected.
+
+    The closed form is used when both laws are Gaussian; otherwise the value is
+    a Monte Carlo mean over ``reps`` draws from the post-change law.
     """
     if unit not in set(model.units):
         raise ValueError(f"unit {unit} is not sampled by this model")
@@ -120,15 +117,11 @@ def info_number(
         return Estimate(0.0, 0.0, note="not affected")
     f = model.pre_local[unit]
     g = hypothesis.local_post[unit]
-    if method == "closed_form":
-        if not (isinstance(f, GaussianLocal) and isinstance(g, GaussianLocal)):
-            raise ValueError("closed form requires Gaussian local laws; use method='monte_carlo'")
+    if _gaussian_pair(model, hypothesis, unit):
         return Estimate(gaussian_kl(g, f), 0.0)
-    if method == "monte_carlo":
-        rng = derive_rng(seed, 0x1F0)
-        vals = _plain_llr(f, g, g.sample(rng, reps))
-        return Estimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps)))
-    raise ValueError(f"unknown method {method!r}, expected 'closed_form' or 'monte_carlo'")
+    x = g.sample(derive_rng(seed, 0x1F0), reps)
+    vals = np.asarray(g.logpdf(x)) - np.asarray(f.logpdf(x))
+    return Estimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps)))
 
 
 def drift_post(
@@ -344,9 +337,7 @@ def compute_unit_statistics(
         if key not in cache:
             stats = dict(
                 info_number=info_number(
-                    model, hypothesis, E,
-                    method="closed_form" if _gaussian_pair(model, hypothesis, E) else "monte_carlo",
-                    reps=reps, seed=derive_seed(seed, idx, 1),
+                    model, hypothesis, E, reps=reps, seed=derive_seed(seed, idx, 1)
                 ) if is_affected else Estimate(0.0, 0.0, note="not affected"),
                 drift_pre=drift_pre(model, E, reps=reps, seed=derive_seed(seed, idx, 2)),
                 q_no_ascend=ladder_prob_no_ascend(
@@ -392,10 +383,7 @@ def _max_info(
     affected = affected_units(model, hypothesis)
     if not affected:
         raise ValueError("the hypothesis affects no sampled unit; no information to detect")
-    vals = []
-    for E in sorted(affected):
-        method = "closed_form" if _gaussian_pair(model, hypothesis, E) else "monte_carlo"
-        vals.append(info_number(model, hypothesis, E, method=method, reps=reps, seed=seed).value)
+    vals = [info_number(model, hypothesis, E, reps=reps, seed=seed).value for E in sorted(affected)]
     restricted = len(model.units) < math.comb(model.K, model.m)
     return max(vals), restricted
 

@@ -3,7 +3,7 @@
 Subcommands:
 
   bounds    detection delay bounds and optimality classification for a preset
-  simulate  delay or average run length estimates for a preset or a study
+  simulate  delay or average run length estimates for a preset
   study     one of the three standard delay studies, written as CSV
   validate  Monte Carlo checks of the drift assumptions for a preset
 
@@ -23,7 +23,7 @@ import sys
 from . import montecarlo, scenarios
 from .bounds import DegenerateBoundError, bounds_report
 from .model import validate_model
-from .montecarlo import StudyConfig, StudyRow, estimate_arl, estimate_delay, run_study
+from .montecarlo import RunSpec, StudyRow, estimate_arl, estimate_delay, run_study
 
 #: Fixed schema (version 1) of the study CSV; consumers rely on these names.
 STUDY_CSV_HEADER = [
@@ -103,8 +103,23 @@ def _study_rows_to_csv(rows: list[StudyRow]) -> list[list]:
 # ---------------------------------------------------------------------------
 # Configuration files: INI with [scenario] and [run] sections, flat key = value.
 
-_SCENARIO_KEYS = ("preset", "K", "m", "rho", "s", "mu")
-_RUN_KEYS = ("gamma", "reps", "seed", "nu", "threads", "cap", "constant")
+#: key -> (section, type, default). A default of None leaves the key unset:
+#: each subcommand picks its own replication budget and cap.
+_KEYS: dict[str, tuple[str, type, object]] = {
+    "preset": ("scenario", str, None),
+    "K": ("scenario", int, 10),
+    "m": ("scenario", int, 2),
+    "rho": ("scenario", float, 0.7),
+    "s": ("scenario", int, 2),
+    "mu": ("scenario", float, 1.0),
+    "gamma": ("run", float, 100.0),
+    "reps": ("run", int, None),
+    "seed": ("run", int, 0),
+    "nu": ("run", int, 0),
+    "threads": ("run", int, 1),
+    "cap": ("run", int, None),
+    "constant": ("run", float, 0.0),
+}
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -113,10 +128,10 @@ def _load_config(path: str) -> dict[str, str]:
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh)
     flat: dict[str, str] = {}
-    for section, keys in (("scenario", _SCENARIO_KEYS), ("run", _RUN_KEYS)):
+    for section in ("scenario", "run"):
         if parser.has_section(section):
             for key, value in parser.items(section):
-                if key not in keys:
+                if key not in _KEYS or _KEYS[key][0] != section:
                     raise ValueError(f"unknown key {key!r} in [{section}] of {path}")
                 flat[key] = value
     return flat
@@ -127,76 +142,43 @@ def _dump_config(args: argparse.Namespace) -> str:
     parser.optionxform = str
     parser["scenario"] = {}
     parser["run"] = {}
-    for key in _SCENARIO_KEYS:
+    for key, (section, _, _) in _KEYS.items():
         value = getattr(args, key, None)
         if value is not None:
-            parser["scenario"][key] = _fmt(value)
-    for key in _RUN_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            parser["run"][key] = _fmt(value)
+            parser[section][key] = _fmt(value)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
 
 
-# reps stays None here: each subcommand picks its own default budget.
-_DEFAULTS = {
-    "K": 10,
-    "m": 2,
-    "rho": 0.7,
-    "s": 2,
-    "mu": 1.0,
-    "gamma": 100.0,
-    "seed": 0,
-    "nu": 0,
-    "threads": 1,
-    "constant": 0.0,
-}
-
-_TYPES = {
-    "preset": str,
-    "K": int,
-    "m": int,
-    "rho": float,
-    "s": int,
-    "mu": float,
-    "gamma": float,
-    "reps": int,
-    "seed": int,
-    "nu": int,
-    "threads": int,
-    "cap": int,
-    "constant": float,
-}
-
-
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset options from the config file, then from built-in defaults."""
-    fromfile = _load_config(args.config) if getattr(args, "config", None) else {}
-    for key, caster in _TYPES.items():
-        if not hasattr(args, key):
+    fromfile = _load_config(args.config) if args.config else {}
+    for key, (_, caster, default) in _KEYS.items():
+        if not hasattr(args, key) or getattr(args, key) is not None:
             continue
-        if getattr(args, key) is None:
-            if key in fromfile:
-                try:
-                    setattr(args, key, caster(fromfile[key]))
-                except ValueError:
-                    raise ValueError(f"config key {key} = {fromfile[key]!r} is not a valid {caster.__name__}")
-            elif key in _DEFAULTS:
-                setattr(args, key, _DEFAULTS[key])
+        if key in fromfile:
+            try:
+                setattr(args, key, caster(fromfile[key]))
+            except ValueError:
+                raise ValueError(f"config key {key} = {fromfile[key]!r} is not a valid {caster.__name__}")
+        else:
+            setattr(args, key, default)
     return args
 
 
-def _add_common(p: argparse.ArgumentParser, preset_positional: bool = True) -> None:
-    if preset_positional:
-        p.add_argument("preset", nargs="?", choices=scenarios.PRESETS, help="scenario preset")
+def _add_scenario(p: argparse.ArgumentParser) -> None:
+    """The preset, its parameters and the false alarm budget; a study fixes all three."""
+    p.add_argument("preset", nargs="?", choices=scenarios.PRESETS, help="scenario preset")
     p.add_argument("--K", type=int, default=None, help="number of sources")
     p.add_argument("--m", type=int, default=None, help="units sampled per step")
     p.add_argument("--rho", type=float, default=None, help="post-change correlation")
     p.add_argument("--s", type=int, default=None, help="size of the affected block")
     p.add_argument("--mu", type=float, default=None, help="mean shift for the mean-change preset")
     p.add_argument("--gamma", type=float, default=None, help="false alarm budget")
+
+
+def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reps", type=int, default=None, help="Monte Carlo replications")
     p.add_argument("--seed", type=int, default=None, help="root seed")
     p.add_argument("--nu", type=int, default=None, help="change time")
@@ -211,27 +193,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bounds", help="delay bounds and optimality classification")
-    _add_common(b)
+    _add_scenario(b)
+    _add_run_options(b)
     b.add_argument("--constant", type=float, default=None, help="additive constant of the explicit bound")
 
     s = sub.add_parser("simulate", help="delay or run length estimate")
-    _add_common(s)
-    s.add_argument("--study", type=int, default=None, help="run a standard study instead of a preset")
+    _add_scenario(s)
+    _add_run_options(s)
     s.add_argument("--arl", action="store_true", help="estimate the pre-change average run length")
     s.add_argument("--cap", type=int, default=None, help="truncation cap for --arl runs")
 
     st = sub.add_parser("study", help="standard delay study as CSV")
     st.add_argument("study", type=int, choices=sorted(montecarlo.STUDIES))
-    st.add_argument("--reps", type=int, default=None, help="replications per point (default 4000)")
-    st.add_argument("--seed", type=int, default=None)
-    st.add_argument("--nu", type=int, default=None)
-    st.add_argument("--threads", type=int, default=None)
-    st.add_argument("--config", default=None)
-    st.add_argument("--dump-config", action="store_true")
-    st.add_argument("--out", default=None)
+    _add_run_options(st)
 
     v = sub.add_parser("validate", help="Monte Carlo checks of the drift assumptions")
-    _add_common(v)
+    _add_scenario(v)
+    _add_run_options(v)
     return top
 
 
@@ -275,23 +253,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.study is not None:
-        rows = run_study(args.study, replications=args.reps, seed=args.seed, nu=args.nu, threads=args.threads)
-        _write_rows(STUDY_CSV_HEADER, _study_rows_to_csv(rows), args.out)
-        return 0
+    model, hypothesis = _build_scenario(args)
     if args.arl:
-        model, _ = _build_scenario(args)
-        config = StudyConfig(
-            K=args.K,
-            m=model.m,
-            rho=args.rho if args.rho else 0.7,
-            gamma=args.gamma,
-            s_values=(2,),
-            replications=args.reps if args.reps is not None else 2000,
-            seed=args.seed,
-        )
-        cap = args.cap if args.cap is not None else int(100 * args.gamma)
-        est = estimate_arl(model, config, cap=cap, threads=args.threads)
+        spec = RunSpec(gamma=args.gamma, replications=2000 if args.reps is None else args.reps, seed=args.seed)
+        cap = int(100 * args.gamma) if args.cap is None else args.cap
+        est = estimate_arl(model, spec, cap=cap, threads=args.threads)
         row = [
             args.K,
             model.m,
@@ -305,18 +271,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ]
         _write_rows(ARL_CSV_HEADER, [row], args.out)
         return 0
-    model, hypothesis = _build_scenario(args)
-    config = StudyConfig(
-        K=args.K,
-        m=model.m,
-        rho=args.rho,
+    spec = RunSpec(
         gamma=args.gamma,
-        s_values=(min(max(args.s, 2), args.K),),
-        replications=args.reps if args.reps is not None else 4000,
+        replications=4000 if args.reps is None else args.reps,
         seed=args.seed,
         nu=args.nu,
     )
-    est = estimate_delay(model, hypothesis, config, threads=args.threads)
+    est = estimate_delay(model, hypothesis, spec, threads=args.threads)
     header = [
         "preset",
         "K",

@@ -24,10 +24,8 @@ __all__ = [
     "equicorrelation_det",
     "gaussian_info_number",
     "mean_change_info_number",
-    "gaussian_llr",
     "gaussian_kl",
     "build_correlation_matrix",
-    "sample_local",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -262,13 +260,6 @@ def mean_change_info_number(mu: float) -> float:
     return 0.5 * float(mu) ** 2
 
 
-def gaussian_llr(pre: GaussianLocal, post: GaussianLocal, x: np.ndarray) -> np.ndarray | float:
-    """Log likelihood ratio of post against pre at x, vectorised over rows of x."""
-    if pre.dim != post.dim:
-        raise ValueError(f"dimension mismatch: pre has {pre.dim}, post has {post.dim}")
-    return post.logpdf(x) - pre.logpdf(x)
-
-
 def gaussian_kl(p: GaussianLocal, q: GaussianLocal) -> float:
     """Kullback-Leibler divergence KL(p || q) between two Gaussians."""
     if p.dim != q.dim:
@@ -313,8 +304,3 @@ def build_correlation_matrix(
             raise ValueError(f"correlation for pair {(i, j)} must be nonzero in (-1, 1), got {r}")
         a[i - 1, j - 1] = a[j - 1, i - 1] = r
     return CorrelationMatrix(a)
-
-
-def sample_local(dist: GaussianLocal, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the local law, lower-triangular factor times a standard normal vector."""
-    return dist.sample(rng, 1)[0]

@@ -275,10 +275,6 @@ class ChangePointModel:
         return cls
 
 
-def mixture_llr(model: ChangePointModel, unit: Unit, x: np.ndarray) -> np.ndarray | float:
-    return model.mixture_llr(unit, x)
-
-
 def affected_units(model: ChangePointModel, hypothesis: PostChangeHypothesis) -> frozenset[Unit]:
     """Sampled units whose local law changes under the hypothesis.
 

@@ -13,11 +13,11 @@ same pre-change law, candidate family, and law being observed); consecutive
 units of one class form a stretch that is simulated in a handful of numpy
 operations. For Gaussian classes the increments come from the class's compiled
 kernel, which evaluates the mixture llr as a quadratic form in the standard
-normals behind each observation; it agrees with ``model.mixture_llr``, the
-likelihood code of policy.run_to_alarm, up to rounding. The engine consumes
-randomness differently from policy.run_to_alarm but draws from the same
-increment distributions, so both produce the same stopping time law; the test
-suite cross-validates them.
+normals behind each observation; it agrees with
+``ChangePointModel.mixture_llr``, the likelihood code of policy.run_to_alarm,
+up to rounding. The engine consumes randomness differently from
+policy.run_to_alarm but draws from the same increment distributions, so both
+produce the same stopping time law; the test suite cross-validates them.
 
 Replications run in batches of _BATCH rows that advance together: each round
 moves every running row through the rest of its current stretch, with one
@@ -56,6 +56,7 @@ from .scenarios import correlated_block_hypothesis, correlated_blocks_model
 
 __all__ = [
     "Ordering",
+    "RunSpec",
     "StudyConfig",
     "DelayEstimate",
     "StudyRow",
@@ -75,40 +76,50 @@ class Ordering(enum.Enum):
     AS_GIVEN = "as_given"
 
 
-@dataclass(frozen=True)
-class StudyConfig:
-    """Configuration of a delay study over block sizes s.
+@dataclass(frozen=True, kw_only=True)
+class RunSpec:
+    """What one delay or run length estimate reads.
 
     ``gamma`` is the false alarm budget; the policy threshold is log(gamma).
     ``nu`` is the change time; replications that alarm at or before nu are
     discarded (the delay conditions on surviving past the change).
     """
 
-    K: int = 10
-    m: int = 2
-    rho: float = 0.7
     gamma: float = 100.0
-    s_values: tuple[int, ...] = tuple(range(2, 11))
     replications: int = 4000
     seed: int = 0
     nu: int = 0
     ordering: Ordering = Ordering.WORST_CASE
 
     def __post_init__(self) -> None:
+        if not self.gamma > 1.0:
+            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+        if self.replications < 1:
+            raise ValueError("replications must be positive")
+        if self.nu < 0:
+            raise ValueError(f"nu must be nonnegative, got {self.nu}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class StudyConfig(RunSpec):
+    """A correlated-block delay study: K sources, m per unit, correlation rho,
+    one run of the policy per block size in ``s_values``."""
+
+    K: int = 10
+    m: int = 2
+    rho: float = 0.7
+    s_values: tuple[int, ...] = tuple(range(2, 11))
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.K < 2:
             raise ValueError(f"K must be at least 2, got {self.K}")
         if not 1 <= self.m <= self.K:
             raise ValueError(f"m must lie in [1, K], got {self.m}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
         if any(not 2 <= s <= self.K for s in self.s_values):
             raise ValueError(f"every s must lie in [2, K], got {self.s_values}")
-        if self.replications < 1:
-            raise ValueError("replications must be positive")
-        if self.nu < 0:
-            raise ValueError(f"nu must be nonnegative, got {self.nu}")
 
 
 @dataclass(frozen=True)
@@ -373,7 +384,7 @@ def _collect(
 def estimate_delay(
     model: ChangePointModel,
     hypothesis: PostChangeHypothesis,
-    config: StudyConfig,
+    config: RunSpec,
     cap: int = DEFAULT_DELAY_CAP,
     threads: int = 1,
 ) -> DelayEstimate:
@@ -411,7 +422,7 @@ def estimate_delay(
 
 def estimate_arl(
     model: ChangePointModel,
-    config: StudyConfig,
+    config: RunSpec,
     cap: int,
     threads: int = 1,
 ) -> DelayEstimate:
@@ -480,7 +491,7 @@ def run_custom_study(
     stats_cache: dict = {}
     for idx, s in enumerate(config.s_values):
         hypothesis = correlated_block_hypothesis(model, config.rho, s=s)
-        point = replace(config, s_values=(s,), seed=derive_seed(config.seed, config.m, idx))
+        point = replace(config, seed=derive_seed(config.seed, config.m, idx))
         est = estimate_delay(model, hypothesis, point, threads=threads)
         lower = lower_bound_first_order(config.gamma, model, hypothesis)
         try:

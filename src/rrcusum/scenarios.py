@@ -277,14 +277,15 @@ def build_preset(
     """Model plus hypothesis for one of the named scenario presets."""
     if name == "corr-pairs":
         model = correlated_blocks_model(K, m, rho)
-        return model, correlated_block_hypothesis(model, rho, s=max(s, 2))
+        return model, correlated_block_hypothesis(model, rho, s=s)
     if name == "signed-pairs":
         model = signed_pair_model(K, rho)
         return model, signed_pair_hypothesis(model, rho)
     if name == "mean-change":
         model = mean_change_model(K, mu)
-        n = max(1, min(s, K))
-        return model, mean_change_hypothesis(model, tuple(range(K - n + 1, K + 1)), mu)
+        if not 1 <= s <= K:
+            raise ValueError(f"block size s must lie in [1, K], got s={s}")
+        return model, mean_change_hypothesis(model, tuple(range(K - s + 1, K + 1)), mu)
     raise ValueError(f"unknown preset {name!r}, expected one of {sorted(PRESETS)}")
 
 

@@ -48,6 +48,20 @@ def corr_pairs():
     return build_preset("corr-pairs")
 
 
+class NotGaussian(LocalDistribution):
+    """Delegates to a Gaussian law without being one."""
+
+    def __init__(self, inner: GaussianLocal):
+        self.inner = inner
+        self.dim = inner.dim
+
+    def logpdf(self, x):
+        return self.inner.logpdf(x)
+
+    def sample(self, rng, n):
+        return self.inner.sample(rng, n)
+
+
 class TestInfoNumber:
     def test_closed_form_pair(self, corr_pairs):
         model, hyp = corr_pairs
@@ -56,8 +70,13 @@ class TestInfoNumber:
         assert est.stderr == 0.0
 
     def test_monte_carlo_agrees(self, corr_pairs):
+        # the same laws behind a non-Gaussian type have no closed form
         model, hyp = corr_pairs
-        est = info_number(model, hyp, unit(9, 10), method="monte_carlo", reps=50_000, seed=1)
+        u = unit(9, 10)
+        pre, post = NotGaussian(model.pre_local[u]), NotGaussian(hyp.local_post[u])
+        wmodel = ChangePointModel(10, 2, (u,), {u: pre}, {u: (post,)})
+        whyp = PostChangeHypothesis(label="wrapped", affected_units=frozenset({u}), local_post={u: post})
+        est = info_number(wmodel, whyp, u, reps=50_000, seed=1)
         assert est.stderr > 0.0
         assert abs(est.value - PAIR_INFO) < 4.0 * est.stderr
 
@@ -71,11 +90,6 @@ class TestInfoNumber:
         model, hyp = corr_pairs
         with pytest.raises(ValueError, match="not sampled"):
             info_number(model, hyp, Unit((1, 2, 3)))
-
-    def test_rejects_unknown_method(self, corr_pairs):
-        model, hyp = corr_pairs
-        with pytest.raises(ValueError, match="unknown method"):
-            info_number(model, hyp, unit(9, 10), method="exact")
 
 
 class TestDrifts:

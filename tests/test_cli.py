@@ -111,17 +111,22 @@ class TestStudyCommand:
         assert main(["study", "1"]) == 0
         assert capsys.readouterr().out == EXPECTED_STUDY_CSV
 
-    def test_simulate_study_flag_uses_same_schema(self, monkeypatch, capsys):
+    def test_forwards_run_options(self, monkeypatch, capsys):
         called = {}
 
         def fake(study, replications=None, seed=0, nu=0, threads=1, **kw):
-            called.update(study=study, replications=replications, seed=seed)
+            called.update(study=study, replications=replications, seed=seed, nu=nu)
             return stub_rows()
 
         monkeypatch.setattr(cli, "run_study", fake)
-        assert main(["simulate", "--study", "2", "--reps", "50", "--seed", "4"]) == 0
-        assert called == {"study": 2, "replications": 50, "seed": 4}
+        assert main(["study", "2", "--reps", "50", "--seed", "4", "--nu", "3"]) == 0
+        assert called == {"study": 2, "replications": 50, "seed": 4, "nu": 3}
         assert capsys.readouterr().out == EXPECTED_STUDY_CSV
+
+    def test_simulate_has_no_study_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--study", "2"])
+        assert exc.value.code == 2
 
     def test_rejects_unknown_study_number(self, monkeypatch, capsys):
         with pytest.raises(SystemExit):
@@ -232,6 +237,21 @@ class TestSimulateCommand:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("extra", [[], ["--arl"]])
+    def test_mean_change_on_one_source(self, extra, capsys):
+        # the run spec carries no study checks, so K = 1 is a valid preset
+        code = main(["simulate", "mean-change", "--K", "1", "--s", "1", "--reps", "200", *extra])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 1
+        assert rows[0]["K"] == "1"
+        assert rows[0]["m"] == "1"
+
+    def test_corr_pairs_block_of_one_exits_2(self, capsys):
+        code = main(["simulate", "corr-pairs", "--s", "1", "--reps", "200"])
+        assert code == 2
+        assert "block size s must lie in [2, K]" in capsys.readouterr().err
+
     def test_arl_csv(self, tmp_path):
         out = tmp_path / "arl.csv"
         code = main(
@@ -315,6 +335,42 @@ class TestConfigFiles:
         parser = configparser.ConfigParser()
         parser.read_file(io.StringIO(capsys.readouterr().out))
         assert parser["scenario"]["k"] == "8"
+
+    def test_study_dump_load_round_trip(self, tmp_path, capsys):
+        code = main(["study", "2", "--reps", "30", "--seed", "9", "--nu", "2", "--dump-config"])
+        assert code == 0
+        first = capsys.readouterr().out
+        assert "reps = 30" in first
+        path = tmp_path / "study.ini"
+        path.write_text(first, encoding="utf-8")
+        code = main(["study", "2", "--config", str(path), "--dump-config"])
+        assert code == 0
+        assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "command, run",
+        [
+            (["bounds", "corr-pairs"], "gamma = 100\nseed = 0\nnu = 0\nthreads = 1\nconstant = 0\n"),
+            (["simulate", "corr-pairs"], "gamma = 100\nseed = 0\nnu = 0\nthreads = 1\n"),
+            (["simulate", "corr-pairs", "--arl"], "gamma = 100\nseed = 0\nnu = 0\nthreads = 1\n"),
+        ],
+        ids=["bounds", "simulate", "simulate-arl"],
+    )
+    def test_default_dump_text(self, command, run, capsys):
+        assert main([*command, "--dump-config"]) == 0
+        scenario = "preset = corr-pairs\nK = 10\nm = 2\nrho = 0.7\ns = 2\nmu = 1\n"
+        assert capsys.readouterr().out == f"[scenario]\n{scenario}\n[run]\n{run}\n"
+
+    def test_default_study_dump_text(self, capsys):
+        assert main(["study", "1", "--dump-config"]) == 0
+        assert capsys.readouterr().out == "[scenario]\n\n[run]\nseed = 0\nnu = 0\nthreads = 1\n\n"
+
+    def test_key_in_wrong_section_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[scenario]\ngamma = 50\n", encoding="utf-8")
+        code = main(["bounds", "corr-pairs", "--config", str(path), "--dump-config"])
+        assert code == 2
+        assert "unknown key 'gamma' in [scenario]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["simulate", "corr-pairs"], ["study", "1"]])
     def test_threads_default_to_one(self, command, capsys):

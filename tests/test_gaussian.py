@@ -17,9 +17,7 @@ from rrcusum.gaussian import (
     equicorrelation_det,
     gaussian_info_number,
     gaussian_kl,
-    gaussian_llr,
     mean_change_info_number,
-    sample_local,
 )
 
 # half the negated log determinant of the 2x2 correlation matrix at rho = 0.7
@@ -219,11 +217,13 @@ class TestInformationNumbers:
 
 
 class TestLogLikelihoodRatio:
+    """The log likelihood ratio as a difference of GaussianLocal.logpdf values."""
+
     def test_frozen_value_at_ones(self):
         pre = GaussianLocal.standard(2)
         post = GaussianLocal(0.0, pair(0.7))
-        val = gaussian_llr(pre, post, np.array([1.0, 1.0]))
-        assert val == pytest.approx(0.7484369825142357, abs=1e-12)
+        x = np.array([1.0, 1.0])
+        assert post.logpdf(x) - pre.logpdf(x) == pytest.approx(0.7484369825142357, abs=1e-12)
 
     def test_matches_dense_solve(self):
         # same quantity assembled from explicit inverses
@@ -235,7 +235,7 @@ class TestLogLikelihoodRatio:
         inv = np.linalg.inv(pair(rho))
         quad = np.einsum("ni,ij,nj->n", x, np.eye(2) - inv, x)
         want = 0.5 * quad - 0.5 * math.log(np.linalg.det(pair(rho)))
-        np.testing.assert_allclose(gaussian_llr(pre, post, x), want, rtol=1e-10)
+        np.testing.assert_allclose(post.logpdf(x) - pre.logpdf(x), want, rtol=1e-10)
 
     def test_antisymmetry(self):
         pre = GaussianLocal.standard(2)
@@ -243,20 +243,22 @@ class TestLogLikelihoodRatio:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(30, 2))
         np.testing.assert_allclose(
-            gaussian_llr(pre, post, x), -np.asarray(gaussian_llr(post, pre, x)), rtol=1e-12
+            post.logpdf(x) - pre.logpdf(x), -(pre.logpdf(x) - post.logpdf(x)), rtol=1e-12
         )
 
     def test_batch_matches_scalar(self):
         pre = GaussianLocal.standard(2)
         post = GaussianLocal(0.0, pair(0.7))
         x = np.array([[0.3, -1.0], [2.0, 0.1]])
-        batch = np.asarray(gaussian_llr(pre, post, x))
+        batch = post.logpdf(x) - pre.logpdf(x)
         for i in range(2):
-            assert gaussian_llr(pre, post, x[i]) == pytest.approx(batch[i], rel=1e-14)
+            value = post.logpdf(x[i]) - pre.logpdf(x[i])
+            assert isinstance(value, float)
+            assert value == pytest.approx(batch[i], rel=1e-14)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            gaussian_llr(GaussianLocal.standard(2), GaussianLocal.standard(3), np.zeros(2))
+        with pytest.raises(ValueError, match="dimension 2, expected 3"):
+            GaussianLocal.standard(3).logpdf(np.zeros(2))
 
 
 class TestKullbackLeibler:
@@ -301,6 +303,9 @@ class TestKullbackLeibler:
 
 
 def test_sample_local_returns_one_vector():
-    g = GaussianLocal.standard(3)
-    v = sample_local(g, np.random.default_rng(0))
+    # one draw from a local law is the factor times one standard normal vector, plus the mean
+    g = GaussianLocal(np.array([0.5, -1.0, 2.0]), build_correlation_matrix(3, [(1, 2), (2, 3)], 0.4))
+    v = g.sample(np.random.default_rng(0), 1)[0]
     assert v.shape == (3,)
+    z = np.random.default_rng(0).standard_normal(3)
+    np.testing.assert_allclose(v, g.chol @ z + g.mean, rtol=1e-12)

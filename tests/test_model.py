@@ -7,14 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from rrcusum.gaussian import GaussianLocal, gaussian_llr
+from rrcusum.gaussian import GaussianLocal
 from rrcusum.model import (
     ChangePointModel,
     MixtureLikelihood,
     PostChangeHypothesis,
     Unit,
     affected_units,
-    mixture_llr,
     unit,
     validate_model,
 )
@@ -111,7 +110,7 @@ class TestMixtureLLR:
         m = small_model()
         u = unit(1, 2)
         x = np.random.default_rng(2).normal(size=(40, 2))
-        want = gaussian_llr(m.pre_local[u], m.post_family[u][0], x)
+        want = m.post_family[u][0].logpdf(x) - m.pre_local[u].logpdf(x)
         np.testing.assert_allclose(m.mixture_llr(u, x), want, rtol=1e-12)
 
     def test_sign_symmetric_family(self):
@@ -152,13 +151,6 @@ class TestMixtureLLR:
         m = small_model()
         with pytest.raises(ValueError, match="dimension"):
             m.mixture_llr(unit(1, 2), np.zeros(3))
-
-    def test_module_level_helper(self):
-        m = small_model()
-        x = np.array([0.4, -0.2])
-        a = mixture_llr(m, unit(1, 3), x)
-        b = m.mixture_llr(unit(1, 3), x)
-        np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
 
 
 class TestChangePointModelValidation:

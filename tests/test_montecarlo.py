@@ -18,6 +18,7 @@ from rrcusum.montecarlo import (
     STUDIES,
     DelayEstimate,
     Ordering,
+    RunSpec,
     StudyConfig,
     StudyRow,
     estimate_arl,
@@ -28,6 +29,7 @@ from rrcusum.montecarlo import (
 )
 from rrcusum.policy import PolicyConfig, run_to_alarm
 from rrcusum.scenarios import (
+    build_preset,
     correlated_block_hypothesis,
     correlated_blocks_model,
 )
@@ -89,6 +91,36 @@ class TestStudyConfig:
     def test_validation(self, kw, msg):
         with pytest.raises(ValueError, match=msg):
             StudyConfig(**kw)
+
+
+class TestRunSpec:
+    def test_defaults(self):
+        spec = RunSpec()
+        assert (spec.gamma, spec.replications, spec.seed, spec.nu) == (100.0, 4000, 0, 0)
+        assert spec.ordering is Ordering.WORST_CASE
+
+    @pytest.mark.parametrize(
+        "kw, msg",
+        [(dict(gamma=1.0), "gamma"), (dict(replications=0), "replications"), (dict(nu=-1), "nu")],
+    )
+    def test_validation(self, kw, msg):
+        with pytest.raises(ValueError, match=msg):
+            RunSpec(**kw)
+
+    def test_study_config_runs_as_its_run_spec(self):
+        model = correlated_blocks_model(5, 2, 0.7)
+        hyp = correlated_block_hypothesis(model, 0.7, s=3)
+        run = dict(gamma=20.0, replications=300, seed=4, nu=3)
+        config = StudyConfig(K=5, m=2, rho=0.7, s_values=(3,), **run)
+        assert isinstance(config, RunSpec)
+        assert estimate_delay(model, hyp, RunSpec(**run)) == estimate_delay(model, hyp, config)
+
+    def test_single_source_preset(self):
+        # K = 1 and s = 1 lie outside every correlation study but are a valid run
+        model, hyp = build_preset("mean-change", K=1, s=1)
+        spec = RunSpec(gamma=20.0, replications=300, seed=1)
+        assert estimate_delay(model, hyp, spec).replications == 300
+        assert estimate_arl(model, spec, cap=2000).replications == 300
 
 
 class TestDelayEstimate:

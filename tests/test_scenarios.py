@@ -296,6 +296,15 @@ class TestBuildPreset:
         assert hyp.affected_units == frozenset({unit(3), unit(4)})
         assert hyp.info_number_max == pytest.approx(0.5 * 1.5**2)
 
+    @pytest.mark.parametrize("s", [0, 5])
+    def test_mean_change_rejects_block_outside_sources(self, s):
+        with pytest.raises(ValueError, match=r"s must lie in \[1, K\]"):
+            build_preset("mean-change", K=4, s=s)
+
+    def test_corr_pairs_rejects_block_of_one(self):
+        with pytest.raises(ValueError, match=r"s must lie in \[2, K\]"):
+            build_preset("corr-pairs", s=1)
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             build_preset("nope")
