@@ -30,7 +30,8 @@ def main(argv: list[str] | None = None) -> int:
     worst = float("inf")
     for gamma in args.gammas:
         spec = RunSpec(gamma=gamma, replications=args.replications, seed=args.seed)
-        est = estimate_arl(model, spec, cap=math.ceil(10 * gamma), threads=args.threads)
+        # at 100 gamma truncation leaves the run length essentially unbiased
+        est = estimate_arl(model, spec, cap=math.ceil(100 * gamma), threads=args.threads)
         ratio = est.mean / gamma
         worst = min(worst, ratio)
         print(

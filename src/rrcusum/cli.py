@@ -235,9 +235,18 @@ def _emit_text(lines: list[str], out: str | None) -> None:
             fh.write(text)
 
 
+def _reps(args: argparse.Namespace, default: int, minimum: int) -> int:
+    """--reps, or the command's default when it is unset."""
+    if args.reps is None:
+        return default
+    if args.reps < minimum:
+        raise ValueError(f"{args.command} needs --reps of at least {minimum}, got {args.reps}")
+    return args.reps
+
+
 def cmd_bounds(args: argparse.Namespace) -> int:
+    reps = _reps(args, 100_000, 10_000)
     model, hypothesis = _build_scenario(args)
-    reps = 100_000 if args.reps is None else max(args.reps, 10_000)
     report = bounds_report(
         model,
         hypothesis,
@@ -315,8 +324,8 @@ def cmd_study(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    budget = _reps(args, 10_000, 1000)
     model, hypothesis = _build_scenario(args)
-    budget = 10_000 if args.reps is None else max(args.reps, 1000)
     report = validate_model(model, hypothesis, mc_budget=budget, seed=args.seed)
     _emit_text(report.lines(), args.out)
     return 0 if report.ok else 1

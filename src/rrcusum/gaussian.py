@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .model import LocalDistribution
+from .model import LocalDistribution, logsumexp
 
 __all__ = [
     "ModelInfeasibleError",
@@ -122,7 +121,7 @@ class GaussianLocal(LocalDistribution):
         pts = np.atleast_2d(x)
         if pts.shape[1] != self.dim:
             raise ValueError(f"points have dimension {pts.shape[1]}, expected {self.dim}")
-        z = solve_triangular(self.chol, (pts - self.mean).T, lower=True, check_finite=False)
+        z = _solve_factor(self.chol, (pts - self.mean).T)
         q = np.einsum("ij,ij->j", z, z)
         out = -0.5 * (self.dim * _LOG_2PI + self.log_det + q)
         return float(out[0]) if scalar else out
@@ -145,12 +144,14 @@ class GaussianLocal(LocalDistribution):
 
 
 def _solve_factor(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """chol^{-1} rhs for a small matrix right-hand side.
+    """chol^{-1} rhs for a lower triangular factor and a vector or matrix
+    right-hand side.
 
-    A matrix right-hand side sent to scipy's solve_triangular reaches the
-    threaded BLAS trsm, whose worker threads then keep a second core busy for
-    about 0.1 s; a bounds computation at m = 3 spent 1.7x its wall time in CPU
-    that way. numpy's solve, which factors the triangular matrix, does not.
+    numpy's general solve factors chol again (LU with partial pivoting)
+    instead of substituting, which costs microseconds at the dimension of a
+    unit. A triangular BLAS solve (trsm) with a matrix right-hand side would
+    wake the threaded BLAS, whose worker threads then keep a second core busy
+    for about 0.1 s after each call.
     """
     return np.linalg.solve(chol, rhs)
 
@@ -159,7 +160,7 @@ def _quadratic(law: GaussianLocal, g: GaussianLocal) -> tuple[np.ndarray, np.nda
     """(A, b, c) with -2 log g(L z + mu) = z'Az + 2b'z + c + dim log(2 pi),
     where L and mu are the Cholesky factor and mean of ``law``."""
     M = _solve_factor(g.chol, law.chol)
-    d = solve_triangular(g.chol, law.mean - g.mean, lower=True, check_finite=False)
+    d = _solve_factor(g.chol, law.mean - g.mean)
     return M.T @ M, M.T @ d, float(d @ d) + g.log_det
 
 
@@ -185,7 +186,9 @@ class GaussianMixtureKernel:
     slices of at most _KERNEL_SLICE columns, instead of one triangular solve
     per member. A call draws exactly the normals ``law.sample`` draws, so the
     random stream is that of sampling and then calling ``mixture_llr``, and
-    the increments differ from that path's by rounding.
+    the increments differ from that path's by rounding. Every call works in
+    the kernel's own slice buffers, so one kernel must not be called from two
+    threads at once.
     """
 
     def __init__(self, law: GaussianLocal, pre: GaussianLocal, family: Sequence[GaussianLocal]):
@@ -202,32 +205,50 @@ class GaussianMixtureKernel:
             const.append(0.5 * (c0 - c) - math.log(len(family)))
         self._weights = np.array(weights)
         self._const = np.array(const)[:, None]
+        self._allocate_scratch()
+
+    _SCRATCH = ("_z", "_phi", "_t")
+
+    def _allocate_scratch(self) -> None:
+        # One slice's normals, features and member terms, reused by every
+        # call: arrays of this size allocated per call are handed back to the
+        # system when freed, and their pages fault in again on the next call.
+        self._z = np.empty((_KERNEL_SLICE, self.dim))
+        self._phi = np.empty((len(self._pairs) + self.dim) * _KERNEL_SLICE)
+        self._t = np.empty(len(self._const) * _KERNEL_SLICE)
+
+    def __getstate__(self) -> dict:
+        # a worker process allocates its own scratch rather than receive it
+        return {k: v for k, v in self.__dict__.items() if k not in self._SCRATCH}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._allocate_scratch()
 
     def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        z = rng.standard_normal((n, self.dim)).T
-        if n <= _KERNEL_SLICE:
-            return self._llr(z)
         out = np.empty(n)
         for lo in range(0, n, _KERNEL_SLICE):
-            out[lo : lo + _KERNEL_SLICE] = self._llr(z[:, lo : lo + _KERNEL_SLICE])
+            z = self._z[: min(_KERNEL_SLICE, n - lo)]
+            # slice by slice in rows, the normals of one (n, dim) draw
+            rng.standard_normal(out=z)
+            self._llr(z.T, out[lo : lo + len(z)])
         return out
 
-    def _llr(self, z: np.ndarray) -> np.ndarray:
+    def _llr(self, z: np.ndarray, out: np.ndarray) -> None:
+        rows = z.shape[1]
         q = len(self._pairs)
         # products written in place: fancy-indexed gathers and a concatenation
-        # would hold three more copies of the batch
-        phi = np.empty((q + self.dim, z.shape[1]))
+        # would hold three more copies of the slice
+        phi = self._phi[: (q + self.dim) * rows].reshape(q + self.dim, rows)
         for k, (i, j) in enumerate(self._pairs):
             np.multiply(z[i], z[j], out=phi[k])
         phi[q:] = z
-        t = self._weights @ phi
+        members = len(self._const)
+        t = out[None] if members == 1 else self._t[: members * rows].reshape(members, rows)
+        np.matmul(self._weights, phi, out=t)
         t += self._const
-        if t.shape[0] == 1:
-            return t[0]
-        top = t.max(axis=0)
-        t -= top
-        np.exp(t, out=t)
-        return top + np.log(t.sum(axis=0))
+        if members > 1:
+            logsumexp(t, out=out)
 
 
 def equicorrelation_det(k: int, rho: float) -> float:
@@ -265,7 +286,7 @@ def gaussian_kl(p: GaussianLocal, q: GaussianLocal) -> float:
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
     zc = _solve_factor(q.chol, p.chol)
-    zm = solve_triangular(q.chol, q.mean - p.mean, lower=True, check_finite=False)
+    zm = _solve_factor(q.chol, q.mean - p.mean)
     trace = float(np.einsum("ij,ij->", zc, zc))
     quad = float(zm @ zm)
     return 0.5 * (trace + quad - p.dim + q.log_det - p.log_det)

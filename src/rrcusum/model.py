@@ -17,7 +17,6 @@ from functools import partial
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "LocalDistribution",
@@ -35,6 +34,23 @@ __all__ = [
 ]
 
 IncrementDraw = Callable[[np.random.Generator, int], np.ndarray]
+
+
+def logsumexp(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log(sum(exp(a), axis=0)), written into ``out`` when given.
+
+    Overwrites ``a``. Each column is shifted by its largest entry, so no term
+    overflows. A column whose largest entry is not finite is not shifted: a
+    column of -inf gives -inf, not nan.
+    """
+    top = a.max(axis=0)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    a -= shift
+    np.exp(a, out=a)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(a, axis=0, out=out), out=out)
+    out += shift
+    return out
 
 
 def derive_rng(seed: int, *salt: int) -> np.random.Generator:
@@ -76,7 +92,8 @@ class LocalDistribution(abc.ABC):
         ``pre`` at n observations from this law, or None when the law has no
         compiled form; the caller then samples and evaluates the llr. A draw
         must consume ``rng`` exactly as ``self.sample(rng, n)`` does, so that
-        both paths see the same random stream."""
+        both paths see the same random stream, and return a fresh float
+        array that shares no memory with the draw's own state."""
         return None
 
 
@@ -131,7 +148,7 @@ class MixtureLikelihood:
         if len(self.components) == 1:
             return self.components[0].logpdf(x)
         stacked = np.stack([np.asarray(c.logpdf(x)) for c in self.components])
-        return logsumexp(stacked, axis=0) - math.log(len(self.components))
+        return logsumexp(stacked) - math.log(len(self.components))
 
 
 @dataclass(frozen=True)
@@ -140,7 +157,8 @@ class UnitClass:
     the same pre-change law and post-change family, so that their mixture llr
     increments are identically distributed.
 
-    ``key`` identifies the class and ``draw(rng, n)`` returns n increments.
+    ``key`` identifies the class and ``draw(rng, n)`` returns n increments
+    in a fresh array.
     """
 
     key: tuple

@@ -25,6 +25,14 @@ block of draws per class shared by all rows in that class. Batch b draws from
 its own sub-stream of the configured seed, ``derive_rng(seed, b)``, and worker
 processes only ever receive whole batches, so results are reproducible bit for
 bit and independent of the thread count.
+
+The hot loop reuses its scratch. Every block of a stretch writes its partial
+sums, path and switch counts into arrays allocated once per estimate
+(``_Blocks``), and every Gaussian class kernel keeps the buffers of one slice,
+so a block allocates only the increments the kernel returns and boolean masks
+of at most 16 KiB. Arrays of 128 KiB and more, allocated and freed thousands
+of times per estimate, would be handed back to the system by the C allocator
+and fault their pages in again on the next block.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Collection, Sequence
 
@@ -209,6 +216,17 @@ _COLS0 = 32
 _BLOCK_ELEMENTS = 1 << 14
 
 
+class _Blocks:
+    """The per-block arrays of _run_stretch (partial sums w, the path and the
+    switch counts), allocated once per estimate and overwritten by every
+    block; see the module docstring for why."""
+
+    def __init__(self) -> None:
+        self.w = np.empty(_BLOCK_ELEMENTS)
+        self.path = np.empty(_BLOCK_ELEMENTS)
+        self.sw = np.empty(_BLOCK_ELEMENTS, dtype=np.int64)
+
+
 def _run_stretch(
     rng: np.random.Generator,
     draw: Callable,
@@ -216,6 +234,7 @@ def _run_stretch(
     threshold: float,
     need: np.ndarray,
     budget: np.ndarray,
+    blocks: _Blocks,
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Advance rows of the statistic through consecutive units of one class.
 
@@ -223,10 +242,11 @@ def _run_stretch(
     below zero, at its first crossing of the threshold, or after budget[r]
     steps. Every block draws the increments of all running rows in one call,
     at most _BLOCK_ELEMENTS of them, with the columns per row doubling from
-    _COLS0. Returns (used, steps, switches, statistic, alarmed): the number of
-    increments consumed over all rows, then one array entry per row.
-    Increments drawn beyond a row's stopping step are discarded, which is
-    sound because they are independent of everything retained.
+    _COLS0, and works in ``blocks``. Returns (used, steps, switches,
+    statistic, alarmed): the number of increments consumed over all rows,
+    then one array entry per row. Increments drawn beyond a row's stopping
+    step are discarded, which is sound because they are independent of
+    everything retained.
     """
     y = y.astype(float)
     steps = np.zeros(y.size, dtype=np.int64)
@@ -239,13 +259,19 @@ def _run_stretch(
         k = run.size
         left = budget[run] - steps[run]
         n = int(min(cols, _BLOCK_ELEMENTS // k, left.max()))
-        w = np.cumsum(draw(rng, k * n).reshape(k, n), axis=1)
-        floor = np.zeros_like(w)
-        floor[:, 1:] = w[:, :-1]
-        np.minimum.accumulate(floor, axis=1, out=floor)
-        path = w + np.maximum(y[run, None], -floor)
+        w = blocks.w[: k * n].reshape(k, n)
+        path = blocks.path[: k * n].reshape(k, n)
+        sw = blocks.sw[: k * n].reshape(k, n)
+        np.cumsum(draw(rng, k * n).reshape(k, n), axis=1, out=w)
+        # the running minimum of w before each step, then the path itself
+        path[:, 0] = 0.0
+        path[:, 1:] = w[:, :-1]
+        np.minimum.accumulate(path, axis=1, out=path)
+        np.negative(path, out=path)
+        np.maximum(y[run, None], path, out=path)
+        path += w
         hit = path >= threshold
-        sw = np.cumsum(path <= 0.0, axis=1)
+        np.cumsum(path <= 0.0, axis=1, out=sw)
         stop = hit | (sw >= (need[run] - switches[run])[:, None])
         ends = left <= n
         stop[ends, left[ends] - 1] = True
@@ -270,6 +296,7 @@ def _simulate(
     budget: int,
     pos: np.ndarray,
     y: np.ndarray,
+    blocks: _Blocks,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Runs of the policy under a fixed regime until alarm or budget steps,
     one per row, starting at the positions and statistics given.
@@ -297,7 +324,7 @@ def _simulate(
             sel = cls == c
             rows = live[sel]
             _, s, sw, y[rows], alarmed[rows] = _run_stretch(
-                rng, regime.draws[c], y[rows], threshold, need[sel], budget - steps[rows]
+                rng, regime.draws[c], y[rows], threshold, need[sel], budget - steps[rows], blocks
             )
             steps[rows] += s
             pos[rows] = (pos[rows] + sw) % n_units
@@ -325,6 +352,7 @@ def _run_batches(
     """
     post = _compile_regime(model, order, hypothesis)
     pre = _compile_regime(model, order, None) if nu > 0 else None
+    blocks = _Blocks()
     values = []
     truncations = 0
     discarded = 0
@@ -334,10 +362,10 @@ def _run_batches(
         pos = np.zeros(rows, dtype=np.int64)
         y = np.zeros(rows)
         if pre is not None:
-            _, alarmed, pos, y = _simulate(rng, pre, threshold, nu, pos, y)
+            _, alarmed, pos, y = _simulate(rng, pre, threshold, nu, pos, y, blocks)
             discarded += int(alarmed.sum())
             pos, y = pos[~alarmed], y[~alarmed]
-        steps, alarmed, _, _ = _simulate(rng, post, threshold, cap, pos, y)
+        steps, alarmed, _, _ = _simulate(rng, post, threshold, cap, pos, y, blocks)
         truncations += int((~alarmed).sum())
         values.append(steps)
     return np.concatenate(values), truncations, discarded
@@ -361,6 +389,9 @@ def _collect(
     if workers == 1:
         parts = [_run_batches(*args, shares[0], cap)]
     else:
+        # imported here: multiprocessing costs every single-process run at import
+        from concurrent.futures import ProcessPoolExecutor
+
         # Workers receive whole batches, so the streams do not depend on threads.
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_batches, *args, share, cap) for share in shares]

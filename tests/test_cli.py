@@ -303,6 +303,33 @@ class TestValidateCommand:
         assert "overall: FAIL" in out
 
 
+class TestReplicationMinimum:
+    @pytest.mark.parametrize(
+        "argv, minimum",
+        [
+            (["bounds", "mean-change", "--reps", "9999"], 10000),
+            (["bounds", "corr-pairs", "--reps", "100"], 10000),
+            (["validate", "corr-pairs", "--K", "5", "--reps", "999"], 1000),
+        ],
+        ids=["bounds-9999", "bounds-100", "validate-999"],
+    )
+    def test_below_minimum_exits_2_naming_it(self, argv, minimum, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--reps of at least {minimum}, got {argv[-1]}" in captured.err
+
+    def test_below_minimum_from_a_config_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[scenario]\npreset = corr-pairs\n[run]\nreps = 500\n")
+        assert main(["bounds", "--config", str(path)]) == 2
+        assert "--reps of at least 10000, got 500" in capsys.readouterr().err
+
+    def test_validate_runs_at_the_minimum(self, capsys):
+        assert main(["validate", "corr-pairs", "--K", "5", "--reps", "1000"]) == 0
+        assert "overall: ok" in capsys.readouterr().out
+
+
 class TestConfigFiles:
     def test_dump_config_is_valid_ini(self, capsys):
         code = main(["bounds", "corr-pairs", "--K", "6", "--gamma", "50", "--dump-config"])

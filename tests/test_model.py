@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from rrcusum.gaussian import GaussianLocal
 from rrcusum.model import (
@@ -14,6 +16,7 @@ from rrcusum.model import (
     PostChangeHypothesis,
     Unit,
     affected_units,
+    logsumexp,
     unit,
     validate_model,
 )
@@ -103,6 +106,65 @@ class TestMixtureLikelihood:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty post-change family"):
             MixtureLikelihood(unit(1), ())
+
+    @pytest.mark.parametrize(
+        "means, covs, x",
+        [
+            ((0.0, 0.0), (pair(0.5), pair(-0.5)), np.random.default_rng(1).normal(size=(25, 2))),
+            ((0.0, 0.0), (pair(-0.7), pair(0.7)), np.random.default_rng(3).normal(size=(50, 2))),
+            ((1.0, -1.0), (np.eye(1), np.eye(1)), np.array([0.0])),
+            ((1.0, -1.0), (np.eye(1), np.eye(1)), np.linspace(-30.0, 30.0, 61)[:, None]),
+        ],
+    )
+    def test_logpdf_matches_scipy_logsumexp(self, means, covs, x):
+        comps = tuple(GaussianLocal(mu, c) for mu, c in zip(means, covs))
+        mix = MixtureLikelihood(unit(*range(1, comps[0].dim + 1)), comps)
+        stacked = np.stack([np.asarray(c.logpdf(x)) for c in comps])
+        want = special.logsumexp(stacked, axis=0) - math.log(len(comps))
+        got = mix.logpdf(x)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
+class TestLogsumexp:
+    """The max-shifted logsumexp shared by the mixtures and the Gaussian kernel,
+    against scipy's as the oracle."""
+
+    @pytest.mark.parametrize("rows", [2, 7])
+    def test_matches_scipy_up_to_700(self, rows):
+        a = np.random.default_rng(rows).uniform(-700.0, 700.0, size=(rows, 500))
+        want = special.logsumexp(a, axis=0)
+        np.testing.assert_allclose(logsumexp(a.copy()), want, rtol=1e-14)
+
+    def test_wide_columns_do_not_overflow(self):
+        a = np.array([[700.0, -700.0, 0.0], [699.0, -701.0, -745.0], [-700.0, -700.0, 1e-300]])
+        got = logsumexp(a.copy())
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, special.logsumexp(a, axis=0), rtol=1e-15)
+
+    def test_column_of_minus_inf_gives_minus_inf(self):
+        a = np.array([[-np.inf, 0.0, -np.inf], [-np.inf, -np.inf, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logsumexp(a.copy())
+        assert got[0] == -np.inf
+        np.testing.assert_array_equal(got, special.logsumexp(a, axis=0))
+
+    def test_single_component(self):
+        a = np.random.default_rng(5).uniform(-700.0, 700.0, size=(1, 100))
+        np.testing.assert_array_equal(logsumexp(a.copy()), a[0])
+
+    def test_vector_gives_a_scalar(self):
+        a = np.array([-3.0, 2.5, 0.25])
+        got = logsumexp(a.copy())
+        assert np.ndim(got) == 0
+        assert got == pytest.approx(special.logsumexp(a), rel=1e-15)
+
+    def test_writes_into_out(self):
+        a = np.random.default_rng(6).normal(size=(3, 40))
+        out = np.empty(40)
+        assert logsumexp(a.copy(), out=out) is out
+        np.testing.assert_allclose(out, special.logsumexp(a, axis=0), rtol=1e-14)
 
 
 class TestMixtureLLR:

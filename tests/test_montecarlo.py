@@ -252,7 +252,13 @@ class TestRunStretch:
         ]
         feed = FixedFeed(streams, [w[0] for w in want])
         used, steps, switches, y, alarmed = montecarlo._run_stretch(
-            None, feed, np.asarray(y0, dtype=float), threshold, np.asarray(need), np.asarray(budget)
+            None,
+            feed,
+            np.asarray(y0, dtype=float),
+            threshold,
+            np.asarray(need),
+            np.asarray(budget),
+            montecarlo._Blocks(),
         )
         assert type(used) is int and used == sum(w[0] for w in want) <= feed.drawn
         # Dyadic increments keep every sum exact, so the paths agree exactly.
@@ -300,6 +306,29 @@ class TestRunStretch:
             need=rng.integers(1, 40, size=rows).tolist(),
             budget=rng.integers(1, 400, size=rows).tolist(),
         )
+
+
+def test_run_stretch_outputs_do_not_depend_on_earlier_calls():
+    model = correlated_blocks_model(5, 2, 0.7)
+    hyp = correlated_block_hypothesis(model, 0.7, s=3)
+    E = max(hyp.affected_units)
+    draw = model.unit_class(E, hyp.local_post[E]).draw
+    blocks = montecarlo._Blocks()
+
+    def run(seed, rows, blocks):
+        r = np.random.default_rng(seed)
+        args = (r.uniform(0.0, 2.0, rows), 6.0, r.integers(1, 4, rows), r.integers(1, 300, rows))
+        return montecarlo._run_stretch(np.random.default_rng(seed), draw, *args, blocks)
+
+    first = run(1, 200, blocks)
+    run(2, 7, blocks)  # a call of another size through the same blocks
+    again = run(1, 200, blocks)
+    fresh = run(1, 200, montecarlo._Blocks())
+    assert first[0] == again[0] == fresh[0]
+    for a, b, c in zip(first[1:], again[1:], fresh[1:]):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, c)
+        assert not any(np.shares_memory(a, buf) for buf in vars(blocks).values())
 
 
 class TestEstimateDelay:

@@ -60,6 +60,43 @@ def test_kernel_matches_mixture_llr_and_random_stream(case, n):
             assert rng_kernel.bit_generator.state == rng_ref.bit_generator.state
 
 
+def _kernels():
+    """(kernel, its law, pre-change law and family), for a singleton family
+    and for one of seven members."""
+    out = []
+    for m in (2, 3):
+        model, hyp = build_preset("corr-pairs", K=6, m=m, s=4)
+        E = max(hyp.affected_units)
+        laws = (hyp.local_post[E], model.pre_local[E], model.post_family[E])
+        out.append((model.unit_class(E, laws[0]).draw, laws))
+    assert [len(laws[2]) for _, laws in out] == [1, 7]
+    return out
+
+
+@pytest.mark.parametrize("sizes", [(1, 257, 9000), (9000, 257, 1), (257, 9000, 9000)])
+def test_kernel_draws_do_not_alias_its_scratch(sizes):
+    for kernel, _ in _kernels():
+        rng = np.random.default_rng(8)
+        draws = [kernel(rng, n) for n in sizes]
+        kept = [d.copy() for d in draws]
+        for n in sizes:  # another round through the same scratch
+            kernel(rng, n)
+        for i, (d, k) in enumerate(zip(draws, kept)):
+            np.testing.assert_array_equal(d, k)
+            assert not any(np.shares_memory(d, e) for e in draws[i + 1 :])
+
+
+@pytest.mark.parametrize("n", [1, 257, 9000])
+def test_kernel_draw_equals_a_fresh_kernel(n):
+    for kernel, laws in _kernels():
+        for size in (9000, 3, 4096):  # fill the scratch with other draws first
+            kernel(np.random.default_rng(size), size)
+        fresh = GaussianMixtureKernel(*laws)
+        np.testing.assert_array_equal(
+            kernel(np.random.default_rng(11), n), fresh(np.random.default_rng(11), n)
+        )
+
+
 def test_kernel_handles_a_signed_mean_family():
     model = mean_change_model(3, 0.8, signed=True)
     hyp = mean_change_hypothesis(model, (3,), 0.8, sign=-1)
@@ -87,7 +124,9 @@ def test_model_with_compiled_classes_pickles():
     model, hyp = build_preset("corr-pairs", K=5, m=3, s=3)
     E = max(hyp.affected_units)
     model.unit_class(E, hyp.local_post[E])
-    clone = pickle.loads(pickle.dumps(model))
+    data = pickle.dumps(model)
+    assert len(data) < 100_000  # the kernels' slice scratch stays behind
+    clone = pickle.loads(data)
     a = clone.unit_class(E, hyp.local_post[E]).draw(np.random.default_rng(2), 10)
     b = model.unit_class(E, hyp.local_post[E]).draw(np.random.default_rng(2), 10)
     np.testing.assert_array_equal(a, b)
