@@ -38,7 +38,6 @@ from .bounds import (
     NonAsymptoticBound,
     OptimalityClass,
     UnitStatistics,
-    are_upper_bound,
     bounds_report,
     classify_optimality,
     compute_unit_statistics,
@@ -50,7 +49,6 @@ from .bounds import (
     llr_second_moment,
     lower_bound_first_order,
     nonasymptotic_upper_bound,
-    upper_bound_first_order,
 )
 from .montecarlo import (
     DelayEstimate,

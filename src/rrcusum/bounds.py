@@ -47,15 +47,14 @@ __all__ = [
     "ladder_prob_no_descend",
     "ladder_prob_no_ascend",
     "lower_bound_first_order",
-    "upper_bound_first_order",
-    "are_upper_bound",
     "classify_optimality",
     "nonasymptotic_upper_bound",
     "compute_unit_statistics",
     "bounds_report",
 ]
 
-_MIN_LADDER_HORIZON = 1_000
+# Longest walk of the ladder estimator; a series cut here carries a bias note.
+_LADDER_HORIZON = 1_000
 _MIN_LADDER_REPS = 10_000
 _MIN_DRIFT_REPS = 10_000
 # Increments per draw of the ladder estimator. The mixture llr of a batch holds
@@ -63,6 +62,9 @@ _MIN_DRIFT_REPS = 10_000
 # at m = 4 (26 members), and larger batches are no faster per row.
 _LADDER_CHUNK = 1 << 18
 _CHERNOFF_THETAS = np.geomspace(1e-3, 1.0, 61)
+# Relative slack within which the largest closed-form information number counts
+# as equal to the smallest closed-form drift.
+_OPTIMALITY_REL_TOL = 1e-9
 
 
 class DegenerateBoundError(RuntimeError):
@@ -117,7 +119,7 @@ def info_number(
         return Estimate(0.0, 0.0, note="not affected")
     f = model.pre_local[unit]
     g = hypothesis.local_post[unit]
-    if _gaussian_pair(model, hypothesis, unit):
+    if isinstance(f, GaussianLocal) and isinstance(g, GaussianLocal):
         return Estimate(gaussian_kl(g, f), 0.0)
     x = g.sample(derive_rng(seed, 0x1F0), reps)
     vals = np.asarray(g.logpdf(x)) - np.asarray(f.logpdf(x))
@@ -133,27 +135,32 @@ def drift_post(
 ) -> Estimate:
     """Post-change mean of the mixture log likelihood ratio of an affected unit.
 
-    When the family is a singleton this equals the information number; the
-    closed form, when available, is cross-checked and a disagreement beyond
-    three standard errors is flagged in the note.
+    Exact (stderr 0) when the family is one Gaussian and both laws are
+    Gaussian; otherwise a Monte Carlo mean over ``reps`` increments.
     """
     if reps < _MIN_DRIFT_REPS:
         raise ValueError(f"reps must be at least {_MIN_DRIFT_REPS}, got {reps}")
     if not hypothesis.is_affected(unit):
         raise ValueError(f"unit {unit} is not affected under {hypothesis.label}")
-    g = hypothesis.local_post[unit]
-    vals = model.unit_class(unit, g).draw(derive_rng(seed, 0x2F0), reps)
-    est = Estimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps)))
-    f = model.pre_local[unit]
-    if (
-        len(model.post_family[unit]) == 1
-        and isinstance(f, GaussianLocal)
-        and isinstance(g, GaussianLocal)
-    ):
-        exact = gaussian_kl(g, f)
-        if abs(est.value - exact) > 3.0 * max(est.stderr, 1e-15):
-            return Estimate(est.value, est.stderr, note=f"singleton cross-check failed: closed form {exact:.6g}")
-    return est
+    exact = _exact_drift(model, hypothesis, unit)
+    if exact is not None:
+        return Estimate(exact, 0.0)
+    vals = model.unit_class(unit, hypothesis.local_post[unit]).draw(derive_rng(seed, 0x2F0), reps)
+    return Estimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps)))
+
+
+def _exact_drift(model: ChangePointModel, hypothesis: PostChangeHypothesis, unit: Unit) -> float | None:
+    """Closed-form post-change drift of an affected unit, or None.
+
+    With a one-member family g1 the mixture llr is log g1 - log f, whose mean
+    under the true law g is KL(g || f) - KL(g || g1): the information number
+    when g = g1, and less otherwise. Needs f, g and g1 Gaussian.
+    """
+    family = model.post_family[unit]
+    f, g = model.pre_local[unit], hypothesis.local_post[unit]
+    if len(family) != 1 or not all(isinstance(d, GaussianLocal) for d in (f, g, family[0])):
+        return None
+    return gaussian_kl(g, f) - gaussian_kl(g, family[0])
 
 
 def drift_pre(
@@ -201,7 +208,6 @@ def llr_second_moment(
 def _spitzer_escape(
     draw: Callable[[np.random.Generator, int], np.ndarray],
     rng: np.random.Generator,
-    horizon: int,
     reps: int,
     descend: bool,
 ) -> Estimate:
@@ -216,7 +222,7 @@ def _spitzer_escape(
     the escape direction is negative; then P(S_n wrong side) <= rho^n and the
     series tail beyond N is at most rho^(N+1) / ((N+1)(1 - rho)). The series is
     cut at the first N where that is below a hundredth of the Monte Carlo
-    error, or at ``horizon``. Each of ``reps`` paths of N steps gives
+    error, or at ``_LADDER_HORIZON``. Each of ``reps`` paths of N steps gives
     Z = sum_{n <= N} 1{S_n wrong side} / n; the estimate is exp(-mean Z) with
     the delta-method standard error. When the horizon binds, the dropped tail
     biases the estimate upward by at most a factor exp(tail), reported in the
@@ -229,11 +235,11 @@ def _spitzer_escape(
         rho = min(float(np.exp(theta * pilot).mean()) for theta in _CHERNOFF_THETAS)
     if not rho < 1.0:
         return Estimate(0.0, 0.0, note=f"walk does not drift away from zero: Chernoff rate {rho:.4g}")
-    n = np.arange(1, horizon + 1)
+    n = np.arange(1, _LADDER_HORIZON + 1)
     tail = rho ** (n + 1) / ((n + 1) * (1.0 - rho))
     settled = tail <= 0.01 / math.sqrt(reps)
     cut = not settled.any()
-    steps = horizon if cut else int(np.argmax(settled)) + 1
+    steps = _LADDER_HORIZON if cut else int(np.argmax(settled)) + 1
     weights = 1.0 / n[:steps]
     # Paths are simulated in blocks of at most _LADDER_CHUNK increments, so
     # memory does not grow with reps or with the horizon.
@@ -251,7 +257,7 @@ def _spitzer_escape(
     q = math.exp(-float(z.mean()))
     note = None
     if cut:
-        note = f"series cut at horizon {horizon}: biased upward by at most a factor exp({tail[-1]:.3g})"
+        note = f"series cut at horizon {_LADDER_HORIZON}: biased upward by at most a factor exp({tail[-1]:.3g})"
     return Estimate(q, q * float(z.std(ddof=1)) / math.sqrt(reps), note=note)
 
 
@@ -259,7 +265,6 @@ def ladder_prob_no_descend(
     model: ChangePointModel,
     hypothesis: PostChangeHypothesis,
     unit: Unit,
-    horizon: int = _MIN_LADDER_HORIZON,
     reps: int = 2 * _MIN_LADDER_REPS,
     seed: int = 0,
 ) -> Estimate:
@@ -267,24 +272,21 @@ def ladder_prob_no_descend(
     drops below zero, by Spitzer's identity over one batch of ``reps`` paths.
 
     The paths walk only as many steps as a Chernoff bound on the rest of the
-    series requires, and never more than ``horizon``; a note reports the
+    series requires, and never more than ``_LADDER_HORIZON``; a note reports the
     truncation bias when the horizon binds, and an estimate of exactly 0 when
     the walk does not drift upward.
     """
-    if horizon < _MIN_LADDER_HORIZON:
-        raise ValueError(f"horizon must be at least {_MIN_LADDER_HORIZON}, got {horizon}")
     if reps < _MIN_LADDER_REPS:
         raise ValueError(f"reps must be at least {_MIN_LADDER_REPS}, got {reps}")
     if not hypothesis.is_affected(unit):
         raise ValueError(f"unit {unit} is not affected under {hypothesis.label}")
     draw = model.unit_class(unit, hypothesis.local_post[unit]).draw
-    return _spitzer_escape(draw, derive_rng(seed, 0x5F0), horizon, reps, descend=True)
+    return _spitzer_escape(draw, derive_rng(seed, 0x5F0), reps, descend=True)
 
 
 def ladder_prob_no_ascend(
     model: ChangePointModel,
     unit: Unit,
-    horizon: int = _MIN_LADDER_HORIZON,
     reps: int = 2 * _MIN_LADDER_REPS,
     seed: int = 0,
 ) -> Estimate:
@@ -292,16 +294,14 @@ def ladder_prob_no_ascend(
     by Spitzer's identity over one batch of ``reps`` paths.
 
     The paths walk only as many steps as a Chernoff bound on the rest of the
-    series requires, and never more than ``horizon``; a note reports the
+    series requires, and never more than ``_LADDER_HORIZON``; a note reports the
     truncation bias when the horizon binds, and an estimate of exactly 0 when
     the walk does not drift downward.
     """
-    if horizon < _MIN_LADDER_HORIZON:
-        raise ValueError(f"horizon must be at least {_MIN_LADDER_HORIZON}, got {horizon}")
     if reps < _MIN_LADDER_REPS:
         raise ValueError(f"reps must be at least {_MIN_LADDER_REPS}, got {reps}")
     draw = model.unit_class(unit).draw
-    return _spitzer_escape(draw, derive_rng(seed, 0x6F0), horizon, reps, descend=False)
+    return _spitzer_escape(draw, derive_rng(seed, 0x6F0), reps, descend=False)
 
 
 def compute_unit_statistics(
@@ -309,7 +309,6 @@ def compute_unit_statistics(
     hypothesis: PostChangeHypothesis,
     reps: int = 100_000,
     ladder_reps: int = 2 * _MIN_LADDER_REPS,
-    horizon: int = _MIN_LADDER_HORIZON,
     seed: int = 0,
     cache: MutableMapping | None = None,
 ) -> dict[Unit, UnitStatistics]:
@@ -319,7 +318,7 @@ def compute_unit_statistics(
 
     Each class makes one call to ``ladder_prob_no_ascend`` and, when
     affected, one to ``ladder_prob_no_descend``, with ``ladder_reps`` paths of
-    at most ``horizon`` steps. The k-th class met in ``model.units`` order
+    at most ``_LADDER_HORIZON`` steps. The k-th class met in ``model.units`` order
     draws from seeds salted with k. A ``cache`` shared between calls with the
     same budgets and seed keeps the estimates per class, so a class already in
     it is not estimated again; the results equal those of a call without it.
@@ -340,9 +339,7 @@ def compute_unit_statistics(
                     model, hypothesis, E, reps=reps, seed=derive_seed(seed, idx, 1)
                 ) if is_affected else Estimate(0.0, 0.0, note="not affected"),
                 drift_pre=drift_pre(model, E, reps=reps, seed=derive_seed(seed, idx, 2)),
-                q_no_ascend=ladder_prob_no_ascend(
-                    model, E, horizon=horizon, reps=ladder_reps, seed=derive_seed(seed, idx, 3)
-                ),
+                q_no_ascend=ladder_prob_no_ascend(model, E, reps=ladder_reps, seed=derive_seed(seed, idx, 3)),
             )
             if is_affected:
                 stats["drift_post"] = drift_post(
@@ -352,17 +349,11 @@ def compute_unit_statistics(
                     model, hypothesis, E, reps=reps, seed=derive_seed(seed, idx, 5)
                 )
                 stats["q_no_descend"] = ladder_prob_no_descend(
-                    model, hypothesis, E, horizon=horizon, reps=ladder_reps, seed=derive_seed(seed, idx, 6)
+                    model, hypothesis, E, reps=ladder_reps, seed=derive_seed(seed, idx, 6)
                 )
             cache[key] = stats
         out[E] = UnitStatistics(unit=E, **cache[key])
     return out
-
-
-def _gaussian_pair(model: ChangePointModel, hypothesis: PostChangeHypothesis, unit: Unit) -> bool:
-    return isinstance(model.pre_local[unit], GaussianLocal) and isinstance(
-        hypothesis.local_post[unit], GaussianLocal
-    )
 
 
 def _max_info(
@@ -388,32 +379,6 @@ def _max_info(
     return max(vals), restricted
 
 
-def _min_drift(
-    model: ChangePointModel,
-    hypothesis: PostChangeHypothesis,
-    reps: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Smallest post-change drift of the mixture log likelihood ratio over the
-    affected sampled units. Closed form for singleton Gaussian families, Monte
-    Carlo otherwise."""
-    affected = affected_units(model, hypothesis)
-    if not affected:
-        raise ValueError("the hypothesis affects no sampled unit; no information to detect")
-    vals = []
-    seen = set()
-    for E in sorted(affected):
-        key = model.unit_class(E, hypothesis.local_post[E]).key
-        if key in seen:
-            continue
-        seen.add(key)
-        if len(model.post_family[E]) == 1 and _gaussian_pair(model, hypothesis, E):
-            vals.append(gaussian_kl(hypothesis.local_post[E], model.pre_local[E]))
-        else:
-            vals.append(drift_post(model, hypothesis, E, reps=max(reps, _MIN_DRIFT_REPS), seed=seed).value)
-    return min(vals)
-
-
 def lower_bound_first_order(
     gamma: float,
     model: ChangePointModel,
@@ -437,50 +402,6 @@ def _lower_bound(gamma: float, top: float) -> float:
     return math.log(gamma) / top
 
 
-def upper_bound_first_order(
-    A: float,
-    model: ChangePointModel,
-    hypothesis: PostChangeHypothesis,
-    reps: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """First-order upper bound on the worst-case expected detection delay of
-    the round-robin policy at threshold A: the largest A / J over affected
-    sampled units, dropping o(A) terms. Raises DegenerateBoundError when that
-    drift is not positive."""
-    if not A > 0.0:
-        raise ValueError(f"threshold must be positive, got {A}")
-    return _upper_bound(A, _min_drift(model, hypothesis, reps=reps, seed=seed))
-
-
-def _upper_bound(A: float, j: float) -> float:
-    if j <= 0.0:
-        raise DegenerateBoundError(f"upper bound degenerate: smallest post-change drift is {j:.4g}")
-    return A / j
-
-
-def are_upper_bound(
-    model: ChangePointModel,
-    hypothesis: PostChangeHypothesis,
-    reps: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Upper bound on the asymptotic relative efficiency: largest information
-    number over affected subsets divided by smallest post-change drift over
-    affected sampled units. At least 1 up to Monte Carlo error. Raises
-    DegenerateBoundError when that drift is not positive."""
-    top, _ = _max_info(model, hypothesis, reps=reps, seed=seed)
-    if top <= 0.0:
-        raise ValueError("efficiency ratio undefined: no affected subset carries information")
-    return _are_bound(top, _min_drift(model, hypothesis, reps=reps, seed=seed))
-
-
-def _are_bound(top: float, j: float) -> float:
-    if j <= 0.0:
-        raise DegenerateBoundError(f"efficiency ratio degenerate: smallest post-change drift is {j:.4g}")
-    return top / j
-
-
 class OptimalityClass(enum.Enum):
     ASYMPTOTICALLY_OPTIMAL = "asymptotically_optimal"
     BOUNDED_ARE = "bounded_are"
@@ -490,34 +411,29 @@ class OptimalityClass(enum.Enum):
 def classify_optimality(
     model: ChangePointModel,
     hypothesis: PostChangeHypothesis,
-    rel_tol: float = 1e-9,
 ) -> OptimalityClass:
     """Best optimality guarantee for the policy under the hypothesis.
 
     ASYMPTOTICALLY_OPTIMAL requires a singleton family at every affected
-    sampled unit together with a verified match between the largest affected
-    information number and the smallest one over affected sampled units; the
-    match is only certified on closed forms, never on Monte Carlo estimates.
-    BOUNDED_ARE is returned when every affected family is a singleton (the
-    equality being unverifiable), or when the mixture increment mean is known
-    to be invariant across each affected family. Everything else, in
-    particular a hypothesis that affects no sampled unit, is INDETERMINATE.
+    sampled unit and a verified match between the largest affected
+    information number and the smallest post-change drift over affected
+    sampled units; the match is only certified on closed forms, never on Monte
+    Carlo estimates. BOUNDED_ARE is returned when every affected family is a
+    singleton (the match being unverifiable or failing), or when the mixture
+    increment mean is known to be invariant across each affected family.
+    Everything else is INDETERMINATE: in particular a hypothesis that affects
+    no sampled unit, and one with a closed-form drift that is not positive.
     """
     affected = affected_units(model, hypothesis)
     if not affected:
         return OptimalityClass.INDETERMINATE
-    singleton = all(len(model.post_family[E]) == 1 for E in affected)
-    if singleton:
-        if all(_gaussian_pair(model, hypothesis, E) for E in affected):
-            infos = [gaussian_kl(hypothesis.local_post[E], model.pre_local[E]) for E in sorted(affected)]
-            full = len(model.units) == math.comb(model.K, model.m)
-            if hypothesis.info_number_max is not None:
-                top = hypothesis.info_number_max
-            elif full:
-                top = max(infos)
-            else:
-                top = None
-            if top is not None and top <= min(infos) * (1.0 + rel_tol):
+    if all(len(model.post_family[E]) == 1 for E in affected):
+        drifts = [_exact_drift(model, hypothesis, E) for E in affected]
+        if any(j is not None and j <= 0.0 for j in drifts):
+            return OptimalityClass.INDETERMINATE
+        if all(j is not None for j in drifts):
+            top, restricted = _max_info(model, hypothesis)
+            if not restricted and top <= min(drifts) * (1.0 + _OPTIMALITY_REL_TOL):
                 return OptimalityClass.ASYMPTOTICALLY_OPTIMAL
         return OptimalityClass.BOUNDED_ARE
     if hypothesis.mixture_mean_invariant:
@@ -698,33 +614,32 @@ def bounds_report(
     gamma: float,
     reps: int = 100_000,
     ladder_reps: int = 2 * _MIN_LADDER_REPS,
-    horizon: int = _MIN_LADDER_HORIZON,
     seed: int = 0,
     additive_constant: float = 0.0,
 ) -> BoundsReport:
     """Compute every bound for the model and hypothesis at threshold log(gamma).
 
     A bound that degenerates is reported as infinite, and ``degenerate``
-    says why. The largest information number and the smallest post-change
-    drift are estimated once and shared by the first-order bounds.
+    says why. The first-order upper bound A / J and the efficiency ratio
+    bound I / J take J, the smallest post-change drift over affected sampled
+    units, from the unit statistics that the explicit bound uses.
     """
     if not gamma > 1.0:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
+    affected = affected_units(model, hypothesis)
+    if not affected:
+        raise ValueError("the hypothesis affects no sampled unit; no information to detect")
     A = math.log(gamma)
-    stats = compute_unit_statistics(
-        model, hypothesis, reps=reps, ladder_reps=ladder_reps, horizon=horizon, seed=seed
-    )
+    stats = compute_unit_statistics(model, hypothesis, reps=reps, ladder_reps=ladder_reps, seed=seed)
     top, restricted = _max_info(model, hypothesis, reps=reps, seed=seed)
     lower = _lower_bound(gamma, top)
-    optimality = classify_optimality(model, hypothesis)
     reasons = []
-    try:
-        j = _min_drift(model, hypothesis, reps=reps, seed=seed)
-        upper1 = _upper_bound(A, j)
-        are = _are_bound(top, j)
-    except DegenerateBoundError as exc:
+    j = min(stats[E].drift_post.value for E in affected)
+    if j > 0.0:
+        upper1, are = A / j, top / j
+    else:
         upper1 = are = math.inf
-        reasons.append(str(exc))
+        reasons.append(f"upper bound degenerate: smallest post-change drift is {j:.4g}")
     nonasym = None
     try:
         nonasym = nonasymptotic_upper_bound(A, model, hypothesis, stats, additive_constant)
@@ -738,7 +653,7 @@ def bounds_report(
         lower_bound_restricted=restricted,
         upper_bound_first_order=upper1,
         are_bound=are,
-        optimality=optimality,
+        optimality=classify_optimality(model, hypothesis),
         unit_stats=stats,
         nonasymptotic=nonasym,
         degenerate="; ".join(reasons) or None,

@@ -15,7 +15,7 @@ import pytest
 
 from rrcusum.bounds import (
     OptimalityClass,
-    are_upper_bound,
+    bounds_report,
     classify_optimality,
     compute_unit_statistics,
     drift_post,
@@ -23,13 +23,15 @@ from rrcusum.bounds import (
     nonasymptotic_upper_bound,
 )
 from rrcusum.gaussian import equicorrelation_det
-from rrcusum.model import unit
+from rrcusum.model import derive_rng, unit
 from rrcusum.montecarlo import Ordering, StudyConfig, estimate_arl, estimate_delay
 from rrcusum.policy import PolicyConfig, PolicyState, step
 from rrcusum.scenarios import (
     build_preset,
     correlated_block_hypothesis,
     correlated_blocks_model,
+    mean_change_hypothesis,
+    mean_change_model,
 )
 
 
@@ -204,16 +206,27 @@ def test_c5_determinant_identities():
 
 
 def test_c6_kl_drift_identities():
-    # singleton-family presets: Monte Carlo post-change drift must reproduce
-    # the closed-form information number within three standard errors
+    # singleton families: the Monte Carlo mean of the class llr must reproduce
+    # the closed-form post-change drift within three standard errors. The
+    # drift equals the information number when the true law is the family's
+    # member, and falls below it for a mean shift against the family.
+    reversed_model = mean_change_model(3, 1.0)
+    cases = [
+        ("corr-pairs", *build_preset("corr-pairs"), True),
+        ("mean-change", *build_preset("mean-change"), True),
+        ("reversed-shift", reversed_model, mean_change_hypothesis(reversed_model, (3,), 1.0, sign=-1), False),
+    ]
     checks = []
-    for name in ("corr-pairs", "mean-change"):
-        model, hyp = build_preset(name)
+    for name, model, hyp, matched in cases:
         for E in sorted(hyp.affected_units):
             assert len(model.post_family[E]) == 1
-            exact = info_number(model, hyp, E).value
-            mc = drift_post(model, hyp, E, reps=50_000, seed=_seed(6, E.sources[0]))
-            checks.append((name, str(E), abs(mc.value - exact) <= 3.0 * mc.stderr))
+            exact = drift_post(model, hyp, E)
+            assert exact.stderr == 0.0
+            if matched:
+                assert exact.value == pytest.approx(info_number(model, hyp, E).value, abs=1e-12)
+            draws = model.unit_class(E, hyp.local_post[E]).draw(derive_rng(_seed(6, E.sources[0]), 0x2F0), 50_000)
+            se = float(draws.std(ddof=1)) / math.sqrt(draws.size)
+            checks.append((name, str(E), abs(float(draws.mean()) - exact.value) <= 3.0 * se))
     drift_ok = all(c[2] for c in checks)
 
     # sign-symmetric family: the mixture llr is invariant under flipping the
@@ -310,7 +323,7 @@ def test_c7_policy_property_suite():
 def test_c8_optimality_classifier():
     model2, hyp2 = build_preset("corr-pairs")
     cls2 = classify_optimality(model2, hyp2)
-    are2 = are_upper_bound(model2, hyp2)
+    are2 = bounds_report(model2, hyp2, gamma=1e2, reps=10_000, ladder_reps=10_000).are_bound
     modelp, hypp = build_preset("signed-pairs")
     clsp = classify_optimality(modelp, hypp)
     model3, hyp3 = build_preset("corr-pairs", m=3, s=3)

@@ -15,7 +15,6 @@ from rrcusum.bounds import (
     NonAsymptoticBound,
     OptimalityClass,
     UnitStatistics,
-    are_upper_bound,
     bounds_report,
     classify_optimality,
     compute_unit_statistics,
@@ -27,10 +26,9 @@ from rrcusum.bounds import (
     llr_second_moment,
     lower_bound_first_order,
     nonasymptotic_upper_bound,
-    upper_bound_first_order,
 )
 from rrcusum.gaussian import GaussianLocal
-from rrcusum.model import ChangePointModel, LocalDistribution, PostChangeHypothesis, Unit, unit
+from rrcusum.model import ChangePointModel, LocalDistribution, PostChangeHypothesis, Unit, affected_units, unit
 from rrcusum.scenarios import (
     build_preset,
     mean_change_hypothesis,
@@ -46,6 +44,13 @@ UPPER_1E2 = 13.678495396350622
 @pytest.fixture(scope="module")
 def corr_pairs():
     return build_preset("corr-pairs")
+
+
+@pytest.fixture(scope="module")
+def reversed_shift():
+    """The true law shifts source 3 by -1, against a family that shifts it by +1."""
+    m = mean_change_model(3, 1.0)
+    return m, mean_change_hypothesis(m, (3,), 1.0, sign=-1)
 
 
 class NotGaussian(LocalDistribution):
@@ -96,8 +101,15 @@ class TestDrifts:
     def test_post_drift_matches_info_for_singleton(self, corr_pairs):
         model, hyp = corr_pairs
         est = drift_post(model, hyp, unit(9, 10), reps=20_000, seed=3)
-        assert abs(est.value - PAIR_INFO) < 4.0 * est.stderr
-        assert est.note is None  # cross-check against the closed form passed
+        assert est.value == pytest.approx(PAIR_INFO, abs=1e-14)
+        assert est.stderr == 0.0
+
+    def test_post_drift_is_exact_for_a_misspecified_singleton(self, reversed_shift):
+        # KL(g || f) - KL(g || g1) = 1/2 - 2 for unit-variance means -1, 0 and +1
+        model, hyp = reversed_shift
+        est = drift_post(model, hyp, unit(3))
+        assert est.value == pytest.approx(-1.5, abs=1e-14)
+        assert est.stderr == 0.0
 
     def test_post_drift_requires_affected(self, corr_pairs):
         model, hyp = corr_pairs
@@ -174,26 +186,24 @@ def _mean_change_escape(mu: float) -> float:
 class TestLadderProbabilities:
     def test_ascending_walk(self):
         m, h, u = stub_model(+0.5)
-        up = ladder_prob_no_descend(m, h, u, horizon=1000, reps=10_000, seed=0)
+        up = ladder_prob_no_descend(m, h, u, reps=10_000, seed=0)
         assert up.value == 1.0
         assert up.stderr == 0.0
-        down = ladder_prob_no_ascend(m, u, horizon=1000, reps=10_000, seed=0)
+        down = ladder_prob_no_ascend(m, u, reps=10_000, seed=0)
         assert down.value == 0.0
         assert down.stderr == 0.0
 
     def test_descending_walk(self):
         m, h, u = stub_model(-0.5)
-        up = ladder_prob_no_descend(m, h, u, horizon=1000, reps=10_000, seed=0)
+        up = ladder_prob_no_descend(m, h, u, reps=10_000, seed=0)
         assert up.value == 0.0
-        down = ladder_prob_no_ascend(m, u, horizon=1000, reps=10_000, seed=0)
+        down = ladder_prob_no_ascend(m, u, reps=10_000, seed=0)
         assert down.value == 1.0
 
     def test_gaussian_walk_probabilities_are_interior(self, corr_pairs):
         model, hyp = corr_pairs
-        q_up = ladder_prob_no_descend(
-            model, hyp, unit(9, 10), horizon=1000, reps=10_000, seed=7
-        )
-        q_down = ladder_prob_no_ascend(model, unit(9, 10), horizon=1000, reps=10_000, seed=7)
+        q_up = ladder_prob_no_descend(model, hyp, unit(9, 10), reps=10_000, seed=7)
+        q_down = ladder_prob_no_ascend(model, unit(9, 10), reps=10_000, seed=7)
         assert 0.0 < q_up.value < 1.0
         assert 0.0 < q_down.value < 1.0
         assert q_up.stderr > 0.0
@@ -214,7 +224,7 @@ class TestLadderProbabilities:
     def test_horizon_cut_reports_upward_bias(self):
         # a weak drift needs more than the horizon; the note bounds the bias
         mu = 0.2
-        est = ladder_prob_no_ascend(mean_change_model(1, mu), unit(1), horizon=1000, reps=10_000, seed=3)
+        est = ladder_prob_no_ascend(mean_change_model(1, mu), unit(1), reps=10_000, seed=3)
         assert est.note is not None and "horizon 1000" in est.note
         assert abs(est.value - _mean_change_escape(mu)) < 4.0 * est.stderr
 
@@ -244,15 +254,18 @@ class TestLadderProbabilities:
 
     def test_preconditions(self, corr_pairs):
         model, hyp = corr_pairs
-        with pytest.raises(ValueError, match="horizon"):
-            ladder_prob_no_descend(model, hyp, unit(9, 10), horizon=10, reps=10_000)
         with pytest.raises(ValueError, match="reps"):
-            ladder_prob_no_ascend(model, unit(9, 10), horizon=1000, reps=100)
+            ladder_prob_no_ascend(model, unit(9, 10), reps=100)
         with pytest.raises(ValueError, match="not affected"):
-            ladder_prob_no_descend(model, hyp, unit(1, 2), horizon=1000, reps=10_000)
+            ladder_prob_no_descend(model, hyp, unit(1, 2), reps=10_000)
 
 
 class TestFirstOrderBounds:
+    @pytest.fixture(scope="class")
+    def pairs_report(self, corr_pairs):
+        model, hyp = corr_pairs
+        return bounds_report(model, hyp, gamma=1e2, reps=10_000, ladder_reps=10_000)
+
     def test_lower_bound_oracles(self, corr_pairs):
         model, hyp = corr_pairs
         assert lower_bound_first_order(1e5, model, hyp) == pytest.approx(LOWER_1E5, rel=1e-12)
@@ -263,25 +276,40 @@ class TestFirstOrderBounds:
         with pytest.raises(ValueError, match="gamma"):
             lower_bound_first_order(1.0, model, hyp)
 
-    def test_upper_bound_oracle(self, corr_pairs):
-        model, hyp = corr_pairs
-        got = upper_bound_first_order(math.log(1e2), model, hyp)
-        assert got == pytest.approx(UPPER_1E2, rel=1e-12)
+    def test_upper_bound_oracle(self, pairs_report):
+        assert pairs_report.upper_bound_first_order == pytest.approx(UPPER_1E2, rel=1e-12)
 
     def test_upper_bound_rejects_nonpositive_threshold(self, corr_pairs):
+        # gamma 1 puts the threshold log(gamma) at 0
         model, hyp = corr_pairs
-        with pytest.raises(ValueError, match="threshold"):
-            upper_bound_first_order(0.0, model, hyp)
+        with pytest.raises(ValueError, match="gamma"):
+            bounds_report(model, hyp, gamma=1.0, reps=10_000)
 
-    def test_are_bound_homogeneous_is_one(self, corr_pairs):
-        model, hyp = corr_pairs
-        assert are_upper_bound(model, hyp) == pytest.approx(1.0, rel=1e-12)
+    def test_are_bound_homogeneous_is_one(self, pairs_report):
+        assert pairs_report.are_bound == pytest.approx(1.0, rel=1e-12)
 
     def test_are_bound_heterogeneous_shifts(self):
         m = mean_change_model(2, {1: 1.0, 2: 2.0})
         h = mean_change_hypothesis(m, (1, 2), {1: 1.0, 2: 2.0})
         # largest info 2.0 against smallest drift 0.5
-        assert are_upper_bound(m, h) == pytest.approx(4.0, rel=1e-12)
+        rep = bounds_report(m, h, gamma=1e2, reps=10_000, ladder_reps=10_000)
+        assert rep.are_bound == pytest.approx(4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("kw", [dict(K=10, s=2), dict(K=6, m=3, s=6)], ids=["K10-s2", "K6-m3-s6"])
+    def test_first_order_bounds_read_the_unit_drift(self, kw):
+        model, hyp = build_preset("corr-pairs", **kw)
+        rep = bounds_report(model, hyp, gamma=1e2, reps=10_000, ladder_reps=10_000)
+        j = min(rep.unit_stats[E].drift_post.value for E in affected_units(model, hyp))
+        assert rep.upper_bound_first_order == rep.threshold / j == rep.nonasymptotic.first_order
+        assert rep.are_bound == pytest.approx(rep.upper_bound_first_order / rep.lower_bound, rel=1e-12)
+
+    def test_misspecified_singleton_degenerates(self, reversed_shift):
+        model, hyp = reversed_shift
+        rep = bounds_report(model, hyp, gamma=1e2, reps=10_000, ladder_reps=10_000)
+        assert rep.upper_bound_first_order == math.inf
+        assert rep.are_bound == math.inf
+        assert rep.nonasymptotic is None
+        assert "upper bound degenerate: smallest post-change drift is -1.5" in rep.degenerate
 
 
 class TestClassifyOptimality:
@@ -301,6 +329,10 @@ class TestClassifyOptimality:
         m = mean_change_model(2, {1: 1.0, 2: 2.0})
         h = mean_change_hypothesis(m, (1, 2), {1: 1.0, 2: 2.0})
         assert classify_optimality(m, h) is OptimalityClass.BOUNDED_ARE
+
+    def test_misspecified_singleton_indeterminate(self, reversed_shift):
+        # the family matches the pre-change information, not the true drift
+        assert classify_optimality(*reversed_shift) is OptimalityClass.INDETERMINATE
 
     def test_invisible_hypothesis_indeterminate(self):
         m = mean_change_model(2, 1.0)

@@ -11,15 +11,13 @@ import pytest
 
 from rrcusum import bounds
 from rrcusum.bounds import (
-    are_upper_bound,
     bounds_report,
     compute_unit_statistics,
     ladder_prob_no_ascend,
     lower_bound_first_order,
-    upper_bound_first_order,
 )
 from rrcusum.gaussian import GaussianLocal, GaussianMixtureKernel
-from rrcusum.model import ChangePointModel, LocalDistribution, PostChangeHypothesis
+from rrcusum.model import ChangePointModel, LocalDistribution, PostChangeHypothesis, affected_units
 from rrcusum.montecarlo import Ordering, StudyConfig, estimate_delay
 from rrcusum.scenarios import build_preset, mean_change_hypothesis, mean_change_model
 
@@ -230,6 +228,7 @@ BUDGET = dict(reps=10_000, seed=1)
     "case", [("signed-pairs", dict(K=5)), ("corr-pairs", dict(K=6, m=3, s=4))], ids=_case_id
 )
 def test_report_estimates_the_smallest_drift_once(case, monkeypatch):
+    # the first-order bounds read J from the unit statistics, not a second estimate
     name, kw = case
     model, hyp = build_preset(name, **kw)
     gamma = 100.0
@@ -238,24 +237,16 @@ def test_report_estimates_the_smallest_drift_once(case, monkeypatch):
     in_report = len(calls)
     calls.clear()
     stats = compute_unit_statistics(model, hyp, ladder_reps=10_000, **BUDGET)
-    in_stats = len(calls)
-    calls.clear()
-    try:
-        upper = upper_bound_first_order(math.log(gamma), model, hyp, **BUDGET)
-        are = are_upper_bound(model, hyp, **BUDGET)
-    except bounds.DegenerateBoundError:
-        upper = are = math.inf
-    in_bounds = len(calls)
-    # one drift per affected class beyond the unit statistics, not one per bound
-    classes = {model.unit_class(E, hyp.local_post[E]).key for E in hyp.affected_units}
-    assert in_report == in_stats + len(classes)
-    if math.isfinite(upper):
-        assert in_bounds == 2 * len(classes)
-        assert in_report < in_stats + in_bounds
-    assert report.upper_bound_first_order == upper
-    assert report.are_bound == are
-    assert report.lower_bound == lower_bound_first_order(gamma, model, hyp, **BUDGET)
+    assert in_report == len(calls)
     assert report.unit_stats == stats
+    j = min(stats[E].drift_post.value for E in affected_units(model, hyp))
+    if j > 0.0:
+        assert report.upper_bound_first_order == math.log(gamma) / j
+        assert report.are_bound == pytest.approx(report.upper_bound_first_order / report.lower_bound, rel=1e-12)
+    else:
+        assert report.upper_bound_first_order == report.are_bound == math.inf
+        assert f"smallest post-change drift is {j:.4g}" in report.degenerate
+    assert report.lower_bound == lower_bound_first_order(gamma, model, hyp, **BUDGET)
 
 
 def test_unit_statistics_cache_skips_known_classes_and_changes_nothing(monkeypatch):
