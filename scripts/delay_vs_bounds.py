@@ -48,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{'upper':>8} {'delay/lower':>11}"
     )
     for gamma in args.gammas:
-        lower = lower_bound_first_order(gamma, model, hyp, reps=args.stats_reps, seed=args.seed)
+        lower = lower_bound_first_order(gamma, model, hyp, stats)
         try:
             upper = f"{nonasymptotic_upper_bound(math.log(gamma), model, hyp, stats).total:8.1f}"
         except DegenerateBoundError:

@@ -8,7 +8,6 @@ from .model import (
     Unit,
     affected_units,
     unit,
-    validate_model,
 )
 from .gaussian import (
     CorrelationMatrix,
@@ -16,9 +15,7 @@ from .gaussian import (
     ModelInfeasibleError,
     build_correlation_matrix,
     equicorrelation_det,
-    gaussian_info_number,
     gaussian_kl,
-    mean_change_info_number,
 )
 from .policy import (
     Decision,
@@ -38,6 +35,8 @@ from .bounds import (
     NonAsymptoticBound,
     OptimalityClass,
     UnitStatistics,
+    UnitValidation,
+    ValidationReport,
     bounds_report,
     classify_optimality,
     compute_unit_statistics,
@@ -49,6 +48,7 @@ from .bounds import (
     llr_second_moment,
     lower_bound_first_order,
     nonasymptotic_upper_bound,
+    validate_model,
 )
 from .montecarlo import (
     DelayEstimate,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, MutableMapping
 
 import numpy as np
@@ -51,6 +51,9 @@ __all__ = [
     "nonasymptotic_upper_bound",
     "compute_unit_statistics",
     "bounds_report",
+    "UnitValidation",
+    "ValidationReport",
+    "validate_model",
 ]
 
 # Longest walk of the ladder estimator; a series cut here carries a bias note.
@@ -304,6 +307,37 @@ def ladder_prob_no_ascend(
     return _spitzer_escape(draw, derive_rng(seed, 0x6F0), reps, descend=False)
 
 
+def _per_class(
+    model: ChangePointModel,
+    hypothesis: PostChangeHypothesis | None,
+    pre: Callable[[Unit, int], dict[str, Estimate]],
+    post: Callable[[Unit, int], dict[str, Estimate]],
+    cache: MutableMapping,
+) -> dict[Unit, dict[str, Estimate]]:
+    """Estimates of every unit, made once per class and shared by its units.
+
+    ``pre(E, k)`` estimates the k-th pre-change class met in ``model.units``
+    order, and ``post(E, j)`` the j-th post-change class of the units the
+    hypothesis affects; E is the first unit of the class. ``cache`` keeps the
+    estimates of each class under its table, key and index.
+    """
+    tables: tuple[dict, dict] = ({}, {})
+    out = {}
+    for E in model.units:
+        fields: dict[str, Estimate] = {}
+        laws = [(0, None, pre)]
+        if hypothesis is not None and hypothesis.is_affected(E):
+            laws.append((1, hypothesis.local_post[E], post))
+        for table, law, estimate in laws:
+            key = model.unit_class(E, law).key
+            idx = tables[table].setdefault(key, len(tables[table]))
+            if (table, key, idx) not in cache:
+                cache[table, key, idx] = estimate(E, idx)
+            fields.update(cache[table, key, idx])
+        out[E] = fields
+    return out
+
+
 def compute_unit_statistics(
     model: ChangePointModel,
     hypothesis: PostChangeHypothesis,
@@ -312,87 +346,84 @@ def compute_unit_statistics(
     seed: int = 0,
     cache: MutableMapping | None = None,
 ) -> dict[Unit, UnitStatistics]:
-    """Per-unit statistics for the delay bounds, computed once per equivalence
-    class of units (same pre-change law, same family, same post-change law)
-    and shared across the class.
+    """Per-unit statistics for the delay bounds, from two class tables.
 
-    Each class makes one call to ``ladder_prob_no_ascend`` and, when
-    affected, one to ``ladder_prob_no_descend``, with ``ladder_reps`` paths of
-    at most ``_LADDER_HORIZON`` steps. The k-th class met in ``model.units`` order
-    draws from seeds salted with k. A ``cache`` shared between calls with the
-    same budgets and seed keeps the estimates per class, so a class already in
-    it is not estimated again; the results equal those of a call without it.
+    ``drift_pre`` and ``q_no_ascend`` depend only on the unit's pre-change
+    class (``model.unit_class(E)``) and are estimated once per such class,
+    for affected and unaffected units alike. The information number and the
+    post-change ``drift_post``, ``second_moment`` and ``q_no_descend`` are
+    estimated once per post-change class of the affected units. Every unit of
+    a class shares the same ``Estimate`` objects. Each ladder call uses
+    ``ladder_reps`` paths of at most ``_LADDER_HORIZON`` steps. The k-th
+    class of a table met in ``model.units`` order draws from seeds salted
+    with k. A ``cache`` shared between calls with the same budgets and seed
+    keeps the estimates per class, so a class already in it is not estimated
+    again; the results equal those of a call without it.
     """
-    cache = {} if cache is None else cache
-    classes: dict = {}
-    out: dict[Unit, UnitStatistics] = {}
-    for E in model.units:
-        is_affected = hypothesis.is_affected(E)
-        key = (
-            model.unit_class(E).key,
-            model.unit_class(E, hypothesis.local_post[E]).key if is_affected else None,
+
+    def pre(E: Unit, k: int) -> dict[str, Estimate]:
+        return dict(
+            drift_pre=drift_pre(model, E, reps=reps, seed=derive_seed(seed, k, 2)),
+            q_no_ascend=ladder_prob_no_ascend(model, E, reps=ladder_reps, seed=derive_seed(seed, k, 3)),
         )
-        idx = classes.setdefault(key, len(classes))
-        if key not in cache:
-            stats = dict(
-                info_number=info_number(
-                    model, hypothesis, E, reps=reps, seed=derive_seed(seed, idx, 1)
-                ) if is_affected else Estimate(0.0, 0.0, note="not affected"),
-                drift_pre=drift_pre(model, E, reps=reps, seed=derive_seed(seed, idx, 2)),
-                q_no_ascend=ladder_prob_no_ascend(model, E, reps=ladder_reps, seed=derive_seed(seed, idx, 3)),
-            )
-            if is_affected:
-                stats["drift_post"] = drift_post(
-                    model, hypothesis, E, reps=reps, seed=derive_seed(seed, idx, 4)
-                )
-                stats["second_moment"] = llr_second_moment(
-                    model, hypothesis, E, reps=reps, seed=derive_seed(seed, idx, 5)
-                )
-                stats["q_no_descend"] = ladder_prob_no_descend(
-                    model, hypothesis, E, reps=ladder_reps, seed=derive_seed(seed, idx, 6)
-                )
-            cache[key] = stats
-        out[E] = UnitStatistics(unit=E, **cache[key])
-    return out
+
+    def post(E: Unit, j: int) -> dict[str, Estimate]:
+        return dict(
+            info_number=info_number(model, hypothesis, E, reps=reps, seed=derive_seed(seed, j, 1)),
+            drift_post=drift_post(model, hypothesis, E, reps=reps, seed=derive_seed(seed, j, 4)),
+            second_moment=llr_second_moment(model, hypothesis, E, reps=reps, seed=derive_seed(seed, j, 5)),
+            q_no_descend=ladder_prob_no_descend(
+                model, hypothesis, E, reps=ladder_reps, seed=derive_seed(seed, j, 6)
+            ),
+        )
+
+    per_unit = _per_class(model, hypothesis, pre, post, {} if cache is None else cache)
+    unaffected = Estimate(0.0, 0.0, note="not affected")
+    return {E: UnitStatistics(unit=E, **{"info_number": unaffected, **f}) for E, f in per_unit.items()}
 
 
-def _max_info(
+def _largest_info(
     model: ChangePointModel,
     hypothesis: PostChangeHypothesis,
-    reps: int = 100_000,
-    seed: int = 0,
+    info: Mapping[Unit, float] | None,
 ) -> tuple[float, bool]:
     """Largest information number over affected subsets, and whether the
     maximum had to be restricted to the sampled units.
 
     The hypothesis may carry the unrestricted maximum in closed form. Without
-    it, the maximum over the sampled affected units is exact when the model
-    samples every size-m subset, and restricted otherwise.
+    it, the maximum is taken over ``info`` at the sampled affected units: exact
+    when the model samples every size-m subset, and restricted otherwise.
     """
     if hypothesis.info_number_max is not None:
         return float(hypothesis.info_number_max), False
     affected = affected_units(model, hypothesis)
     if not affected:
         raise ValueError("the hypothesis affects no sampled unit; no information to detect")
-    vals = [info_number(model, hypothesis, E, reps=reps, seed=seed).value for E in sorted(affected)]
-    restricted = len(model.units) < math.comb(model.K, model.m)
-    return max(vals), restricted
+    if info is None:
+        raise ValueError(
+            "the hypothesis has no closed-form largest information number; "
+            "pass the unit statistics of compute_unit_statistics"
+        )
+    return max(info[E] for E in affected), len(model.units) < math.comb(model.K, model.m)
 
 
 def lower_bound_first_order(
     gamma: float,
     model: ChangePointModel,
     hypothesis: PostChangeHypothesis,
-    reps: int = 100_000,
-    seed: int = 0,
+    unit_stats: Mapping[Unit, UnitStatistics] | None = None,
 ) -> float:
     """First-order lower bound on the worst-case expected detection delay of
     any policy with false alarm budget gamma: log(gamma) over the largest
     information number of an affected subset. Vanishing-correction factors of
-    order (1 + o(1)) are dropped."""
+    order (1 + o(1)) are dropped.
+
+    The largest information number is the hypothesis's closed form when it
+    carries one, else the largest in ``unit_stats``."""
     if not gamma > 1.0:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
-    top, _ = _max_info(model, hypothesis, reps=reps, seed=seed)
+    info = None if unit_stats is None else {E: st.info_number.value for E, st in unit_stats.items()}
+    top, _ = _largest_info(model, hypothesis, info)
     return _lower_bound(gamma, top)
 
 
@@ -432,7 +463,9 @@ def classify_optimality(
         if any(j is not None and j <= 0.0 for j in drifts):
             return OptimalityClass.INDETERMINATE
         if all(j is not None for j in drifts):
-            top, restricted = _max_info(model, hypothesis)
+            # f and g are Gaussian wherever the drift is exact
+            info = {E: gaussian_kl(hypothesis.local_post[E], model.pre_local[E]) for E in affected}
+            top, restricted = _largest_info(model, hypothesis, info)
             if not restricted and top <= min(drifts) * (1.0 + _OPTIMALITY_REL_TOL):
                 return OptimalityClass.ASYMPTOTICALLY_OPTIMAL
         return OptimalityClass.BOUNDED_ARE
@@ -620,9 +653,11 @@ def bounds_report(
     """Compute every bound for the model and hypothesis at threshold log(gamma).
 
     A bound that degenerates is reported as infinite, and ``degenerate``
-    says why. The first-order upper bound A / J and the efficiency ratio
-    bound I / J take J, the smallest post-change drift over affected sampled
-    units, from the unit statistics that the explicit bound uses.
+    says why. The lower bound, the first-order upper bound A / J and the
+    efficiency ratio bound I / J read the unit statistics that the explicit
+    bound uses: J is the smallest post-change drift over affected sampled
+    units, and I the hypothesis's closed form or else the largest
+    information number in the statistics.
     """
     if not gamma > 1.0:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
@@ -631,7 +666,7 @@ def bounds_report(
         raise ValueError("the hypothesis affects no sampled unit; no information to detect")
     A = math.log(gamma)
     stats = compute_unit_statistics(model, hypothesis, reps=reps, ladder_reps=ladder_reps, seed=seed)
-    top, restricted = _max_info(model, hypothesis, reps=reps, seed=seed)
+    top, restricted = _largest_info(model, hypothesis, {E: st.info_number.value for E, st in stats.items()})
     lower = _lower_bound(gamma, top)
     reasons = []
     j = min(stats[E].drift_post.value for E in affected)
@@ -657,4 +692,87 @@ def bounds_report(
         unit_stats=stats,
         nonasymptotic=nonasym,
         degenerate="; ".join(reasons) or None,
+    )
+
+
+@dataclass(frozen=True)
+class UnitValidation:
+    """The drifts behind the delay bounds at one unit: ``drift_pre`` always,
+    ``drift_post`` when the hypothesis affects the unit."""
+
+    unit: Unit
+    family_size: int
+    drift_pre: Estimate
+    drift_post: Estimate | None = None
+
+
+def _clears_zero(e: Estimate) -> bool:
+    return e.value > 3.0 * e.stderr
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    per_unit: tuple[UnitValidation, ...]
+    affected_nonempty: bool | None
+    mc_budget: int
+    seed: int
+
+    @property
+    def ok(self) -> bool:
+        drifts = [e for u in self.per_unit for e in (u.drift_pre, u.drift_post) if e is not None]
+        return all(map(_clears_zero, drifts)) and self.affected_nonempty is not False
+
+    def lines(self) -> list[str]:
+        out = []
+        for u in self.per_unit:
+            kind = "singleton" if u.family_size == 1 else "mixture"
+            parts = [f"unit {u.unit}: family={u.family_size}", kind]
+            for name, e in (("pre-drift", u.drift_pre), ("post-drift", u.drift_post)):
+                if e is not None:
+                    verdict = "ok" if _clears_zero(e) else "FAIL"
+                    parts.append(f"{name} {e.value:+.4f} (se {e.stderr:.4f}) {verdict}")
+            out.append("  ".join(parts))
+        if self.affected_nonempty is not None:
+            out.append(
+                "affected sampled units: "
+                + ("present" if self.affected_nonempty else "NONE (hypothesis invisible to the policy)")
+            )
+        out.append(f"overall: {'ok' if self.ok else 'FAIL'}")
+        return out
+
+
+def validate_model(
+    model: ChangePointModel,
+    hypothesis: PostChangeHypothesis | None = None,
+    mc_budget: int = _MIN_DRIFT_REPS,
+    seed: int = 0,
+) -> ValidationReport:
+    """Sign checks of the drift assumptions behind the delay bounds.
+
+    For every sampled unit the mixture log likelihood ratio must drift down
+    before the change; for every affected unit it must drift up after. Each
+    check passes when the estimated mean clears zero by three standard errors,
+    so a Monte Carlo pass is wrong with probability about 1e-3 per class. The
+    drifts are those of ``compute_unit_statistics`` at ``reps=mc_budget`` and
+    the same seed: one estimate per class, without the ladders.
+    """
+    if mc_budget < _MIN_DRIFT_REPS:
+        raise ValueError(f"mc_budget must be at least {_MIN_DRIFT_REPS}, got {mc_budget}")
+
+    # the seeds of compute_unit_statistics's drift_pre and drift_post
+    def pre(E: Unit, k: int) -> dict[str, Estimate]:
+        return dict(drift_pre=drift_pre(model, E, reps=mc_budget, seed=derive_seed(seed, k, 2)))
+
+    def post(E: Unit, j: int) -> dict[str, Estimate]:
+        return dict(drift_post=drift_post(model, hypothesis, E, reps=mc_budget, seed=derive_seed(seed, j, 4)))
+
+    per_unit = _per_class(model, hypothesis, pre, post, {})
+    rows = tuple(
+        UnitValidation(unit=E, family_size=len(model.post_family[E]), **f) for E, f in per_unit.items()
+    )
+    return ValidationReport(
+        per_unit=rows,
+        affected_nonempty=bool(affected_units(model, hypothesis)) if hypothesis is not None else None,
+        mc_budget=mc_budget,
+        seed=seed,
     )

@@ -21,8 +21,6 @@ __all__ = [
     "GaussianLocal",
     "GaussianMixtureKernel",
     "equicorrelation_det",
-    "gaussian_info_number",
-    "mean_change_info_number",
     "gaussian_kl",
     "build_correlation_matrix",
 ]
@@ -261,24 +259,6 @@ def equicorrelation_det(k: int, rho: float) -> float:
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     return (1.0 - rho) ** (k - 1) * (1.0 + (k - 1) * rho)
-
-
-def gaussian_info_number(post_cov: np.ndarray | CorrelationMatrix) -> float:
-    """Information number of a zero-mean correlation change, -0.5 log det of the post covariance.
-
-    Requires a unit-diagonal positive definite matrix; the pre-change law is the
-    standard normal of matching dimension.
-    """
-    if not isinstance(post_cov, CorrelationMatrix):
-        post_cov = CorrelationMatrix(np.asarray(post_cov, dtype=float))
-    chol = np.linalg.cholesky(post_cov.values)
-    # -0.5 log det, with log det = 2 sum(log diag(chol))
-    return -float(np.log(chol.diagonal()).sum())
-
-
-def mean_change_info_number(mu: float) -> float:
-    """Information number of a unit-variance mean shift of size mu."""
-    return 0.5 * float(mu) ** 2
 
 
 def gaussian_kl(p: GaussianLocal, q: GaussianLocal) -> float:

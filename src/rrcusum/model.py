@@ -14,7 +14,7 @@ import abc
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,10 +25,7 @@ __all__ = [
     "UnitClass",
     "PostChangeHypothesis",
     "ChangePointModel",
-    "ValidationReport",
-    "UnitValidation",
     "affected_units",
-    "validate_model",
     "derive_rng",
     "derive_seed",
 ]
@@ -300,105 +297,3 @@ def affected_units(model: ChangePointModel, hypothesis: PostChangeHypothesis) ->
     is reported by validate_model rather than raised here.
     """
     return hypothesis.affected_units & frozenset(model.units)
-
-
-@dataclass(frozen=True)
-class UnitValidation:
-    unit: Unit
-    family_size: int
-    singleton: bool
-    pre_drift: float
-    pre_drift_stderr: float
-    pre_drift_ok: bool
-    post_drift: float | None = None
-    post_drift_stderr: float | None = None
-    post_drift_ok: bool | None = None
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    per_unit: tuple[UnitValidation, ...]
-    affected_nonempty: bool | None
-    mc_budget: int
-    seed: int
-
-    @property
-    def ok(self) -> bool:
-        for u in self.per_unit:
-            if not u.pre_drift_ok:
-                return False
-            if u.post_drift_ok is False:
-                return False
-        return self.affected_nonempty is not False
-
-    def lines(self) -> list[str]:
-        out = []
-        for u in self.per_unit:
-            parts = [
-                f"unit {u.unit}: family={u.family_size}",
-                "singleton" if u.singleton else "mixture",
-                f"pre-drift {u.pre_drift:+.4f} (se {u.pre_drift_stderr:.4f}) {'ok' if u.pre_drift_ok else 'FAIL'}",
-            ]
-            if u.post_drift is not None:
-                parts.append(
-                    f"post-drift {u.post_drift:+.4f} (se {u.post_drift_stderr:.4f}) "
-                    f"{'ok' if u.post_drift_ok else 'FAIL'}"
-                )
-            out.append("  ".join(parts))
-        if self.affected_nonempty is not None:
-            out.append(
-                "affected sampled units: "
-                + ("present" if self.affected_nonempty else "NONE (hypothesis invisible to the policy)")
-            )
-        out.append(f"overall: {'ok' if self.ok else 'FAIL'}")
-        return out
-
-
-def validate_model(
-    model: ChangePointModel,
-    hypothesis: PostChangeHypothesis | None = None,
-    mc_budget: int = 10_000,
-    seed: int = 0,
-) -> ValidationReport:
-    """Monte Carlo sign checks of the drift assumptions behind the delay bounds.
-
-    For every sampled unit the mixture log likelihood ratio must drift down
-    before the change; for every affected unit it must drift up after. Each
-    check passes when the estimated mean clears zero by three standard errors,
-    so a pass is wrong with probability about 1e-3 per unit.
-    """
-    if mc_budget < 1_000:
-        raise ValueError(f"mc_budget must be at least 1000, got {mc_budget}")
-    root = np.random.SeedSequence((seed, 0xD81F))
-    affected = affected_units(model, hypothesis) if hypothesis is not None else frozenset()
-    rows = []
-    for E, child in zip(model.units, root.spawn(len(model.units))):
-        rng = np.random.Generator(np.random.PCG64(child))
-        family = model.post_family[E]
-        llr = model.unit_class(E).draw(rng, mc_budget)
-        pre_mean = float(-llr.mean())
-        pre_se = float(llr.std(ddof=1) / math.sqrt(mc_budget))
-        row = dict(
-            unit=E,
-            family_size=len(family),
-            singleton=len(family) == 1,
-            pre_drift=pre_mean,
-            pre_drift_stderr=pre_se,
-            pre_drift_ok=pre_mean > 3.0 * pre_se,
-        )
-        if hypothesis is not None and E in affected:
-            post = model.unit_class(E, hypothesis.local_post[E]).draw(rng, mc_budget)
-            post_mean = float(post.mean())
-            post_se = float(post.std(ddof=1) / math.sqrt(mc_budget))
-            row.update(
-                post_drift=post_mean,
-                post_drift_stderr=post_se,
-                post_drift_ok=post_mean > 3.0 * post_se,
-            )
-        rows.append(UnitValidation(**row))
-    return ValidationReport(
-        per_unit=tuple(rows),
-        affected_nonempty=(len(affected) > 0) if hypothesis is not None else None,
-        mc_budget=mc_budget,
-        seed=seed,
-    )

@@ -416,11 +416,11 @@ def estimate_delay(
     model: ChangePointModel,
     hypothesis: PostChangeHypothesis,
     config: RunSpec,
-    cap: int = DEFAULT_DELAY_CAP,
     threads: int = 1,
 ) -> DelayEstimate:
     """Mean detection delay of the policy at threshold log(gamma) under the
-    hypothesis, with the change at time config.nu.
+    hypothesis, with the change at time config.nu. Runs still going after
+    ``DEFAULT_DELAY_CAP`` steps are truncated there.
 
     With the worst-case ordering the unaffected units are sampled first. Each
     batch of replications is seeded independently from config.seed, so the
@@ -441,7 +441,7 @@ def estimate_delay(
         config.nu,
         config.seed,
         config.replications,
-        cap,
+        DEFAULT_DELAY_CAP,
         threads,
     )
     if est.high_stderr:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import dataclasses
 import io
 import math
 
@@ -44,6 +45,10 @@ class TestSchemas:
             "stderr",
             "truncations",
         ]
+
+    def test_study_header_names_every_row_field(self):
+        # study rows are written with dataclasses.astuple, in field order
+        assert len(STUDY_CSV_HEADER) == len(dataclasses.fields(StudyRow))
 
     def test_schema_version(self):
         assert CSV_SCHEMA_VERSION == 1
@@ -290,14 +295,14 @@ class TestSimulateCommand:
 
 class TestValidateCommand:
     def test_healthy_scenario_exits_0(self, capsys):
-        code = main(["validate", "corr-pairs", "--K", "5", "--reps", "2000"])
+        code = main(["validate", "corr-pairs", "--K", "5", "--reps", "10000"])
         out = capsys.readouterr().out
         assert code == 0
         assert "overall: ok" in out
 
     def test_degenerate_scenario_exits_1(self, capsys):
         # a vanishing mean shift cannot clear the three-standard-error gate
-        code = main(["validate", "mean-change", "--mu", "1e-9", "--reps", "2000"])
+        code = main(["validate", "mean-change", "--mu", "1e-9", "--reps", "10000"])
         out = capsys.readouterr().out
         assert code == 1
         assert "overall: FAIL" in out
@@ -309,9 +314,9 @@ class TestReplicationMinimum:
         [
             (["bounds", "mean-change", "--reps", "9999"], 10000),
             (["bounds", "corr-pairs", "--reps", "100"], 10000),
-            (["validate", "corr-pairs", "--K", "5", "--reps", "999"], 1000),
+            (["validate", "corr-pairs", "--K", "5", "--reps", "9999"], 10000),
         ],
-        ids=["bounds-9999", "bounds-100", "validate-999"],
+        ids=["bounds-9999", "bounds-100", "validate-9999"],
     )
     def test_below_minimum_exits_2_naming_it(self, argv, minimum, capsys):
         assert main(argv) == 2
@@ -326,7 +331,7 @@ class TestReplicationMinimum:
         assert "--reps of at least 10000, got 500" in capsys.readouterr().err
 
     def test_validate_runs_at_the_minimum(self, capsys):
-        assert main(["validate", "corr-pairs", "--K", "5", "--reps", "1000"]) == 0
+        assert main(["validate", "corr-pairs", "--K", "5", "--reps", "10000"]) == 0
         assert "overall: ok" in capsys.readouterr().out
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from rrcusum.bounds import validate_model
 from rrcusum.gaussian import GaussianLocal
 from rrcusum.model import (
     ChangePointModel,
@@ -18,7 +19,6 @@ from rrcusum.model import (
     affected_units,
     logsumexp,
     unit,
-    validate_model,
 )
 
 PAIR_INFO = 0.3366722766318828
@@ -338,7 +338,7 @@ class TestValidateModel:
         assert "overall: ok" in text
 
     def test_no_hypothesis_skips_affected_check(self):
-        report = validate_model(small_model(), None, mc_budget=5_000, seed=0)
+        report = validate_model(small_model(), None, mc_budget=10_000, seed=0)
         assert report.affected_nonempty is None
         assert report.ok
 
@@ -358,7 +358,7 @@ class TestValidateModel:
         h = PostChangeHypothesis(
             label="x", affected_units=frozenset({w}), local_post={w: GaussianLocal.standard(3)}
         )
-        report = validate_model(m, h, mc_budget=5_000, seed=0)
+        report = validate_model(m, h, mc_budget=10_000, seed=0)
         assert report.affected_nonempty is False
         assert not report.ok
         assert any("NONE" in line for line in report.lines())
@@ -368,6 +368,6 @@ class TestValidateModel:
             validate_model(small_model(), None, mc_budget=10)
 
     def test_deterministic(self):
-        a = validate_model(small_model(), None, mc_budget=5_000, seed=42)
-        b = validate_model(small_model(), None, mc_budget=5_000, seed=42)
+        a = validate_model(small_model(), None, mc_budget=10_000, seed=42)
+        b = validate_model(small_model(), None, mc_budget=10_000, seed=42)
         assert a.lines() == b.lines()

@@ -413,13 +413,6 @@ class TestEstimateDelay:
         ratio = a.stderr / b.stderr
         assert 1.4 < ratio < 2.9
 
-    def test_truncation_at_cap(self):
-        model, hyp, config = self.make(replications=100)
-        est = estimate_delay(model, hyp, config, cap=5)
-        assert est.truncations > 0
-        assert est.mean <= 5.0
-        assert est.replications == 100
-
     def test_invisible_hypothesis_raises(self):
         model, _, config = self.make()
         w = Unit((1, 2, 3))
@@ -471,6 +464,15 @@ class TestEstimateArl:
         config = StudyConfig(K=3, m=2, rho=0.7, gamma=100.0, s_values=(2,), replications=100)
         with pytest.raises(ValueError, match="cap"):
             estimate_arl(model, config, cap=500)
+
+    def test_truncation_at_cap(self):
+        # truncated runs count once each and enter the mean at the cap
+        model = correlated_blocks_model(3, 2, 0.7)
+        config = StudyConfig(K=3, m=2, rho=0.7, gamma=20.0, s_values=(2,), replications=100, seed=2)
+        est = estimate_arl(model, config, cap=200)
+        assert est.truncations > 0
+        assert est.mean <= 200.0
+        assert est.replications == 100
 
     def test_run_length_exceeds_design_target(self):
         # e^A = gamma guarantees mean run length at least gamma

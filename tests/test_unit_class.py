@@ -15,9 +15,10 @@ from rrcusum.bounds import (
     compute_unit_statistics,
     ladder_prob_no_ascend,
     lower_bound_first_order,
+    validate_model,
 )
 from rrcusum.gaussian import GaussianLocal, GaussianMixtureKernel
-from rrcusum.model import ChangePointModel, LocalDistribution, PostChangeHypothesis, affected_units
+from rrcusum.model import ChangePointModel, LocalDistribution, PostChangeHypothesis, affected_units, unit
 from rrcusum.montecarlo import Ordering, StudyConfig, estimate_delay
 from rrcusum.scenarios import build_preset, mean_change_hypothesis, mean_change_model
 
@@ -209,15 +210,17 @@ def test_generic_and_compiled_paths_give_the_same_ladder_estimate(gaussian_and_w
 # The bounds on top of the classes
 
 
-def _count_drift_post(monkeypatch):
+def _count(monkeypatch, *names):
+    """Names of the calls made to the given functions of ``bounds``."""
     calls = []
-    original = bounds.drift_post
+    for name in names:
+        original = getattr(bounds, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return original(*args, **kwargs)
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(bounds, "drift_post", counted)
+        monkeypatch.setattr(bounds, name, counted)
     return calls
 
 
@@ -232,7 +235,7 @@ def test_report_estimates_the_smallest_drift_once(case, monkeypatch):
     name, kw = case
     model, hyp = build_preset(name, **kw)
     gamma = 100.0
-    calls = _count_drift_post(monkeypatch)
+    calls = _count(monkeypatch, "drift_post")
     report = bounds_report(model, hyp, gamma, ladder_reps=10_000, **BUDGET)
     in_report = len(calls)
     calls.clear()
@@ -246,7 +249,7 @@ def test_report_estimates_the_smallest_drift_once(case, monkeypatch):
     else:
         assert report.upper_bound_first_order == report.are_bound == math.inf
         assert f"smallest post-change drift is {j:.4g}" in report.degenerate
-    assert report.lower_bound == lower_bound_first_order(gamma, model, hyp, **BUDGET)
+    assert report.lower_bound == lower_bound_first_order(gamma, model, hyp)
 
 
 def test_unit_statistics_cache_skips_known_classes_and_changes_nothing(monkeypatch):
@@ -255,7 +258,59 @@ def test_unit_statistics_cache_skips_known_classes_and_changes_nothing(monkeypat
     budget = dict(reps=10_000, ladder_reps=10_000, seed=4)
     cache: dict = {}
     compute_unit_statistics(model, hyp3, cache=cache, **budget)
-    calls = _count_drift_post(monkeypatch)
+    calls = _count(monkeypatch, "drift_post")
     cached = compute_unit_statistics(model, hyp4, cache=cache, **budget)
     assert calls == []  # every class of s = 4 already appeared at s = 3
     assert cached == compute_unit_statistics(model, hyp4, **budget)
+
+
+# ---------------------------------------------------------------------------
+# One estimate per class for every consumer
+
+
+def test_units_of_a_pre_change_class_share_its_estimates():
+    model, hyp = build_preset("corr-pairs", K=6, s=4)
+    stats = compute_unit_statistics(model, hyp, reps=10_000, ladder_reps=10_000)
+    first = stats[unit(1, 2)]
+    assert not hyp.is_affected(first.unit)
+    for st in stats.values():
+        assert st.drift_pre is first.drift_pre
+        assert st.q_no_ascend is first.q_no_ascend
+
+
+@pytest.mark.parametrize("m, ladders", [(2, 2), (3, 3)])
+def test_one_ladder_call_per_class_of_each_table(m, ladders, monkeypatch):
+    # one pre-change class; one post-change class at m = 2, two at m = 3
+    model, hyp = build_preset("corr-pairs", K=10, m=m, s=4)
+    calls = _count(monkeypatch, "ladder_prob_no_ascend", "ladder_prob_no_descend")
+    compute_unit_statistics(model, hyp, reps=10_000, ladder_reps=10_000)
+    assert calls.count("ladder_prob_no_ascend") == 1
+    assert len(calls) == ladders
+
+
+def test_report_takes_the_information_number_from_its_unit_table(gaussian_and_wrapped, monkeypatch):
+    # the wrapped laws have no closed form, so I is estimated, once per class
+    _, (wmodel, whyp) = gaussian_and_wrapped
+    affected = affected_units(wmodel, whyp)
+    classes = {wmodel.unit_class(E, whyp.local_post[E]).key for E in affected}
+    assert whyp.info_number_max is None and len(classes) < len(affected)
+    calls = _count(monkeypatch, "info_number")
+    report = bounds_report(wmodel, whyp, 100.0, reps=10_000, ladder_reps=10_000)
+    assert len(calls) == len(classes)
+    top = max(report.unit_stats[E].info_number.value for E in affected)
+    assert report.lower_bound == math.log(100.0) / top
+    assert report.lower_bound == lower_bound_first_order(100.0, wmodel, whyp, report.unit_stats)
+    with pytest.raises(ValueError, match="compute_unit_statistics"):
+        lower_bound_first_order(100.0, wmodel, whyp)
+
+
+@pytest.mark.parametrize("case", PRESET_CASES, ids=_case_id)
+def test_validate_reads_the_drifts_of_the_unit_statistics(case):
+    name, kw = case
+    model, hyp = build_preset(name, **kw)
+    report = validate_model(model, hyp, mc_budget=10_000, seed=6)
+    stats = compute_unit_statistics(model, hyp, reps=10_000, ladder_reps=10_000, seed=6)
+    assert [u.unit for u in report.per_unit] == list(model.units)
+    for u in report.per_unit:
+        assert u.drift_pre == stats[u.unit].drift_pre
+        assert u.drift_post == stats[u.unit].drift_post
