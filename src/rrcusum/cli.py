@@ -55,7 +55,7 @@ ARL_CSV_HEADER = [
     "truncations",
 ]
 
-CSV_SCHEMA_VERSION = 1
+CSV_SCHEMA_VERSION = 2
 
 
 def _fmt(x) -> str:
@@ -181,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scenario(s)
     _add_run_options(s)
     s.add_argument("--arl", action="store_true", help="estimate the pre-change average run length")
-    s.add_argument("--cap", type=int, default=None, help="truncation cap for --arl runs")
+    s.add_argument("--cap", type=int, default=None, help="step budget of every --arl excursion (default 100 * gamma)")
 
     st = sub.add_parser("study", help="standard delay study as CSV")
     st.add_argument("study", type=int, choices=sorted(montecarlo.STUDIES))

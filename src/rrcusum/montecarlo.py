@@ -26,6 +26,21 @@ its own sub-stream of the configured seed, ``derive_rng(seed, b)``, and worker
 processes only ever receive whole batches, so results are reproducible bit for
 bit and independent of the thread count.
 
+The average run length to false alarm is not simulated run by run. Before the
+change every visit to a unit starts at statistic 0, so the cycles of one visit
+per unit renew, and the run length follows from one visit's excursion of the
+walk out of (0, A) (Page 1954, Biometrika 41). For each pre-change class c,
+with l_c the mean exit time and p_c the probability of exiting at or above A,
+the units i = 1..U of one cycle give
+
+    ARL = sum_i prod_{j<i} (1 - p_j) l_i / (1 - prod_i (1 - p_i)),
+
+which is l/p for a single class. l_c is a plain Monte Carlo mean. p_c is at
+most 1/gamma, so it is estimated by importance sampling under the class's
+mixture law, with weight e^{-S_N} on the exits at or above A (Siegmund 1976,
+Ann. Statist. 4). Each batch of excursions is one _run_stretch call that stops
+every row at its first switch.
+
 The hot loop reuses its scratch. Every block of a stretch writes its partial
 sums, path and switch counts into arrays allocated once per estimate
 (``_Blocks``), and every Gaussian class kernel keeps the buffers of one slice,
@@ -41,6 +56,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Collection, Sequence
 
 import numpy as np
@@ -131,9 +147,14 @@ class StudyConfig(RunSpec):
 
 @dataclass(frozen=True)
 class DelayEstimate:
-    """Sample mean of the detection delay (or truncated run length) with its
-    standard error. Truncated replications enter the mean at the cap, which
-    makes the estimate a lower bound when truncations occur."""
+    """Mean detection delay or average run length with its standard error.
+
+    A delay is a sample mean over ``replications`` runs; truncated runs enter
+    it at the cap, which makes it a lower bound when truncations occur. A run
+    length is the renewal estimate of ``estimate_arl``: ``replications`` then
+    counts the excursions of each kind per unit class and ``truncations`` the
+    excursions cut at the cap, over all kinds and classes.
+    """
 
     mean: float
     stderr: float
@@ -340,8 +361,8 @@ def _run_batches(
     nu: int,
     seed: int,
     replications: int,
-    batches: range,
     cap: int,
+    batches: range,
 ) -> tuple[np.ndarray, int, int]:
     """Delays (or capped run lengths) of the replications in the given batches.
 
@@ -371,6 +392,30 @@ def _run_batches(
     return np.concatenate(values), truncations, discarded
 
 
+def _in_shares(threads: int, n_batches: int, fn: Callable, *args) -> list:
+    """``fn(*args, batches)`` over contiguous shares of range(n_batches), one
+    share per worker process and at most ``threads`` of them, returned in
+    batch order. Workers receive whole batches, so as long as every batch
+    draws from its own stream the results do not depend on threads."""
+    workers = max(1, min(threads, n_batches))
+    shares = [range(n_batches * i // workers, n_batches * (i + 1) // workers) for i in range(workers)]
+    if workers == 1:
+        return [fn(*args, shares[0])]
+    # imported here: multiprocessing costs every single-process run at import
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *args, share) for share in shares]
+        return [fut.result() for fut in futures]
+
+
+def _mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error, inf for a single value."""
+    x = x.astype(float)
+    se = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else math.inf
+    return float(x.mean()), se
+
+
 def _collect(
     model: ChangePointModel,
     hypothesis: PostChangeHypothesis | None,
@@ -383,30 +428,18 @@ def _collect(
     threads: int,
 ) -> DelayEstimate:
     n_batches = -(-replications // _BATCH)
-    workers = max(1, min(threads, n_batches))
-    shares = [range(n_batches * i // workers, n_batches * (i + 1) // workers) for i in range(workers)]
-    args = (model, hypothesis, tuple(order), threshold, nu, seed, replications)
-    if workers == 1:
-        parts = [_run_batches(*args, shares[0], cap)]
-    else:
-        # imported here: multiprocessing costs every single-process run at import
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Workers receive whole batches, so the streams do not depend on threads.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_batches, *args, share, cap) for share in shares]
-            parts = [fut.result() for fut in futures]
+    args = (model, hypothesis, tuple(order), threshold, nu, seed, replications, cap)
+    parts = _in_shares(threads, n_batches, _run_batches, *args)
     values = np.concatenate([v for v, _, _ in parts])
     truncations = sum(t for _, t, _ in parts)
     discarded = sum(d for _, _, d in parts)
     if not values.size:
         raise RuntimeError("every replication alarmed before the change time; nothing to average")
-    arr = values.astype(float)
-    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else math.inf
+    mean, stderr = _mean_se(values)
     return DelayEstimate(
-        mean=float(arr.mean()),
+        mean=mean,
         stderr=stderr,
-        replications=int(arr.size),
+        replications=int(values.size),
         truncations=truncations,
         discarded=discarded,
     )
@@ -451,30 +484,137 @@ def estimate_delay(
     return est
 
 
+# ---------------------------------------------------------------------------
+# Average run length from one visit's excursions
+
+
+def _pre_classes(model: ChangePointModel) -> tuple[list[Unit], np.ndarray]:
+    """One unit of each pre-change class of model.units, in order of first
+    appearance, and the class index of every unit in cycle order."""
+    ids: dict = {}
+    cls = [ids.setdefault(model.unit_class(E).key, len(ids)) for E in model.units]
+    return [model.units[cls.index(c)] for c in range(len(ids))], np.array(cls)
+
+
+def _mixture_draw(draws: list, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n increments with each observation drawn from a family member picked
+    uniformly at random, that is, under the mixture law; ``draws`` holds the
+    class draw of each member."""
+    pick = rng.integers(len(draws), size=n)
+    out = np.empty(n)
+    for k, draw in enumerate(draws):
+        at = pick == k
+        out[at] = draw(rng, int(np.count_nonzero(at)))
+    return out
+
+
+def _run_excursions(
+    model: ChangePointModel,
+    first: list[Unit],
+    threshold: float,
+    seed: int,
+    replications: int,
+    cap: int,
+    batches: range,
+) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Excursions of one visit, from statistic 0 to the first switch or alarm.
+
+    ``first`` holds one unit of each pre-change class. With
+    n = ceil(replications / _BATCH) batches per class, batch i belongs to
+    class c = i // n as its batch b = i % n, draws from
+    ``derive_rng(seed, c, b)`` and holds min(_BATCH, replications - b * _BATCH)
+    excursions of each kind: plain ones under the class's pre-change law, then
+    importance-sampled ones under its mixture law. Every excursion stops after
+    at most ``cap`` steps. Returns per batch (exit times of the plain
+    excursions, weights of the sampled ones, truncations). A weight is
+    e^{-S_N} on an alarm, e^{-threshold} on a truncation (an upper bound on
+    what the excursion could still contribute) and 0 on a switch.
+    """
+    n = -(-replications // _BATCH)
+    blocks = _Blocks()
+    out = []
+    for i in batches:
+        c, b = divmod(i, n)
+        E = first[c]
+        rng = derive_rng(seed, c, b)
+        rows = min(_BATCH, replications - b * _BATCH)
+        start = np.zeros(rows)
+        need = np.ones(rows, dtype=np.int64)
+        budget = np.full(rows, cap, dtype=np.int64)
+        _, steps, sw, _, hit = _run_stretch(
+            rng, model.unit_class(E).draw, start, threshold, need, budget, blocks
+        )
+        truncations = int(np.count_nonzero((sw == 0) & ~hit))
+        mixture = partial(_mixture_draw, [model.unit_class(E, g).draw for g in model.mixture(E).components])
+        _, _, sw, y, hit = _run_stretch(rng, mixture, start, threshold, need, budget, blocks)
+        cut = (sw == 0) & ~hit
+        truncations += int(np.count_nonzero(cut))
+        weights = np.where(hit, np.exp(-y), np.where(cut, math.exp(-threshold), 0.0))
+        out.append((steps, weights, truncations))
+    return out
+
+
+def _renewal_arl(
+    ell: np.ndarray, ell_se: np.ndarray, p: np.ndarray, p_se: np.ndarray, cls: np.ndarray
+) -> tuple[float, float]:
+    """Run length over the unit cycle from the per-class mean exit time ell
+    and alarm probability p of one visit, with its delta-method standard
+    error over the independent class estimates; ``cls`` gives each unit's
+    class in cycle order."""
+    log_q = np.log1p(-p)  # p <= 1/gamma < 1
+    # reach[i]: probability that no visit before unit i alarms
+    reach = np.exp(np.concatenate(([0.0], np.cumsum(log_q[cls])[:-1])))
+    num = float(reach @ ell[cls])
+    den = -math.expm1(float(log_q[cls].sum()))
+    # d reach[i] / d p_c = -before[i, c] reach[i] / (1 - p_c)
+    member = cls[:, None] == np.arange(p.size)
+    before = np.cumsum(member, axis=0) - member
+    d_ell = member.T @ reach / den
+    d_num_p = -((reach * ell[cls]) @ before) / (1.0 - p)
+    d_den_p = (1.0 - den) * member.sum(axis=0) / (1.0 - p)
+    d_p = (d_num_p * den - num * d_den_p) / den**2
+    var = float(np.sum((d_ell * ell_se) ** 2) + np.sum((d_p * p_se) ** 2))
+    return num / den, math.sqrt(var)
+
+
 def estimate_arl(
     model: ChangePointModel,
     config: RunSpec,
     cap: int,
     threads: int = 1,
 ) -> DelayEstimate:
-    """Average run length to false alarm, truncated at ``cap`` steps.
+    """Average run length to false alarm at threshold log(gamma), with the
+    policy cycling through model.units.
 
-    Truncated runs enter the mean at the cap, so the estimate is a lower bound
-    on the true average run length. The cap must be at least 10 * gamma so the
-    bias cannot mask a policy that barely meets the false alarm budget.
+    The renewal estimate of the module docstring: for each pre-change class,
+    config.replications plain excursions give the mean exit time of one visit
+    and as many importance-sampled excursions its alarm probability. ``cap``
+    is the step budget of every excursion. A truncated plain excursion enters
+    the mean exit time at the cap and a truncated sampled one enters the
+    alarm probability at 1/gamma, its largest possible contribution, so with
+    truncations the estimate is a lower bound. Each batch of excursions is
+    seeded independently from config.seed, so the estimate is reproducible
+    bit for bit and independent of the thread count.
     """
-    if cap < 10 * config.gamma:
-        raise ValueError(f"cap must be at least 10 * gamma = {10 * config.gamma:g}, got {cap}")
-    return _collect(
-        model,
-        None,
-        tuple(model.units),
-        math.log(config.gamma),
-        0,
-        config.seed,
-        config.replications,
-        cap,
-        threads,
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+    first, cls = _pre_classes(model)
+    n = -(-config.replications // _BATCH)
+    args = (model, first, math.log(config.gamma), config.seed, config.replications, cap)
+    batches = [x for part in _in_shares(threads, len(first) * n, _run_excursions, *args) for x in part]
+    ell, ell_se, p, p_se = (np.empty(len(first)) for _ in range(4))
+    for c in range(len(first)):
+        mine = batches[c * n : (c + 1) * n]
+        ell[c], ell_se[c] = _mean_se(np.concatenate([s for s, _, _ in mine]))
+        p[c], p_se[c] = _mean_se(np.concatenate([w for _, w, _ in mine]))
+    if not p.any():
+        raise RuntimeError("no importance-sampled excursion reached the threshold; raise replications")
+    mean, stderr = _renewal_arl(ell, ell_se, p, p_se, cls)
+    return DelayEstimate(
+        mean=mean,
+        stderr=stderr,
+        replications=config.replications,
+        truncations=sum(t for _, _, t in batches),
     )
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,18 +46,26 @@ def _seed(*salt: int) -> int:
 
 
 def test_c1_threshold_calibration():
-    # gamma = 100, K = 10, m = 2, rho = 0.7; truncated pre-change run length
-    # over 2000 replications capped at 1e4 must clear 95 by two standard errors
+    # K = 10, m = 2, rho = 0.7: at gamma = 100 the pre-change run length over
+    # 2000 excursions of each kind, capped at 1e4 steps, must clear 95 by two
+    # standard errors; at gamma = 1e5, the level of study 1, its lower 95%
+    # confidence limit must reach gamma
     model = correlated_blocks_model(10, 2, 0.7)
     config = StudyConfig(
         K=10, m=2, rho=0.7, gamma=100.0, s_values=(2,), replications=2000, seed=_seed(1)
     )
     est = estimate_arl(model, config, cap=10_000)
     low = est.mean - 2.0 * est.stderr
-    ok = low >= 95.0
+    study1 = replace(config, gamma=1e5, replications=6000)
+    high = estimate_arl(model, study1, cap=10_000_000)
+    high_low = high.mean - 1.96 * high.stderr
+    ok = low >= 95.0 and high_low >= 1e5 and high.truncations == 0
     assert _report(
-        1, ok, f"run length {est.mean:.1f} (se {est.stderr:.1f}), lower CI {low:.1f} >= 95"
-    ), f"pre-change run length lower bound {low:.2f} is below 95"
+        1,
+        ok,
+        f"run length {est.mean:.1f} (se {est.stderr:.1f}), lower CI {low:.1f} >= 95; "
+        f"at gamma 1e5 {high.mean:.0f} (se {high.stderr:.0f}), lower 95% limit {high_low:.0f} >= 1e5",
+    ), f"pre-change run length lower bounds {low:.2f} (>= 95) and {high_low:.0f} (>= 1e5)"
 
 
 @pytest.mark.slow

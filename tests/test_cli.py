@@ -51,7 +51,7 @@ class TestSchemas:
         assert len(STUDY_CSV_HEADER) == len(dataclasses.fields(StudyRow))
 
     def test_schema_version(self):
-        assert CSV_SCHEMA_VERSION == 1
+        assert CSV_SCHEMA_VERSION == 2
 
     def test_float_formatting(self):
         assert cli._fmt(100.0) == "100"

@@ -32,6 +32,7 @@ from rrcusum.scenarios import (
     build_preset,
     correlated_block_hypothesis,
     correlated_blocks_model,
+    mean_change_model,
 )
 
 
@@ -463,15 +464,18 @@ class TestEstimateArl:
         model = correlated_blocks_model(3, 2, 0.7)
         config = StudyConfig(K=3, m=2, rho=0.7, gamma=100.0, s_values=(2,), replications=100)
         with pytest.raises(ValueError, match="cap"):
-            estimate_arl(model, config, cap=500)
+            estimate_arl(model, config, cap=0)
+        assert estimate_arl(model, config, cap=1).truncations > 0
 
     def test_truncation_at_cap(self):
-        # truncated runs count once each and enter the mean at the cap
+        # truncated excursions can only lower the estimate
         model = correlated_blocks_model(3, 2, 0.7)
         config = StudyConfig(K=3, m=2, rho=0.7, gamma=20.0, s_values=(2,), replications=100, seed=2)
-        est = estimate_arl(model, config, cap=200)
+        est = estimate_arl(model, config, cap=2)
+        full = estimate_arl(model, config, cap=100_000)
         assert est.truncations > 0
-        assert est.mean <= 200.0
+        assert full.truncations == 0
+        assert est.mean <= full.mean + 3.0 * full.stderr
         assert est.replications == 100
 
     def test_run_length_exceeds_design_target(self):
@@ -489,6 +493,90 @@ class TestEstimateArl:
             K=3, m=2, rho=0.7, gamma=15.0, s_values=(2,), replications=150, seed=1
         )
         assert estimate_arl(model, config, cap=2000) == estimate_arl(model, config, cap=2000)
+
+
+class TestRenewalArl:
+    """The renewal estimate of estimate_arl against the engine's full runs."""
+
+    @pytest.mark.parametrize(
+        "model, gamma, runs",
+        [
+            (correlated_blocks_model(10, 2, 0.7), 1e2, 2000),
+            (correlated_blocks_model(10, 3, 0.7), 1e2, 2000),
+            (mean_change_model(3, {1: 0.5, 2: 1.0, 3: 2.0}), 20.0, 1500),
+            (mean_change_model(3, {1: 0.5, 2: 1.0, 3: 2.0}), 100.0, 800),
+        ],
+        ids=["corr-pairs-m2", "corr-pairs-m3", "mean-change-g20", "mean-change-g100"],
+    )
+    def test_matches_engine_run_lengths(self, model, gamma, runs):
+        threshold = math.log(gamma)
+        cap = int(100 * gamma)
+        engine = montecarlo._collect(model, None, tuple(model.units), threshold, 0, 21, runs, cap, 1)
+        assert engine.truncations == 0
+        est = estimate_arl(model, RunSpec(gamma=gamma, replications=8000, seed=22), cap=cap)
+        assert est.truncations == 0
+        assert abs(est.mean - engine.mean) < 3.0 * math.hypot(est.stderr, engine.stderr)
+
+    def test_cycle_formula(self):
+        # two units: the second is reached with probability 1 - 0.5, and a
+        # cycle alarms with probability 1 - 0.5 * 0.75
+        ell, p = np.array([2.0, 3.0]), np.array([0.5, 0.25])
+        mean, _ = montecarlo._renewal_arl(ell, np.zeros(2), p, np.zeros(2), np.array([0, 1]))
+        assert mean == pytest.approx((2.0 + 0.5 * 3.0) / (1.0 - 0.5 * 0.75))
+        one, _ = montecarlo._renewal_arl(ell[:1], np.zeros(1), p[:1], np.zeros(1), np.zeros(5, dtype=int))
+        assert one == pytest.approx(ell[0] / p[0])
+
+    def test_stderr_is_the_delta_method(self):
+        # with a unit standard error on one class mean and none on the rest,
+        # the standard error is the slope of the estimate in that mean
+        rng = np.random.default_rng(0)
+        cls = np.array([0, 1, 2, 1, 0, 2, 2])
+        means = rng.uniform(1.0, 5.0, 3), rng.uniform(0.01, 0.3, 3)
+        zero = np.zeros(3)
+        base, _ = montecarlo._renewal_arl(means[0], zero, means[1], zero, cls)
+        h = 1e-7
+        for which in (0, 1):
+            for c in range(3):
+                bumped = [m.copy() for m in means]
+                bumped[which][c] += h
+                slope = (montecarlo._renewal_arl(bumped[0], zero, bumped[1], zero, cls)[0] - base) / h
+                se = [zero, zero]
+                se[which] = np.eye(3)[c]
+                _, got = montecarlo._renewal_arl(means[0], se[0], means[1], se[1], cls)
+                assert got == pytest.approx(abs(slope), rel=1e-4)
+
+    def test_mixture_draw_picks_members_uniformly(self):
+        draws = [lambda rng, n: np.zeros(n), lambda rng, n: np.ones(n), lambda rng, n: np.full(n, 2.0)]
+        x = montecarlo._mixture_draw(draws, np.random.default_rng(4), 30_000)
+        counts = np.bincount(x.astype(int), minlength=3)
+        assert counts.sum() == 30_000
+        assert np.all(np.abs(counts - 10_000) < 5.0 * math.sqrt(30_000 * 2 / 9))
+
+    def test_thread_count_does_not_change_results(self):
+        # 3 classes of 2 batches each, split over 2 workers
+        model = mean_change_model(3, {1: 0.5, 2: 1.0, 3: 2.0})
+        spec = RunSpec(gamma=20.0, replications=300, seed=5)
+        assert estimate_arl(model, spec, cap=2000, threads=1) == estimate_arl(model, spec, cap=2000, threads=2)
+
+    def test_traced_stretches_see_every_excursion(self, monkeypatch):
+        seen = {"calls": 0, "drawn": 0, "used": 0}
+        stretch = montecarlo._run_stretch
+
+        def counting(rng, draw, *rest):
+            def counted(rng_, n):
+                seen["drawn"] += n
+                return draw(rng_, n)
+
+            out = stretch(rng, counted, *rest)
+            seen["calls"] += 1
+            seen["used"] += out[0]
+            return out
+
+        monkeypatch.setattr(montecarlo, "_run_stretch", counting)
+        model = correlated_blocks_model(5, 2, 0.7)
+        estimate_arl(model, RunSpec(gamma=20.0, replications=600, seed=1), cap=2000)
+        assert seen["calls"] == 2 * 3  # plain and sampled, 3 batches of one class
+        assert seen["drawn"] >= seen["used"] >= 2 * 600
 
 
 class TestStudies:
