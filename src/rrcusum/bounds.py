@@ -668,18 +668,17 @@ def bounds_report(
     stats = compute_unit_statistics(model, hypothesis, reps=reps, ladder_reps=ladder_reps, seed=seed)
     top, restricted = _largest_info(model, hypothesis, {E: st.info_number.value for E, st in stats.items()})
     lower = _lower_bound(gamma, top)
-    reasons = []
     j = min(stats[E].drift_post.value for E in affected)
+    nonasym = degenerate = None
     if j > 0.0:
         upper1, are = A / j, top / j
+        try:
+            nonasym = nonasymptotic_upper_bound(A, model, hypothesis, stats, additive_constant)
+        except DegenerateBoundError as exc:
+            degenerate = str(exc)
     else:
         upper1 = are = math.inf
-        reasons.append(f"upper bound degenerate: smallest post-change drift is {j:.4g}")
-    nonasym = None
-    try:
-        nonasym = nonasymptotic_upper_bound(A, model, hypothesis, stats, additive_constant)
-    except DegenerateBoundError as exc:
-        reasons.append(str(exc))
+        degenerate = f"upper bound degenerate: smallest post-change drift is {j:.4g}"
     return BoundsReport(
         gamma=gamma,
         threshold=A,
@@ -691,7 +690,7 @@ def bounds_report(
         optimality=classify_optimality(model, hypothesis),
         unit_stats=stats,
         nonasymptotic=nonasym,
-        degenerate="; ".join(reasons) or None,
+        degenerate=degenerate,
     )
 
 

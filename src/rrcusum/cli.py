@@ -81,28 +81,40 @@ def _write_rows(header: list[str], rows: list[list], out: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Configuration files: INI with [scenario] and [run] sections, flat key = value.
+# Options: each is declared once, here, and read by the subcommands that list it.
+# Configuration files are INI with [scenario] and [run] sections, flat key = value.
 
-#: key -> (section, type, default). A default of None leaves the key unset:
-#: each subcommand picks its own replication budget and cap.
-_KEYS: dict[str, tuple[str, type, object]] = {
-    "preset": ("scenario", str, None),
-    "K": ("scenario", int, 10),
-    "m": ("scenario", int, 2),
-    "rho": ("scenario", float, 0.7),
-    "s": ("scenario", int, 2),
-    "mu": ("scenario", float, 1.0),
-    "gamma": ("run", float, 100.0),
-    "reps": ("run", int, None),
-    "seed": ("run", int, 0),
-    "nu": ("run", int, 0),
-    "threads": ("run", int, 1),
-    "cap": ("run", int, None),
-    "constant": ("run", float, 0.0),
+#: key -> (section, type, default, help). A default of None leaves the key
+#: unset: each subcommand picks its own replication budget and cap.
+_OPTIONS: dict[str, tuple[str, type, object, str]] = {
+    "preset": ("scenario", str, None, "scenario preset"),
+    "K": ("scenario", int, 10, "number of sources"),
+    "m": ("scenario", int, 2, "units sampled per step"),
+    "rho": ("scenario", float, 0.7, "post-change correlation"),
+    "s": ("scenario", int, 2, "size of the affected block"),
+    "mu": ("scenario", float, 1.0, "mean shift for the mean-change preset"),
+    "gamma": ("run", float, 100.0, "false alarm budget"),
+    "reps": ("run", int, None, "Monte Carlo replications"),
+    "seed": ("run", int, 0, "root seed"),
+    "nu": ("run", int, 0, "change time"),
+    "threads": ("run", int, 1, "worker processes for replications"),
+    "cap": ("run", int, None, "step budget of every --arl excursion (default 100 * gamma)"),
+    "constant": ("run", float, 0.0, "additive constant of the explicit bound"),
+}
+
+_SCENARIO = ("preset", "K", "m", "rho", "s", "mu")
+
+#: The options each subcommand reads, besides --config, --dump-config and --out.
+_COMMAND_KEYS: dict[str, tuple[str, ...]] = {
+    "bounds": (*_SCENARIO, "gamma", "reps", "seed", "constant"),
+    "simulate": (*_SCENARIO, "gamma", "reps", "seed", "nu", "threads", "cap"),
+    "study": ("reps", "seed", "nu", "threads"),
+    "validate": (*_SCENARIO, "reps", "seed"),
 }
 
 
 def _load_config(path: str) -> dict[str, str]:
+    """The file's keys, flat. A key is valid when some subcommand reads it."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys like K are case sensitive
     with open(path, encoding="utf-8") as fh:
@@ -111,7 +123,7 @@ def _load_config(path: str) -> dict[str, str]:
     for section in ("scenario", "run"):
         if parser.has_section(section):
             for key, value in parser.items(section):
-                if key not in _KEYS or _KEYS[key][0] != section:
+                if key not in _OPTIONS or _OPTIONS[key][0] != section:
                     raise ValueError(f"unknown key {key!r} in [{section}] of {path}")
                 flat[key] = value
     return flat
@@ -122,20 +134,21 @@ def _dump_config(args: argparse.Namespace) -> str:
     parser.optionxform = str
     parser["scenario"] = {}
     parser["run"] = {}
-    for key, (section, _, _) in _KEYS.items():
-        value = getattr(args, key, None)
+    for key in _COMMAND_KEYS[args.command]:
+        value = getattr(args, key)
         if value is not None:
-            parser[section][key] = _fmt(value)
+            parser[_OPTIONS[key][0]][key] = _fmt(value)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset options from the config file, then from built-in defaults."""
+    """Fill the subcommand's unset options from the config file, then from the defaults."""
     fromfile = _load_config(args.config) if args.config else {}
-    for key, (_, caster, default) in _KEYS.items():
-        if not hasattr(args, key) or getattr(args, key) is not None:
+    for key in _COMMAND_KEYS[args.command]:
+        _, caster, default, _ = _OPTIONS[key]
+        if getattr(args, key) is not None:
             continue
         if key in fromfile:
             try:
@@ -147,63 +160,48 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _add_scenario(p: argparse.ArgumentParser) -> None:
-    """The preset, its parameters and the false alarm budget; a study fixes all three."""
-    p.add_argument("preset", nargs="?", choices=scenarios.PRESETS, help="scenario preset")
-    p.add_argument("--K", type=int, default=None, help="number of sources")
-    p.add_argument("--m", type=int, default=None, help="units sampled per step")
-    p.add_argument("--rho", type=float, default=None, help="post-change correlation")
-    p.add_argument("--s", type=int, default=None, help="size of the affected block")
-    p.add_argument("--mu", type=float, default=None, help="mean shift for the mean-change preset")
-    p.add_argument("--gamma", type=float, default=None, help="false alarm budget")
-
-
-def _add_run_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--reps", type=int, default=None, help="Monte Carlo replications")
-    p.add_argument("--seed", type=int, default=None, help="root seed")
-    p.add_argument("--nu", type=int, default=None, help="change time")
-    p.add_argument("--threads", type=int, default=None, help="worker processes for replications (default 1)")
+def _add_command(sub, name: str, run, summary: str) -> argparse.ArgumentParser:
+    """A subcommand with its options, then the configuration and output flags every subcommand has."""
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(run=run)
+    for key in _COMMAND_KEYS[name]:
+        _, caster, default, text = _OPTIONS[key]
+        if default is not None:
+            text = f"{text} (default {_fmt(default)})"
+        if key == "preset":
+            p.add_argument(key, nargs="?", choices=scenarios.PRESETS, help=text)
+        else:
+            p.add_argument(f"--{key}", type=caster, default=None, help=text)
     p.add_argument("--config", default=None, help="INI file with [scenario] and [run] sections")
     p.add_argument("--dump-config", action="store_true", help="print the effective configuration and exit")
     p.add_argument("--out", default=None, help="output file (default stdout)")
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="rrcusum", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("bounds", help="delay bounds and optimality classification")
-    _add_scenario(b)
-    _add_run_options(b)
-    b.add_argument("--constant", type=float, default=None, help="additive constant of the explicit bound")
-
-    s = sub.add_parser("simulate", help="delay or run length estimate")
-    _add_scenario(s)
-    _add_run_options(s)
+    _add_command(sub, "bounds", cmd_bounds, "delay bounds and optimality classification")
+    s = _add_command(sub, "simulate", cmd_simulate, "delay or run length estimate")
     s.add_argument("--arl", action="store_true", help="estimate the pre-change average run length")
-    s.add_argument("--cap", type=int, default=None, help="step budget of every --arl excursion (default 100 * gamma)")
-
-    st = sub.add_parser("study", help="standard delay study as CSV")
+    st = _add_command(sub, "study", cmd_study, "standard delay study as CSV")
     st.add_argument("study", type=int, choices=sorted(montecarlo.STUDIES))
-    _add_run_options(st)
-
-    v = sub.add_parser("validate", help="Monte Carlo checks of the drift assumptions")
-    _add_scenario(v)
-    _add_run_options(v)
+    _add_command(sub, "validate", cmd_validate, "Monte Carlo checks of the drift assumptions")
     return top
 
 
-def _require_preset(args: argparse.Namespace) -> str:
-    preset = getattr(args, "preset", None)
-    if preset is None:
-        raise ValueError(f"a scenario preset is required: one of {', '.join(scenarios.PRESETS)}")
-    return preset
+def _check_simulate(args: argparse.Namespace) -> None:
+    """--nu applies only to delay runs and --cap only to --arl runs."""
+    if args.arl and args.nu != 0:
+        raise ValueError(f"--nu {args.nu} has no meaning with --arl, which runs before any change")
+    if not args.arl and args.cap is not None:
+        raise ValueError(f"--cap {args.cap} is the step budget of --arl excursions and needs --arl")
 
 
 def _build_scenario(args: argparse.Namespace):
-    return scenarios.build_preset(
-        _require_preset(args), K=args.K, m=args.m, rho=args.rho, s=args.s, mu=args.mu
-    )
+    if args.preset is None:
+        raise ValueError(f"a scenario preset is required: one of {', '.join(scenarios.PRESETS)}")
+    return scenarios.build_preset(args.preset, K=args.K, m=args.m, rho=args.rho, s=args.s, mu=args.mu)
 
 
 def _emit_text(lines: list[str], out: str | None) -> None:
@@ -316,18 +314,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _resolve(args)
-        if getattr(args, "dump_config", False):
+        if args.command == "simulate":
+            _check_simulate(args)
+        if args.dump_config:
             sys.stdout.write(_dump_config(args))
             return 0
-        if args.command == "bounds":
-            return cmd_bounds(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "study":
-            return cmd_study(args)
-        if args.command == "validate":
-            return cmd_validate(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

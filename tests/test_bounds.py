@@ -309,7 +309,7 @@ class TestFirstOrderBounds:
         assert rep.upper_bound_first_order == math.inf
         assert rep.are_bound == math.inf
         assert rep.nonasymptotic is None
-        assert "upper bound degenerate: smallest post-change drift is -1.5" in rep.degenerate
+        assert rep.degenerate == "upper bound degenerate: smallest post-change drift is -1.5"
 
 
 class TestClassifyOptimality:

@@ -346,15 +346,22 @@ class TestConfigFiles:
         assert parser["scenario"]["k"] == "6"
         assert parser["run"]["gamma"] == "50"
 
-    def test_dump_load_round_trip(self, tmp_path, capsys):
-        code = main(
-            ["bounds", "corr-pairs", "--K", "6", "--s", "3", "--gamma", "50", "--dump-config"]
-        )
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            (["bounds"], ["--gamma", "50", "--constant", "2"]),
+            (["validate"], ["--reps", "20000"]),
+            (["simulate", "--arl"], ["--gamma", "50", "--cap", "700", "--threads", "2"]),
+        ],
+        ids=["bounds", "validate", "simulate-arl"],
+    )
+    def test_dump_load_round_trip(self, command, flags, tmp_path, capsys):
+        code = main([*command, "corr-pairs", "--K", "6", "--s", "3", *flags, "--dump-config"])
         assert code == 0
         first = capsys.readouterr().out
         path = tmp_path / "run.ini"
         path.write_text(first, encoding="utf-8")
-        code = main(["bounds", "--config", str(path), "--dump-config"])
+        code = main([*command, "--config", str(path), "--dump-config"])
         assert code == 0
         second = capsys.readouterr().out
         assert second == first
@@ -382,11 +389,12 @@ class TestConfigFiles:
     @pytest.mark.parametrize(
         "command, run",
         [
-            (["bounds", "corr-pairs"], "gamma = 100\nseed = 0\nnu = 0\nthreads = 1\nconstant = 0\n"),
+            (["bounds", "corr-pairs"], "gamma = 100\nseed = 0\nconstant = 0\n"),
             (["simulate", "corr-pairs"], "gamma = 100\nseed = 0\nnu = 0\nthreads = 1\n"),
             (["simulate", "corr-pairs", "--arl"], "gamma = 100\nseed = 0\nnu = 0\nthreads = 1\n"),
+            (["validate", "corr-pairs"], "seed = 0\n"),
         ],
-        ids=["bounds", "simulate", "simulate-arl"],
+        ids=["bounds", "simulate", "simulate-arl", "validate"],
     )
     def test_default_dump_text(self, command, run, capsys):
         assert main([*command, "--dump-config"]) == 0
@@ -396,6 +404,23 @@ class TestConfigFiles:
     def test_default_study_dump_text(self, capsys):
         assert main(["study", "1", "--dump-config"]) == 0
         assert capsys.readouterr().out == "[scenario]\n\n[run]\nseed = 0\nnu = 0\nthreads = 1\n\n"
+
+    @pytest.mark.parametrize(
+        "command, run",
+        [
+            (["bounds", "corr-pairs"], "gamma = 100\nseed = 0\nconstant = 1\n"),
+            (["simulate", "corr-pairs"], "gamma = 100\nseed = 0\nnu = 3\nthreads = 2\n"),
+            (["study", "1"], "seed = 0\nnu = 3\nthreads = 2\n"),
+            (["validate", "corr-pairs"], "seed = 0\n"),
+        ],
+        ids=["bounds", "simulate", "study", "validate"],
+    )
+    def test_shared_config_loads_for_every_subcommand(self, command, run, tmp_path, capsys):
+        # each subcommand takes the keys it reads and leaves the others
+        path = tmp_path / "shared.ini"
+        path.write_text("[run]\nnu = 3\nthreads = 2\nconstant = 1\n", encoding="utf-8")
+        assert main([*command, "--config", str(path), "--dump-config"]) == 0
+        assert capsys.readouterr().out.endswith(f"[run]\n{run}\n")
 
     def test_key_in_wrong_section_exits_2(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
@@ -431,6 +456,37 @@ class TestConfigFiles:
 
 
 class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "corr-pairs", "--nu", "3"],
+            ["bounds", "corr-pairs", "--threads", "2"],
+            ["validate", "corr-pairs", "--gamma", "50"],
+            ["validate", "corr-pairs", "--nu", "3"],
+            ["validate", "corr-pairs", "--threads", "2"],
+        ],
+        ids=["bounds-nu", "bounds-threads", "validate-gamma", "validate-nu", "validate-threads"],
+    )
+    def test_option_the_subcommand_does_not_read_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "corr-pairs", "--arl", "--nu", "3"], "--nu 3"),
+            (["simulate", "corr-pairs", "--cap", "100"], "--cap 100"),
+        ],
+        ids=["arl-nu", "delay-cap"],
+    )
+    def test_simulate_option_of_the_other_mode_exits_2(self, argv, flag, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} ")
+
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
