@@ -143,27 +143,37 @@ def _dump_config(args: argparse.Namespace) -> str:
     return buf.getvalue()
 
 
-def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill the subcommand's unset options from the config file, then from the defaults."""
+def _resolve(args: argparse.Namespace) -> set[str]:
+    """Fill the subcommand's unset options from the config file, then from the defaults.
+
+    Returns the options that were set: by a flag, or by the file to a value
+    other than the default. A dumped configuration lists every scenario key,
+    so a default read from a file sets nothing.
+    """
     fromfile = _load_config(args.config) if args.config else {}
+    given = set()
     for key in _COMMAND_KEYS[args.command]:
         _, caster, default, _ = _OPTIONS[key]
         if getattr(args, key) is not None:
+            given.add(key)
             continue
         if key in fromfile:
             try:
-                setattr(args, key, caster(fromfile[key]))
+                value = caster(fromfile[key])
             except ValueError:
                 raise ValueError(f"config key {key} = {fromfile[key]!r} is not a valid {caster.__name__}")
+            setattr(args, key, value)
+            if value != default:
+                given.add(key)
         else:
             setattr(args, key, default)
-    return args
+    return given
 
 
 def _add_command(sub, name: str, run, summary: str) -> argparse.ArgumentParser:
     """A subcommand with its options, then the configuration and output flags every subcommand has."""
     p = sub.add_parser(name, help=summary)
-    p.set_defaults(run=run)
+    p.set_defaults(run=run, parser=p)
     for key in _COMMAND_KEYS[name]:
         _, caster, default, text = _OPTIONS[key]
         if default is not None:
@@ -190,17 +200,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _check_simulate(args: argparse.Namespace) -> None:
-    """--nu applies only to delay runs and --cap only to --arl runs."""
-    if args.arl and args.nu != 0:
-        raise ValueError(f"--nu {args.nu} has no meaning with --arl, which runs before any change")
-    if not args.arl and args.cap is not None:
-        raise ValueError(f"--cap {args.cap} is the step budget of --arl excursions and needs --arl")
+def _check_run(args: argparse.Namespace, given: set[str]) -> None:
+    """Reject a run that lacks its preset or would ignore a setting. --nu
+    applies only to delay runs and --cap only to --arl runs; a preset
+    parameter applies only to the presets that read it, and s never to
+    --arl, which builds no hypothesis."""
+    if args.command == "simulate":
+        if args.arl and args.nu != 0:
+            raise ValueError(f"--nu {args.nu} has no meaning with --arl, which runs before any change")
+        if not args.arl and args.cap is not None:
+            raise ValueError(f"--cap {args.cap} is the step budget of --arl excursions and needs --arl")
+    if "preset" not in _COMMAND_KEYS[args.command]:
+        return
+    if args.preset is None:
+        raise ValueError(f"a scenario preset is required: one of {', '.join(scenarios.PRESETS)}")
+    run = args.preset
+    reads = scenarios.PRESET_PARAMETERS[run]
+    if args.command == "simulate" and args.arl:
+        run, reads = f"{run} --arl", tuple(k for k in reads if k != "s")
+    ignored = [key for key in _SCENARIO if key in given and key != "preset" and key not in reads]
+    if ignored:
+        flags = ", ".join(f"--{key} {_fmt(getattr(args, key))}" for key in ignored)
+        verb = "is" if len(ignored) == 1 else "are"
+        raise ValueError(f"{flags} {verb} not read by {run}, which reads only {' '.join('--' + k for k in reads)}")
 
 
 def _build_scenario(args: argparse.Namespace):
-    if args.preset is None:
-        raise ValueError(f"a scenario preset is required: one of {', '.join(scenarios.PRESETS)}")
     return scenarios.build_preset(args.preset, K=args.K, m=args.m, rho=args.rho, s=args.s, mu=args.mu)
 
 
@@ -240,8 +265,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    model, hypothesis = _build_scenario(args)
     if args.arl:
+        model = scenarios.preset_model(args.preset, K=args.K, m=args.m, rho=args.rho, mu=args.mu)
         spec = RunSpec(gamma=args.gamma, replications=2000 if args.reps is None else args.reps, seed=args.seed)
         cap = int(100 * args.gamma) if args.cap is None else args.cap
         est = estimate_arl(model, spec, cap=cap, threads=args.threads)
@@ -258,6 +283,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ]
         _write_rows(ARL_CSV_HEADER, [row], args.out)
         return 0
+    model, hypothesis = _build_scenario(args)
     spec = RunSpec(
         gamma=args.gamma,
         replications=4000 if args.reps is None else args.reps,
@@ -311,14 +337,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # the subcommand's usage shows the options it takes
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        args = _resolve(args)
-        if args.command == "simulate":
-            _check_simulate(args)
+        given = _resolve(args)
         if args.dump_config:
             sys.stdout.write(_dump_config(args))
             return 0
+        _check_run(args, given)
         return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,16 @@ its own sub-stream of the configured seed, ``derive_rng(seed, b)``, and worker
 processes only ever receive whole batches, so results are reproducible bit for
 bit and independent of the thread count.
 
+Every drawn increment is scored. A block gives each running row the same
+number of increments, and a row that stops partway through leaves the rest
+unconsumed. Its stop depends only on the increments up to and including the
+stopping step (optional stopping), so the increments past it are still
+independent draws from the class law. They are carried, oldest first, into a
+spare of the class (``_Spare``) that serves its next block before any fresh
+draw. Each batch keeps one spare per class and each excursion call one of its
+own; a spare never outlives its batch, so batches stay independent. What is
+drawn and not used is the spare left at the end of a batch.
+
 The average run length to false alarm is not simulated run by run. Before the
 change every visit to a unit starts at statistic 0, so the cycles of one visit
 per unit renew, and the run length follows from one visit's excursion of the
@@ -41,13 +51,15 @@ mixture law, with weight e^{-S_N} on the exits at or above A (Siegmund 1976,
 Ann. Statist. 4). Each batch of excursions is one _run_stretch call that stops
 every row at its first switch.
 
-The hot loop reuses its scratch. Every block of a stretch writes its partial
-sums, path and switch counts into arrays allocated once per estimate
-(``_Blocks``), and every Gaussian class kernel keeps the buffers of one slice,
-so a block allocates only the increments the kernel returns and boolean masks
-of at most 16 KiB. Arrays of 128 KiB and more, allocated and freed thousands
-of times per estimate, would be handed back to the system by the C allocator
-and fault their pages in again on the next block.
+The hot loop reuses its scratch. Every block of a stretch writes its
+increments, partial sums, path and switch counts into arrays allocated once
+per estimate (``_Blocks``), the spares live there too, and every Gaussian class
+kernel keeps the buffers of one slice, so a block allocates only the
+increments the kernel returns, the unconsumed increments it carries and
+boolean masks of at most 16 KiB. Arrays of 128 KiB and more that outlive a
+block, allocated and freed thousands of times per estimate, would be handed
+back to the system by the C allocator and fault their pages in again on the
+next block.
 """
 
 from __future__ import annotations
@@ -232,20 +244,57 @@ def _compile_regime(
     )
 
 
-_BATCH = 256
+_BATCH = 1024
 _COLS0 = 32
 _BLOCK_ELEMENTS = 1 << 14
 
 
-class _Blocks:
-    """The per-block arrays of _run_stretch (partial sums w, the path and the
-    switch counts), allocated once per estimate and overwritten by every
-    block; see the module docstring for why."""
+class _Spare:
+    """Increments of one class drawn past their rows' stopping steps, kept
+    oldest first for the class's next block (see the module docstring). A
+    block hands back fewer increments than it takes, so a buffer of one block
+    always holds them."""
 
     def __init__(self) -> None:
+        self.buf = np.empty(_BLOCK_ELEMENTS)
+        self.size = 0
+
+    def fill(self, out: np.ndarray, rng: np.random.Generator, draw: Callable) -> None:
+        """Fill ``out`` with the oldest spare increments, then with fresh draws."""
+        t = min(self.size, out.size)
+        out[:t] = self.buf[:t]
+        self.size -= t
+        # a one-dimensional forward copy, so the overlap needs no temporary
+        self.buf[: self.size] = self.buf[t : t + self.size]
+        if t < out.size:
+            out[t:] = draw(rng, out.size - t)
+
+    def keep(self, x: np.ndarray) -> None:
+        """Append increments that were drawn and not consumed."""
+        self.buf[self.size : self.size + x.size] = x
+        self.size += x.size
+
+
+class _Blocks:
+    """The per-block arrays of _run_stretch (the increments x, partial sums
+    w, the path and the switch counts) and the spares, allocated once per
+    estimate and overwritten by every block; see the module docstring for
+    why."""
+
+    def __init__(self) -> None:
+        self.x = np.empty(_BLOCK_ELEMENTS)
         self.w = np.empty(_BLOCK_ELEMENTS)
         self.path = np.empty(_BLOCK_ELEMENTS)
         self.sw = np.empty(_BLOCK_ELEMENTS, dtype=np.int64)
+        self._spares: list[_Spare] = []
+
+    def spares(self, n: int) -> list[_Spare]:
+        """n empty spares, reusing the buffers of earlier ones."""
+        while len(self._spares) < n:
+            self._spares.append(_Spare())
+        for spare in self._spares[:n]:
+            spare.size = 0
+        return self._spares[:n]
 
 
 def _run_stretch(
@@ -256,18 +305,20 @@ def _run_stretch(
     need: np.ndarray,
     budget: np.ndarray,
     blocks: _Blocks,
+    spare: _Spare,
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Advance rows of the statistic through consecutive units of one class.
 
     Row r starts at statistic y[r] and stops at its need[r]-th drop to or
     below zero, at its first crossing of the threshold, or after budget[r]
-    steps. Every block draws the increments of all running rows in one call,
-    at most _BLOCK_ELEMENTS of them, with the columns per row doubling from
-    _COLS0, and works in ``blocks``. Returns (used, steps, switches,
-    statistic, alarmed): the number of increments consumed over all rows,
-    then one array entry per row. Increments drawn beyond a row's stopping
-    step are discarded, which is sound because they are independent of
-    everything retained.
+    steps. Every block lays out the increments of all running rows as
+    (rows, columns), at most _BLOCK_ELEMENTS of them, with the columns per
+    row doubling from _COLS0, and works in ``blocks``. The increments come
+    from ``spare`` first and then from ``draw``; those a row drew past its
+    stopping step are carried back to ``spare``, which is sound because they
+    are independent of everything the row consumed. Returns (used, steps,
+    switches, statistic, alarmed): the number of increments consumed over all
+    rows, then one array entry per row.
     """
     y = y.astype(float)
     steps = np.zeros(y.size, dtype=np.int64)
@@ -280,10 +331,13 @@ def _run_stretch(
         k = run.size
         left = budget[run] - steps[run]
         n = int(min(cols, _BLOCK_ELEMENTS // k, left.max()))
+        x = blocks.x[: k * n]
+        spare.fill(x, rng, draw)
+        x = x.reshape(k, n)
         w = blocks.w[: k * n].reshape(k, n)
         path = blocks.path[: k * n].reshape(k, n)
         sw = blocks.sw[: k * n].reshape(k, n)
-        np.cumsum(draw(rng, k * n).reshape(k, n), axis=1, out=w)
+        np.cumsum(x, axis=1, out=w)
         # the running minimum of w before each step, then the path itself
         path[:, 0] = 0.0
         path[:, 1:] = w[:, :-1]
@@ -304,7 +358,10 @@ def _run_stretch(
         switches[run] += sw[rows, j]
         y[run] = path[rows, j]
         alarmed[run] = hit[rows, j]
-        used += int(j.sum()) + k
+        took = int(j.sum()) + k
+        used += took
+        if took < k * n:
+            spare.keep(x[np.arange(n) > j[:, None]])
         run = run[~done]
         cols *= 2
     return used, steps, switches, y, alarmed
@@ -323,9 +380,9 @@ def _simulate(
     one per row, starting at the positions and statistics given.
 
     Each round advances every running row through the rest of its current
-    stretch, with one _run_stretch call per class. Returns (steps, alarmed,
-    position, statistic) per row; position indexes the unit the policy is at
-    when the run ends.
+    stretch, with one _run_stretch call per class. Every class keeps one
+    spare for all its calls. Returns (steps, alarmed, position, statistic)
+    per row; position indexes the unit the policy is at when the run ends.
     """
     pos = np.array(pos, dtype=np.int64)
     y = np.array(y, dtype=float)
@@ -333,6 +390,7 @@ def _simulate(
     alarmed = np.zeros(pos.size, dtype=bool)
     n_units = regime.stretch_of.size
     single = regime.class_of.size == 1
+    spares = blocks.spares(len(regime.draws))
     live = np.arange(pos.size)
     while live.size:
         stretch = regime.stretch_of[pos[live]]
@@ -345,7 +403,7 @@ def _simulate(
             sel = cls == c
             rows = live[sel]
             _, s, sw, y[rows], alarmed[rows] = _run_stretch(
-                rng, regime.draws[c], y[rows], threshold, need[sel], budget - steps[rows], blocks
+                rng, regime.draws[c], y[rows], threshold, need[sel], budget - steps[rows], blocks, spares[c]
             )
             steps[rows] += s
             pos[rows] = (pos[rows] + sw) % n_units
@@ -542,11 +600,11 @@ def _run_excursions(
         need = np.ones(rows, dtype=np.int64)
         budget = np.full(rows, cap, dtype=np.int64)
         _, steps, sw, _, hit = _run_stretch(
-            rng, model.unit_class(E).draw, start, threshold, need, budget, blocks
+            rng, model.unit_class(E).draw, start, threshold, need, budget, blocks, blocks.spares(1)[0]
         )
         truncations = int(np.count_nonzero((sw == 0) & ~hit))
         mixture = partial(_mixture_draw, [model.unit_class(E, g).draw for g in model.mixture(E).components])
-        _, _, sw, y, hit = _run_stretch(rng, mixture, start, threshold, need, budget, blocks)
+        _, _, sw, y, hit = _run_stretch(rng, mixture, start, threshold, need, budget, blocks, blocks.spares(1)[0])
         cut = (sw == 0) & ~hit
         truncations += int(np.count_nonzero(cut))
         weights = np.where(hit, np.exp(-y), np.where(cut, math.exp(-threshold), 0.0))

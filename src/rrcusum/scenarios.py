@@ -33,6 +33,8 @@ __all__ = [
     "mean_change_model",
     "mean_change_hypothesis",
     "PRESETS",
+    "PRESET_PARAMETERS",
+    "preset_model",
     "build_preset",
 ]
 
@@ -265,6 +267,17 @@ def mean_change_hypothesis(
     )
 
 
+def preset_model(name: str, *, K: int = 10, m: int = 2, rho: float = 0.7, mu: float = 1.0) -> ChangePointModel:
+    """The model of one of the named scenario presets, without a hypothesis."""
+    if name == "corr-pairs":
+        return correlated_blocks_model(K, m, rho)
+    if name == "signed-pairs":
+        return signed_pair_model(K, rho)
+    if name == "mean-change":
+        return mean_change_model(K, mu)
+    raise ValueError(f"unknown preset {name!r}, expected one of {sorted(PRESETS)}")
+
+
 def build_preset(
     name: str,
     *,
@@ -275,18 +288,21 @@ def build_preset(
     mu: float = 1.0,
 ) -> tuple[ChangePointModel, PostChangeHypothesis]:
     """Model plus hypothesis for one of the named scenario presets."""
+    model = preset_model(name, K=K, m=m, rho=rho, mu=mu)
     if name == "corr-pairs":
-        model = correlated_blocks_model(K, m, rho)
         return model, correlated_block_hypothesis(model, rho, s=s)
     if name == "signed-pairs":
-        model = signed_pair_model(K, rho)
         return model, signed_pair_hypothesis(model, rho)
-    if name == "mean-change":
-        model = mean_change_model(K, mu)
-        if not 1 <= s <= K:
-            raise ValueError(f"block size s must lie in [1, K], got s={s}")
-        return model, mean_change_hypothesis(model, tuple(range(K - s + 1, K + 1)), mu)
-    raise ValueError(f"unknown preset {name!r}, expected one of {sorted(PRESETS)}")
+    if not 1 <= s <= K:
+        raise ValueError(f"block size s must lie in [1, K], got s={s}")
+    return model, mean_change_hypothesis(model, tuple(range(K - s + 1, K + 1)), mu)
 
 
-PRESETS = ("corr-pairs", "signed-pairs", "mean-change")
+#: The keywords of build_preset each preset reads; preset_model reads all but s.
+PRESET_PARAMETERS: dict[str, tuple[str, ...]] = {
+    "corr-pairs": ("K", "m", "rho", "s"),
+    "signed-pairs": ("K", "rho"),
+    "mean-change": ("K", "s", "mu"),
+}
+
+PRESETS = tuple(PRESET_PARAMETERS)

@@ -244,8 +244,10 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("extra", [[], ["--arl"]])
     def test_mean_change_on_one_source(self, extra, capsys):
-        # the run spec carries no study checks, so K = 1 is a valid preset
-        code = main(["simulate", "mean-change", "--K", "1", "--s", "1", "--reps", "200", *extra])
+        # the run spec carries no study checks, so K = 1 is a valid preset;
+        # --arl builds no hypothesis, so it takes no block size
+        block = [] if extra else ["--s", "1"]
+        code = main(["simulate", "mean-change", "--K", "1", *block, "--reps", "200", *extra])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) == 1
@@ -471,7 +473,50 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {argv[-2]}" in err
+        # the usage shown is the subcommand's, which lists the options it takes
+        assert err.startswith(f"usage: rrcusum {argv[0]} ")
+        assert f"rrcusum {argv[0]}: error: " in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "signed-pairs", "--m", "7"], "--m 7 is not read by signed-pairs, which reads only --K --rho"),
+            (["simulate", "corr-pairs", "--arl", "--s", "9"], "--s 9 is not read by corr-pairs --arl"),
+            (["simulate", "mean-change", "--arl", "--s", "1"], "--s 1 is not read by mean-change --arl"),
+            (["bounds", "corr-pairs", "--mu", "2"], "--mu 2 is not read by corr-pairs"),
+            (["validate", "mean-change", "--m", "1", "--rho", "0.5"], "--m 1, --rho 0.5 are not read by mean-change"),
+        ],
+        ids=["signed-pairs-m", "arl-s", "mean-change-arl-s", "bounds-mu", "validate-two"],
+    )
+    def test_preset_parameter_the_run_does_not_read_exits_2(self, argv, message, capsys):
+        assert main([*argv, "--reps", "10000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
+    def test_preset_parameter_from_a_config_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[scenario]\npreset = signed-pairs\nm = 7\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(path), "--reps", "50"]) == 2
+        assert "--m 7 is not read by signed-pairs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["simulate", "signed-pairs"], ["simulate", "mean-change", "--arl"]], ids=["delay", "arl"]
+    )
+    def test_a_dumped_configuration_runs(self, command, tmp_path, capsys):
+        # a dump lists every scenario key at its default, read or not, and
+        # runs as the flags it came from
+        flags = [*command, "--reps", "50", "--gamma", "8"]
+        assert main([*flags, "--dump-config"]) == 0
+        path = tmp_path / "run.ini"
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        assert main(flags) == 0
+        direct = capsys.readouterr().out
+        arl = [f for f in command if f == "--arl"]
+        assert main([command[0], *arl, "--config", str(path)]) == 0
+        assert capsys.readouterr().out == direct
 
     @pytest.mark.parametrize(
         "argv, flag",

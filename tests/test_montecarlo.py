@@ -133,14 +133,22 @@ class TestDelayEstimate:
 
 
 def reference_delays(model, hyp, order, threshold, n, seed, nu=0):
+    """Delays of n runs of the step-by-step policy loop; a run that alarms at
+    or before nu has no delay and is left out, as the engine discards it."""
     rng = np.random.default_rng(seed)
     cfg = PolicyConfig(threshold=threshold, unit_order=order)
     out = []
     for _ in range(n):
         r = run_to_alarm(model, cfg, hypothesis=hyp, nu=nu, rng=rng)
         assert not r.truncated
-        out.append(r.delay)
+        if r.delay is not None:
+            out.append(r.delay)
     return np.asarray(out, dtype=float)
+
+
+def assert_agrees(fast, ref):
+    pooled = math.hypot(fast.stderr, ref.std(ddof=1) / math.sqrt(ref.size))
+    assert abs(fast.mean - ref.mean()) < 3.0 * pooled
 
 
 class TestEngineCrossValidation:
@@ -183,6 +191,34 @@ class TestEngineCrossValidation:
         pooled = math.hypot(fast.stderr, ref.std(ddof=1) / math.sqrt(ref.size))
         assert abs(fast.mean - ref.mean()) < 3.0 * pooled
 
+    def test_interleaved_classes_match_reference_loop(self):
+        # m = 3: every triple's family has 7 members. With the block at the
+        # top two sources the canonical order reads U U U U U A U U A A, so
+        # short stretches of the two classes interleave and each class's
+        # spare serves blocks separated by stretches of the other.
+        model = correlated_blocks_model(5, 3, 0.7)
+        hyp = correlated_block_hypothesis(model, 0.7, s=2)
+        assert len(model.mixture(model.units[0]).components) == 7
+        threshold = 2.0
+        spec = RunSpec(
+            gamma=math.exp(threshold), replications=2000, seed=12, ordering=Ordering.AS_GIVEN
+        )
+        fast = estimate_delay(model, hyp, spec)
+        assert_agrees(fast, reference_delays(model, hyp, tuple(model.units), threshold, 400, seed=31))
+
+    def test_change_time_matches_reference_loop(self):
+        # nu > 0: the pre-change regime runs first and carries increments too
+        model = correlated_blocks_model(5, 2, 0.7)
+        hyp = correlated_block_hypothesis(model, 0.7, s=3)
+        threshold, nu = 2.5, 12
+        spec = RunSpec(gamma=math.exp(threshold), replications=2000, seed=13, nu=nu)
+        fast = estimate_delay(model, hyp, spec)
+        assert fast.discarded > 0
+        order = worst_case_permutation(model.units, hyp.affected_units)
+        ref = reference_delays(model, hyp, order, threshold, 500, seed=32, nu=nu)
+        assert ref.size < 500
+        assert_agrees(fast, ref)
+
     def test_no_change_run_length_matches_reference_loop(self):
         model = correlated_blocks_model(3, 2, 0.7)
         threshold = math.log(20.0)
@@ -205,9 +241,9 @@ class TestEngineCrossValidation:
 
 def scalar_stretch(x, y, threshold, need, budget):
     """One row of _run_stretch, one increment at a time: (steps, switches,
-    statistic, alarmed)."""
+    statistic, alarmed), or None when x runs out before the row stops."""
     switches = 0
-    for t in range(budget):
+    for t in range(min(budget, len(x))):
         y = max(y, 0.0) + x[t]
         if y >= threshold:
             return t + 1, switches, y, True
@@ -215,43 +251,79 @@ def scalar_stretch(x, y, threshold, need, budget):
             switches += 1
             if switches == need:
                 return t + 1, switches, y, False
-    return budget, switches, y, False
+    return (budget, switches, y, False) if len(x) >= budget else None
 
 
-class FixedFeed:
-    """Deterministic draw serving fixed per-row increment streams.
+class Stream:
+    """Deterministic draw serving one fixed stream of increments in order."""
 
-    _run_stretch lays each block out as (running rows, columns) in row order,
-    so a call for n increments hands every row still running (by the scalar
-    restatement) its next n / rows values.
-    """
-
-    def __init__(self, streams, stops):
-        self.streams = streams
-        self.stops = stops
-        self.cursor = [0] * len(streams)
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
         self.drawn = 0
 
     def __call__(self, rng, n):
-        running = [r for r, stop in enumerate(self.stops) if self.cursor[r] < stop]
-        cols, rest = divmod(n, len(running))
-        assert rest == 0 and cols > 0
-        out = []
-        for r in running:
-            out.append(self.streams[r][self.cursor[r] : self.cursor[r] + cols])
-            self.cursor[r] += cols
+        assert self.drawn + n <= self.values.size
         self.drawn += n
-        return np.concatenate(out)
+        return self.values[self.drawn - n : self.drawn]
+
+
+class RecordingSpare(montecarlo._Spare):
+    """A spare that records the increments of every block it fills, what it
+    keeps, and its size after every keep."""
+
+    def __init__(self):
+        super().__init__()
+        self.blocks, self.kept, self.sizes = [], [], []
+
+    def fill(self, out, rng, draw):
+        super().fill(out, rng, draw)
+        self.blocks.append(out.copy())
+
+    def keep(self, x):
+        super().keep(x)
+        self.kept.append(x.copy())
+        self.sizes.append(self.size)
+
+
+def replay(blocks, y0, threshold, need, budget):
+    """The scalar restatement of _run_stretch on the blocks it laid out.
+
+    Every block is (running rows, columns) in row order, so each row still
+    running by scalar_stretch gets the next x.size / rows values of the block.
+    Returns per row the scalar outcome and the increments it consumed, and
+    per block the increments the rows that stopped in it left unconsumed, in
+    row order.
+    """
+    consumed = [np.empty(0) for _ in y0]
+    outcome = [None] * len(y0)
+    tails = []
+    for x in blocks:
+        running = [r for r, got in enumerate(outcome) if got is None]
+        cols, rest = divmod(x.size, len(running))
+        assert rest == 0 and cols > 0
+        left = []
+        for i, r in enumerate(running):
+            before = consumed[r].size
+            seen = np.concatenate([consumed[r], x[i * cols : (i + 1) * cols]])
+            outcome[r] = scalar_stretch(seen, y0[r], threshold, need[r], budget[r])
+            stop = seen.size if outcome[r] is None else outcome[r][0]
+            consumed[r] = seen[:stop]
+            left.append(x[i * cols + stop - before : (i + 1) * cols])
+        tails.append(np.concatenate(left))
+    assert None not in outcome
+    return outcome, consumed, tails
 
 
 class TestRunStretch:
-    def check(self, prefixes, y0, threshold, need, budget):
-        pad = 1 << 15  # a block never outruns a row's stop by more than its width
-        streams = [np.concatenate([np.asarray(p, dtype=float), np.zeros(pad)]) for p in prefixes]
-        want = [
-            scalar_stretch(x, y, threshold, k, b) for x, y, k, b in zip(streams, y0, need, budget)
-        ]
-        feed = FixedFeed(streams, [w[0] for w in want])
+    """_run_stretch against its scalar restatement, exactly: dyadic
+    increments keep every partial sum exact, so both compute the same path
+    from the increments each row actually consumes."""
+
+    def check(self, stream, y0, threshold, need, budget, spare=None):
+        spare = RecordingSpare() if spare is None else spare
+        spare.blocks, spare.kept, spare.sizes = [], [], []
+        carried = spare.size
+        feed = Stream(stream)
         used, steps, switches, y, alarmed = montecarlo._run_stretch(
             None,
             feed,
@@ -260,28 +332,41 @@ class TestRunStretch:
             np.asarray(need),
             np.asarray(budget),
             montecarlo._Blocks(),
+            spare,
         )
-        assert type(used) is int and used == sum(w[0] for w in want) <= feed.drawn
-        # Dyadic increments keep every sum exact, so the paths agree exactly.
+        want, consumed, tails = replay(spare.blocks, y0, threshold, need, budget)
         assert steps.tolist() == [w[0] for w in want]
         assert switches.tolist() == [w[1] for w in want]
         assert y.tolist() == [w[2] for w in want]
         assert alarmed.tolist() == [w[3] for w in want]
-        return want
+        assert type(used) is int and used == sum(w[0] for w in want)
+        # every unconsumed increment is kept, in row order, and nothing else
+        kept = np.concatenate(spare.kept) if spare.kept else np.empty(0)
+        np.testing.assert_array_equal(kept, np.concatenate(tails))
+        # conservation: fresh draws and the carried spare cover the increments used and the spare left
+        assert feed.drawn + carried == used + spare.size
+        assert max(spare.sizes, default=0) <= montecarlo._BLOCK_ELEMENTS
+        return want, spare, np.concatenate(consumed)
 
     def test_targeted_rows(self):
-        climb = [0.125] * 400  # neither switches nor reaches the threshold in 97 steps
-        want = self.check(
-            prefixes=[
-                climb,  # budget ends exactly at the first block edge
-                climb,  # ... and at the second
-                climb,
-                [-1.0, 25.0, -1.0, -1.0],  # alarm before the need-th switch
-                [-1.0, -1.0, -1.0, 25.0],  # need-th switch before the alarm
-                [0.5, -1.0] * 200,  # switches carried across blocks
-                [-0.5, -0.5, -0.75, 0.25],  # y0 > 0, first switch at step 3
-                [0.0, 0.0, 0.0],  # a statistic of exactly 0 switches
-            ],
+        # The spare starts empty, so the first block of 32 columns gives each
+        # row its 32-value prefix; later blocks take the unconsumed tails of
+        # the rows that stopped, oldest first, then the fresh alternation.
+        climb = [0.125] * 32  # neither switches nor reaches the threshold
+        prefixes = [
+            climb,  # budget ends exactly at the first block edge
+            climb,  # ... and at the second
+            climb,  # ... one step past it
+            [-1.0, 25.0, -1.0, -1.0],  # alarm before the need-th switch
+            [-1.0, -1.0, -1.0],  # need-th switch, then a tail of padding
+            [0.5, -1.0] * 16,  # switches carried across blocks
+            [-0.5, -0.5, -0.75, 0.25],  # y0 > 0, first switch at step 3
+            [0.0, 0.0, 0.0],  # a statistic of exactly 0 switches
+        ]
+        first = [p + [0.125] * (32 - len(p)) for p in prefixes]
+        stream = np.concatenate([np.ravel(first), np.tile([0.5, -1.0], 1000)])
+        want, spare, _ = self.check(
+            stream,
             y0=[0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.5, 0.0],
             threshold=20.0,
             need=[1000, 1000, 1000, 3, 3, 150, 1, 2],
@@ -291,22 +376,64 @@ class TestRunStretch:
         assert want[2][3] is False and want[2][0] == 97
         assert want[3][:2] == (2, 1) and want[3][3]
         assert want[4][:2] == (3, 3) and not want[4][3]
-        assert want[5][:2] == (300, 150)
+        assert want[5][1] == 150 and not want[5][3]
         assert want[6][:2] == (3, 1)
         assert want[7][:2] == (2, 2)
+        # the second block starts with the tail of row 3, the first to stop
+        np.testing.assert_array_equal(spare.blocks[1][:30], first[3][2:])
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_rows(self, seed):
-        rng = np.random.default_rng(seed)
-        rows = 70
-        prefixes = [rng.integers(-90, 80, size=400) / 64.0 for _ in range(rows)]
-        self.check(
-            prefixes,
+    @staticmethod
+    def random_rows(rng, rows, ids):
+        """Random dyadic rows whose increments are all distinct: each carries
+        its index in the stream in bits far below those of the step."""
+        stream = rng.integers(-90, 80, size=ids.size) / 64.0 + ids * 2.0**-30
+        return stream, dict(
             y0=(rng.integers(-64, 160, size=rows) / 64.0).tolist(),
             threshold=3.0,
             need=rng.integers(1, 40, size=rows).tolist(),
             budget=rng.integers(1, 400, size=rows).tolist(),
         )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        stream, rows = self.random_rows(rng, 70, np.arange(1 << 15))
+        _, spare, consumed = self.check(stream, **rows)
+        assert spare.size > 0
+        # a second call of few rows takes its first block from the spare alone
+        carried = spare.buf[: spare.size].copy()
+        more, rows = self.random_rows(rng, 3, np.arange(1 << 15, 1 << 16))
+        _, spare, consumed_more = self.check(more, **rows, spare=spare)
+        assert carried.size > spare.blocks[0].size
+        np.testing.assert_array_equal(spare.blocks[0], carried[: spare.blocks[0].size])
+        # no increment is consumed twice, within a call or across the two
+        every = np.concatenate([consumed, consumed_more])
+        assert np.unique(every).size == every.size
+
+
+def test_spare_conserves_every_drawn_increment():
+    # one call: fresh draws = increments used + increments left in the spare
+    model = correlated_blocks_model(5, 2, 0.7)
+    hyp = correlated_block_hypothesis(model, 0.7, s=3)
+    E = max(hyp.affected_units)
+    cls = model.unit_class(E, hyp.local_post[E])
+    drawn = []
+
+    def draw(rng, n):
+        drawn.append(n)
+        return cls.draw(rng, n)
+
+    r = np.random.default_rng(7)
+    rows = 500
+    blocks = montecarlo._Blocks()
+    spare = blocks.spares(1)[0]
+    used, steps, *_ = montecarlo._run_stretch(
+        np.random.default_rng(8), draw, r.uniform(0.0, 2.0, rows), 6.0, r.integers(1, 4, rows),
+        r.integers(1, 300, rows), blocks, spare,
+    )
+    assert used == steps.sum()
+    assert sum(drawn) == used + spare.size
+    assert 0 < spare.size <= montecarlo._BLOCK_ELEMENTS
 
 
 def test_run_stretch_outputs_do_not_depend_on_earlier_calls():
@@ -319,17 +446,19 @@ def test_run_stretch_outputs_do_not_depend_on_earlier_calls():
     def run(seed, rows, blocks):
         r = np.random.default_rng(seed)
         args = (r.uniform(0.0, 2.0, rows), 6.0, r.integers(1, 4, rows), r.integers(1, 300, rows))
-        return montecarlo._run_stretch(np.random.default_rng(seed), draw, *args, blocks)
+        spare = blocks.spares(1)[0]  # emptied, whatever an earlier call left in it
+        return montecarlo._run_stretch(np.random.default_rng(seed), draw, *args, blocks, spare)
 
     first = run(1, 200, blocks)
     run(2, 7, blocks)  # a call of another size through the same blocks
     again = run(1, 200, blocks)
     fresh = run(1, 200, montecarlo._Blocks())
     assert first[0] == again[0] == fresh[0]
+    scratch = [blocks.x, blocks.w, blocks.path, blocks.sw, blocks.spares(1)[0].buf]
     for a, b, c in zip(first[1:], again[1:], fresh[1:]):
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, c)
-        assert not any(np.shares_memory(a, buf) for buf in vars(blocks).values())
+        assert not any(np.shares_memory(a, buf) for buf in scratch)
 
 
 class TestEstimateDelay:
@@ -355,19 +484,29 @@ class TestEstimateDelay:
         assert a == b
 
     def test_thread_count_does_not_change_results(self):
-        model, hyp, config = self.make(replications=300)
+        # a full batch and a partial one
+        model, hyp, config = self.make(replications=montecarlo._BATCH + 44)
         a = estimate_delay(model, hyp, config, threads=1)
         b = estimate_delay(model, hyp, config, threads=3)
         assert a == b
 
     def test_thread_count_does_not_change_results_with_change_time(self):
-        # 600 replications: two full batches and a partial one, one per worker.
-        model, hyp, config = self.make(replications=600, nu=5)
+        # two full batches and a partial one, one per worker
+        model, hyp, config = self.make(replications=2 * montecarlo._BATCH + 88, nu=5)
         assert config.replications % montecarlo._BATCH
         a = estimate_delay(model, hyp, config, threads=1)
         b = estimate_delay(model, hyp, config, threads=3)
         assert a.discarded > 0
         assert a == b
+
+    def test_spares_do_not_outlive_a_batch(self):
+        # at least two batches per worker, so a spare carried from one batch
+        # to the next would make the result depend on the thread count
+        model, hyp, config = self.make(replications=6 * montecarlo._BATCH + 88, nu=5)
+        a = estimate_delay(model, hyp, config, threads=1)
+        assert a.discarded > 0
+        for threads in (2, 3):
+            assert estimate_delay(model, hyp, config, threads=threads) == a
 
     def test_traced_stretches_see_every_increment(self, monkeypatch):
         seen = {"class": 0, "stretch": 0, "used": 0}
@@ -553,10 +692,12 @@ class TestRenewalArl:
         assert np.all(np.abs(counts - 10_000) < 5.0 * math.sqrt(30_000 * 2 / 9))
 
     def test_thread_count_does_not_change_results(self):
-        # 3 classes of 2 batches each, split over 2 workers
+        # 3 classes of 2 batches each, at least 2 batches per worker
         model = mean_change_model(3, {1: 0.5, 2: 1.0, 3: 2.0})
-        spec = RunSpec(gamma=20.0, replications=300, seed=5)
-        assert estimate_arl(model, spec, cap=2000, threads=1) == estimate_arl(model, spec, cap=2000, threads=2)
+        spec = RunSpec(gamma=20.0, replications=montecarlo._BATCH + 100, seed=5)
+        serial = estimate_arl(model, spec, cap=2000, threads=1)
+        for threads in (2, 3):
+            assert estimate_arl(model, spec, cap=2000, threads=threads) == serial
 
     def test_traced_stretches_see_every_excursion(self, monkeypatch):
         seen = {"calls": 0, "drawn": 0, "used": 0}
@@ -574,9 +715,10 @@ class TestRenewalArl:
 
         monkeypatch.setattr(montecarlo, "_run_stretch", counting)
         model = correlated_blocks_model(5, 2, 0.7)
-        estimate_arl(model, RunSpec(gamma=20.0, replications=600, seed=1), cap=2000)
+        reps = 2 * montecarlo._BATCH + 88
+        estimate_arl(model, RunSpec(gamma=20.0, replications=reps, seed=1), cap=2000)
         assert seen["calls"] == 2 * 3  # plain and sampled, 3 batches of one class
-        assert seen["drawn"] >= seen["used"] >= 2 * 600
+        assert seen["drawn"] >= seen["used"] >= 2 * reps
 
 
 class TestStudies:

@@ -11,6 +11,7 @@ import pytest
 from rrcusum.gaussian import equicorrelation_det
 from rrcusum.model import Unit, unit
 from rrcusum.scenarios import (
+    PRESET_PARAMETERS,
     PRESETS,
     build_preset,
     correlated_block_hypothesis,
@@ -18,6 +19,7 @@ from rrcusum.scenarios import (
     mean_change_hypothesis,
     mean_change_model,
     position_patterns,
+    preset_model,
     signed_pair_hypothesis,
     signed_pair_model,
 )
@@ -308,3 +310,27 @@ class TestBuildPreset:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             build_preset("nope")
+
+    @pytest.mark.parametrize("name", PRESETS)
+    @pytest.mark.parametrize("key, value", [("K", 8), ("m", 3), ("rho", 0.5), ("s", 4), ("mu", 2.0)])
+    def test_parameter_table_names_what_each_preset_reads(self, name, key, value):
+        def fingerprint(model, hyp):
+            affected = sorted(hyp.affected_units)
+            return (
+                model.units,
+                [model.unit_class(E).key for E in model.units],
+                affected,
+                [model.unit_class(E, hyp.local_post[E]).key for E in affected],
+            )
+
+        base = fingerprint(*build_preset(name))
+        changed = fingerprint(*build_preset(name, **{key: value}))
+        assert (changed != base) == (key in PRESET_PARAMETERS[name])
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_preset_model_is_the_model_of_build_preset(self, name):
+        kw = dict(K=6, rho=0.5, mu=2.0)
+        model = preset_model(name, **kw)
+        built, _ = build_preset(name, **kw)
+        assert model.units == built.units
+        assert [model.unit_class(E).key for E in model.units] == [built.unit_class(E).key for E in built.units]
