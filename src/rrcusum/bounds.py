@@ -310,31 +310,47 @@ def ladder_prob_no_ascend(
 def _per_class(
     model: ChangePointModel,
     hypothesis: PostChangeHypothesis | None,
-    pre: Callable[[Unit, int], dict[str, Estimate]],
-    post: Callable[[Unit, int], dict[str, Estimate]],
+    reps: int,
+    seed: int,
     cache: MutableMapping,
+    ladder_reps: int | None = None,
 ) -> dict[Unit, dict[str, Estimate]]:
     """Estimates of every unit, made once per class and shared by its units.
 
-    ``pre(E, k)`` estimates the k-th pre-change class met in ``model.units``
-    order, and ``post(E, j)`` the j-th post-change class of the units the
-    hypothesis affects; E is the first unit of the class. ``cache`` keeps the
-    estimates of each class under its table, key and index.
+    The two tables are ``model.class_table`` of ``model.units`` before the
+    change and of the affected units after it. The k-th class of a table is
+    estimated at its first unit from seeds salted with k: the drifts, and
+    with ``ladder_reps`` the ladder probabilities, the information number and
+    the second moment. ``cache`` keeps each class under its table, key and index.
     """
-    tables: tuple[dict, dict] = ({}, {})
-    out = {}
-    for E in model.units:
-        fields: dict[str, Estimate] = {}
-        laws = [(0, None, pre)]
-        if hypothesis is not None and hypothesis.is_affected(E):
-            laws.append((1, hypothesis.local_post[E], post))
-        for table, law, estimate in laws:
-            key = model.unit_class(E, law).key
-            idx = tables[table].setdefault(key, len(tables[table]))
-            if (table, key, idx) not in cache:
-                cache[table, key, idx] = estimate(E, idx)
-            fields.update(cache[table, key, idx])
-        out[E] = fields
+
+    def pre(E: Unit, k: int) -> dict[str, Estimate]:
+        out = dict(drift_pre=drift_pre(model, E, reps=reps, seed=derive_seed(seed, k, 2)))
+        if ladder_reps is not None:
+            out["q_no_ascend"] = ladder_prob_no_ascend(model, E, reps=ladder_reps, seed=derive_seed(seed, k, 3))
+        return out
+
+    def post(E: Unit, j: int) -> dict[str, Estimate]:
+        out = dict(drift_post=drift_post(model, hypothesis, E, reps=reps, seed=derive_seed(seed, j, 4)))
+        if ladder_reps is not None:
+            out.update(
+                info_number=info_number(model, hypothesis, E, reps=reps, seed=derive_seed(seed, j, 1)),
+                second_moment=llr_second_moment(model, hypothesis, E, reps=reps, seed=derive_seed(seed, j, 5)),
+                q_no_descend=ladder_prob_no_descend(
+                    model, hypothesis, E, reps=ladder_reps, seed=derive_seed(seed, j, 6)
+                ),
+            )
+        return out
+
+    affected = [E for E in model.units if hypothesis is not None and hypothesis.is_affected(E)]
+    out: dict[Unit, dict] = {E: {} for E in model.units}
+    for t, (units, hyp, estimate) in enumerate(((model.units, None, pre), (affected, hypothesis, post))):
+        classes, first, index = model.class_table(units, hyp)
+        for E, k in zip(units, index):
+            key = (t, classes[k].key, k)
+            if key not in cache:
+                cache[key] = estimate(first[k], k)
+            out[E].update(cache[key])
     return out
 
 
@@ -346,38 +362,16 @@ def compute_unit_statistics(
     seed: int = 0,
     cache: MutableMapping | None = None,
 ) -> dict[Unit, UnitStatistics]:
-    """Per-unit statistics for the delay bounds, from two class tables.
-
-    ``drift_pre`` and ``q_no_ascend`` depend only on the unit's pre-change
-    class (``model.unit_class(E)``) and are estimated once per such class,
-    for affected and unaffected units alike. The information number and the
-    post-change ``drift_post``, ``second_moment`` and ``q_no_descend`` are
-    estimated once per post-change class of the affected units. Every unit of
-    a class shares the same ``Estimate`` objects. Each ladder call uses
-    ``ladder_reps`` paths of at most ``_LADDER_HORIZON`` steps. The k-th
-    class of a table met in ``model.units`` order draws from seeds salted
-    with k. A ``cache`` shared between calls with the same budgets and seed
-    keeps the estimates per class, so a class already in it is not estimated
-    again; the results equal those of a call without it.
+    """Per-unit statistics for the delay bounds, estimated once per class and
+    shared by its units: ``drift_pre`` and ``q_no_ascend`` per pre-change
+    class of ``model.units``, the rest per post-change class of the affected
+    units (``model.class_table``). Each ladder call uses ``ladder_reps`` paths
+    of at most ``_LADDER_HORIZON`` steps. A ``cache`` shared between calls
+    with the same budgets and seed keeps the estimates per class, so a class
+    already in it is not estimated again; the results equal those of a call
+    without it.
     """
-
-    def pre(E: Unit, k: int) -> dict[str, Estimate]:
-        return dict(
-            drift_pre=drift_pre(model, E, reps=reps, seed=derive_seed(seed, k, 2)),
-            q_no_ascend=ladder_prob_no_ascend(model, E, reps=ladder_reps, seed=derive_seed(seed, k, 3)),
-        )
-
-    def post(E: Unit, j: int) -> dict[str, Estimate]:
-        return dict(
-            info_number=info_number(model, hypothesis, E, reps=reps, seed=derive_seed(seed, j, 1)),
-            drift_post=drift_post(model, hypothesis, E, reps=reps, seed=derive_seed(seed, j, 4)),
-            second_moment=llr_second_moment(model, hypothesis, E, reps=reps, seed=derive_seed(seed, j, 5)),
-            q_no_descend=ladder_prob_no_descend(
-                model, hypothesis, E, reps=ladder_reps, seed=derive_seed(seed, j, 6)
-            ),
-        )
-
-    per_unit = _per_class(model, hypothesis, pre, post, {} if cache is None else cache)
+    per_unit = _per_class(model, hypothesis, reps, seed, {} if cache is None else cache, ladder_reps)
     unaffected = Estimate(0.0, 0.0, note="not affected")
     return {E: UnitStatistics(unit=E, **{"info_number": unaffected, **f}) for E, f in per_unit.items()}
 
@@ -757,15 +751,7 @@ def validate_model(
     """
     if mc_budget < _MIN_DRIFT_REPS:
         raise ValueError(f"mc_budget must be at least {_MIN_DRIFT_REPS}, got {mc_budget}")
-
-    # the seeds of compute_unit_statistics's drift_pre and drift_post
-    def pre(E: Unit, k: int) -> dict[str, Estimate]:
-        return dict(drift_pre=drift_pre(model, E, reps=mc_budget, seed=derive_seed(seed, k, 2)))
-
-    def post(E: Unit, j: int) -> dict[str, Estimate]:
-        return dict(drift_post=drift_post(model, hypothesis, E, reps=mc_budget, seed=derive_seed(seed, j, 4)))
-
-    per_unit = _per_class(model, hypothesis, pre, post, {})
+    per_unit = _per_class(model, hypothesis, mc_budget, seed, {})
     rows = tuple(
         UnitValidation(unit=E, family_size=len(model.post_family[E]), **f) for E, f in per_unit.items()
     )

@@ -17,8 +17,8 @@ import argparse
 import configparser
 import csv
 import dataclasses
-import io
 import math
+import os
 import sys
 
 from . import montecarlo, scenarios
@@ -129,7 +129,7 @@ def _load_config(path: str) -> dict[str, str]:
     return flat
 
 
-def _dump_config(args: argparse.Namespace) -> str:
+def _dump_config(args: argparse.Namespace) -> int:
     parser = configparser.ConfigParser()
     parser.optionxform = str
     parser["scenario"] = {}
@@ -138,9 +138,8 @@ def _dump_config(args: argparse.Namespace) -> str:
         value = getattr(args, key)
         if value is not None:
             parser[_OPTIONS[key][0]][key] = _fmt(value)
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
+    parser.write(sys.stdout)
+    return 0
 
 
 def _resolve(args: argparse.Namespace) -> set[str]:
@@ -344,10 +343,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         given = _resolve(args)
         if args.dump_config:
-            sys.stdout.write(_dump_config(args))
-            return 0
-        _check_run(args, given)
-        return args.run(args)
+            code = _dump_config(args)
+        else:
+            _check_run(args, given)
+            code = args.run(args)
+        sys.stdout.flush()  # a reader that closed stdout is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; devnull takes what is left
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -89,7 +89,7 @@ class CorrelationMatrix:
 
 
 class GaussianLocal(LocalDistribution):
-    """Multivariate normal local law with cached Cholesky factor and log determinant."""
+    """Multivariate normal local law with cached Cholesky factor, log determinant and key."""
 
     def __init__(self, mean: np.ndarray | float, cov: np.ndarray | CorrelationMatrix):
         if isinstance(cov, CorrelationMatrix):
@@ -108,6 +108,7 @@ class GaussianLocal(LocalDistribution):
         self.mean.setflags(write=False)
         self.cov.setflags(write=False)
         self.chol.setflags(write=False)
+        self._key = ("gauss", self.mean.tobytes(), self.cov.tobytes())
 
     @classmethod
     def standard(cls, dim: int) -> "GaussianLocal":
@@ -128,7 +129,7 @@ class GaussianLocal(LocalDistribution):
         return rng.standard_normal((n, self.dim)) @ self.chol.T + self.mean
 
     def key(self) -> tuple:
-        return ("gauss", self.mean.tobytes(), self.cov.tobytes())
+        return self._key
 
     def compile_llr(
         self, pre: LocalDistribution, family: Sequence[LocalDistribution]

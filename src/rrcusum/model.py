@@ -289,6 +289,27 @@ class ChangePointModel:
             cls = self._classes[key] = UnitClass(key, draw)
         return cls
 
+    def class_table(
+        self, units: Sequence[Unit], hypothesis: PostChangeHypothesis | None = None
+    ) -> tuple[list[UnitClass], list[Unit], np.ndarray]:
+        """The classes met along ``units`` in order of first appearance, the
+        first unit of each, and the class index of every unit.
+
+        A unit the hypothesis affects follows its post-change law, every other
+        unit its pre-change law. This numbering fixes the draw order of the
+        engine, the renewal cycle of the run length and the seeds of the bounds.
+        """
+        ids: dict = {}
+        classes, first, index = [], [], []
+        for E in units:
+            affected = hypothesis is not None and hypothesis.is_affected(E)
+            cls = self.unit_class(E, hypothesis.local_post[E] if affected else None)
+            index.append(ids.setdefault(cls.key, len(ids)))
+            if len(classes) < len(ids):
+                classes.append(cls)
+                first.append(E)
+        return classes, first, np.array(index, dtype=int)
+
 
 def affected_units(model: ChangePointModel, hypothesis: PostChangeHypothesis) -> frozenset[Unit]:
     """Sampled units whose local law changes under the hypothesis.

@@ -8,7 +8,7 @@ increments) can be evolved with cumulative sums:
 
     Y_t = W_t + max(y0, -min(0, W_1, ..., W_{t-1})),   W_t = sum of increments.
 
-Units are grouped into the model's unit classes (``ChangePointModel.unit_class``:
+Units are grouped into the model's unit classes (``ChangePointModel.class_table``:
 same pre-change law, candidate family, and law being observed); consecutive
 units of one class form a stretch that is simulated in a handful of numpy
 operations. For Gaussian classes the increments come from the class's compiled
@@ -223,24 +223,14 @@ def _compile_regime(
     order: Sequence[Unit],
     hypothesis: PostChangeHypothesis | None,
 ) -> _Regime:
-    ids: dict = {}
-    draws: list = []
-    class_of_pos: list[int] = []
-    for E in order:
-        affected = hypothesis is not None and hypothesis.is_affected(E)
-        cls = model.unit_class(E, hypothesis.local_post[E] if affected else None)
-        if cls.key not in ids:
-            ids[cls.key] = len(draws)
-            draws.append(cls.draw)
-        class_of_pos.append(ids[cls.key])
-    classes = np.asarray(class_of_pos)
-    first = np.diff(classes, prepend=-1) != 0
+    classes, _, index = model.class_table(order, hypothesis)
+    first = np.diff(index, prepend=-1) != 0
     starts = np.flatnonzero(first)
     return _Regime(
-        draws=draws,
+        draws=[cls.draw for cls in classes],
         stretch_of=np.cumsum(first) - 1,
-        stretch_end=np.append(starts[1:], classes.size),
-        class_of=classes[starts],
+        stretch_end=np.append(starts[1:], index.size),
+        class_of=index[starts],
     )
 
 
@@ -455,7 +445,9 @@ def _in_shares(threads: int, n_batches: int, fn: Callable, *args) -> list:
     share per worker process and at most ``threads`` of them, returned in
     batch order. Workers receive whole batches, so as long as every batch
     draws from its own stream the results do not depend on threads."""
-    workers = max(1, min(threads, n_batches))
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    workers = min(threads, n_batches)
     shares = [range(n_batches * i // workers, n_batches * (i + 1) // workers) for i in range(workers)]
     if workers == 1:
         return [fn(*args, shares[0])]
@@ -544,14 +536,6 @@ def estimate_delay(
 
 # ---------------------------------------------------------------------------
 # Average run length from one visit's excursions
-
-
-def _pre_classes(model: ChangePointModel) -> tuple[list[Unit], np.ndarray]:
-    """One unit of each pre-change class of model.units, in order of first
-    appearance, and the class index of every unit in cycle order."""
-    ids: dict = {}
-    cls = [ids.setdefault(model.unit_class(E).key, len(ids)) for E in model.units]
-    return [model.units[cls.index(c)] for c in range(len(ids))], np.array(cls)
 
 
 def _mixture_draw(draws: list, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -656,7 +640,7 @@ def estimate_arl(
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    first, cls = _pre_classes(model)
+    _, first, cls = model.class_table(model.units)
     n = -(-config.replications // _BATCH)
     args = (model, first, math.log(config.gamma), config.seed, config.replications, cap)
     batches = [x for part in _in_shares(threads, len(first) * n, _run_excursions, *args) for x in part]

@@ -7,12 +7,18 @@ import csv
 import dataclasses
 import io
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from rrcusum import cli
 from rrcusum.cli import ARL_CSV_HEADER, CSV_SCHEMA_VERSION, STUDY_CSV_HEADER, main
 from rrcusum.montecarlo import StudyRow
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 class TestSchemas:
@@ -532,6 +538,12 @@ class TestArgumentErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flag} ")
 
+    def test_threads_below_one_exits_2(self, capsys):
+        assert main(["simulate", "corr-pairs", "--s", "4", "--reps", "100", "--threads", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: threads must be at least 1")
+
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
@@ -543,3 +555,34 @@ class TestArgumentErrors:
     def test_unknown_preset_is_usage_error(self):
         with pytest.raises(SystemExit):
             main(["bounds", "nope"])
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "corr-pairs", "--K", "4", "--gamma", "8", "--reps", "50"], ["simulate", "corr-pairs", "--dump-config"]],
+    ids=["run", "dump-config"],
+)
+def test_closed_stdout_is_not_a_configuration_error(argv, buffered):
+    # the reader is gone before the run writes anything, so the first write or
+    # flush of stdout meets a broken pipe
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rrcusum.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1, proc.stderr
+    assert "error:" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr

@@ -582,6 +582,12 @@ class TestEstimateDelay:
         assert est.discarded > 0
         assert est.replications + est.discarded == 300
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_raise(self, threads):
+        model, hyp, config = self.make()
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            estimate_delay(model, hyp, config, threads=threads)
+
     def test_all_replications_discarded_raises(self):
         model, hyp, _ = self.make()
         config = StudyConfig(
@@ -605,6 +611,13 @@ class TestEstimateArl:
         with pytest.raises(ValueError, match="cap"):
             estimate_arl(model, config, cap=0)
         assert estimate_arl(model, config, cap=1).truncations > 0
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_raise(self, threads):
+        model = correlated_blocks_model(3, 2, 0.7)
+        spec = RunSpec(gamma=20.0, replications=100)
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            estimate_arl(model, spec, cap=1000, threads=threads)
 
     def test_truncation_at_cap(self):
         # truncated excursions can only lower the estimate

@@ -9,7 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
-from rrcusum import bounds
+from rrcusum import bounds, montecarlo
 from rrcusum.bounds import (
     bounds_report,
     compute_unit_statistics,
@@ -18,7 +18,14 @@ from rrcusum.bounds import (
     validate_model,
 )
 from rrcusum.gaussian import GaussianLocal, GaussianMixtureKernel
-from rrcusum.model import ChangePointModel, LocalDistribution, PostChangeHypothesis, affected_units, unit
+from rrcusum.model import (
+    ChangePointModel,
+    LocalDistribution,
+    PostChangeHypothesis,
+    affected_units,
+    derive_seed,
+    unit,
+)
 from rrcusum.montecarlo import Ordering, StudyConfig, estimate_delay
 from rrcusum.scenarios import build_preset, mean_change_hypothesis, mean_change_model
 
@@ -117,6 +124,105 @@ def test_classes_are_shared_and_compiled_once():
     other = build_preset("corr-pairs", K=6, m=2, s=5)[1]
     E = max(hyp.affected_units)
     assert model.unit_class(E, other.local_post[E]) is next(iter(post))
+
+
+# ---------------------------------------------------------------------------
+# The class table: one numbering for the engine, the run length and the bounds
+
+
+def _after_change(model: ChangePointModel, hyp: PostChangeHypothesis) -> ChangePointModel:
+    """The model whose pre-change laws are the laws under the hypothesis, so
+    that its pre-change classes interleave as the post-change ones do."""
+    pre = {E: hyp.local_post[E] if hyp.is_affected(E) else model.pre_local[E] for E in model.units}
+    return ChangePointModel(model.K, model.m, model.units, pre, model.post_family)
+
+
+def _first_appearance(model, units, hyp=None):
+    """Reference numbering: the keys of ``units`` in order of first appearance,
+    and the index of every unit's key among them."""
+    keys = [model.unit_class(E, hyp.local_post[E] if hyp and hyp.is_affected(E) else None).key for E in units]
+    distinct = list(dict.fromkeys(keys))
+    return distinct, [distinct.index(k) for k in keys]
+
+
+@pytest.fixture(scope="module")
+def interleaved():
+    # canonical order: the affected units are spread between unaffected ones
+    model, hyp = build_preset("corr-pairs", K=10, m=3, s=4)
+    assert list(model.units) == sorted(model.units)
+    return model, hyp
+
+
+def test_class_table_numbers_classes_by_first_appearance(interleaved):
+    model, hyp = interleaved
+    classes, first, index = model.class_table(model.units, hyp)
+    keys, want = _first_appearance(model, model.units, hyp)
+    assert len(keys) == 3
+    assert np.any(np.diff(index) < 0)  # a class comes back after a later one
+    assert index.tolist() == want
+    assert [cls.key for cls in classes] == keys
+    assert first == [model.units[want.index(k)] for k in range(len(keys))]
+    assert classes == [model.unit_class(E, hyp.local_post[E] if hyp.is_affected(E) else None) for E in first]
+
+
+def test_engine_regime_reads_the_class_table(interleaved):
+    model, hyp = interleaved
+    for h in (hyp, None):
+        classes, _, index = model.class_table(model.units, h)
+        regime = montecarlo._compile_regime(model, model.units, h)
+        assert regime.draws == [cls.draw for cls in classes]
+        assert regime.class_of[regime.stretch_of].tolist() == index.tolist()
+        starts = np.flatnonzero(np.diff(index, prepend=-1))
+        assert regime.stretch_end.tolist() == [*starts[1:], len(index)]
+
+
+def test_run_length_reads_the_pre_change_class_table(interleaved, monkeypatch):
+    model = _after_change(*interleaved)
+    _, first, index = model.class_table(model.units)
+    _, want = _first_appearance(model, model.units)
+    assert np.any(np.diff(index) < 0) and index.tolist() == want
+    seen = {"first": [], "cls": None}
+    run_excursions = montecarlo._run_excursions
+
+    def spy_excursions(model_, first_, *rest):
+        seen["first"].append(first_)
+        return run_excursions(model_, first_, *rest)
+
+    def spy_renewal(ell, ell_se, p, p_se, cls):
+        seen["cls"] = cls
+        return 1.0, 0.0
+
+    monkeypatch.setattr(montecarlo, "_run_excursions", spy_excursions)
+    monkeypatch.setattr(montecarlo, "_renewal_arl", spy_renewal)
+    montecarlo.estimate_arl(model, montecarlo.RunSpec(gamma=10.0, replications=200, seed=1), cap=200)
+    assert seen["first"] == [first]
+    assert seen["cls"].tolist() == want
+
+
+@pytest.mark.parametrize("after_change", [False, True], ids=["corr-pairs", "after-change"])
+def test_bounds_tables_read_the_class_table(interleaved, after_change, monkeypatch):
+    model, hyp = interleaved
+    if after_change:
+        model = _after_change(model, hyp)
+    calls = []
+    for name in ("drift_pre", "drift_post"):
+        original = getattr(bounds, name)
+
+        def spy(model_, *args, _original=original, _name=name, **kwargs):
+            calls.append((_name, args[-1], kwargs["seed"]))
+            return _original(model_, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, name, spy)
+    validate_model(model, hyp, mc_budget=10_000, seed=5)
+    affected = [E for E in model.units if hyp.is_affected(E)]
+    _, pre_first, _ = model.class_table(model.units)
+    _, post_first, _ = model.class_table(affected, hyp)
+    want = [("drift_pre", E, derive_seed(5, k, 2)) for k, E in enumerate(pre_first)]
+    want += [("drift_post", E, derive_seed(5, j, 4)) for j, E in enumerate(post_first)]
+    assert sorted(calls) == sorted(want)
+    for units, h, first in ((model.units, None, pre_first), (affected, hyp, post_first)):
+        keys, numbering = _first_appearance(model, units, h)
+        assert first == [units[numbering.index(k)] for k in range(len(keys))]
 
 
 def test_model_with_compiled_classes_pickles():
