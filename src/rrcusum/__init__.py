@@ -3,7 +3,6 @@
 from .model import (
     ChangePointModel,
     LocalDistribution,
-    MixtureLikelihood,
     PostChangeHypothesis,
     Unit,
     affected_units,

@@ -244,19 +244,18 @@ def _spitzer_escape(
     cut = not settled.any()
     steps = _LADDER_HORIZON if cut else int(np.argmax(settled)) + 1
     weights = 1.0 / n[:steps]
-    # Paths are simulated in blocks of at most _LADDER_CHUNK increments, so
-    # memory does not grow with reps or with the horizon.
-    block = max(1, min(reps, _LADDER_CHUNK // steps))
-    width = min(steps, _LADDER_CHUNK // block)
-    z = np.zeros(reps)
+    # Paths are simulated in blocks of at most _LADDER_CHUNK increments (the
+    # horizon is below the chunk), so memory does not grow with reps. Each
+    # block is walked in the draw's own fresh array.
+    block = min(reps, _LADDER_CHUNK // steps)
+    z = np.empty(reps)
     for lo in range(0, reps, block):
         b = min(block, reps - lo)
-        level = np.zeros(b)
-        for t in range(0, steps, width):
-            w = min(width, steps - t)
-            walk = level[:, None] + np.cumsum(sign * draw(rng, b * w).reshape(b, w), axis=1)
-            z[lo : lo + b] += (walk > 0.0) @ weights[t : t + w]
-            level = walk[:, -1]
+        walk = draw(rng, b * steps).reshape(b, steps)
+        if descend:
+            np.negative(walk, out=walk)
+        np.cumsum(walk, axis=1, out=walk)
+        np.matmul(walk > 0.0, weights, out=z[lo : lo + b])
     q = math.exp(-float(z.mean()))
     note = None
     if cut:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import math
@@ -66,18 +67,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The file ``out`` opened for writing, or stdout when it is None."""
+    if out is None:
+        yield sys.stdout
+    else:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+
+
 def _write_rows(header: list[str], rows: list[list], out: str | None) -> None:
-    def emit(stream) -> None:
+    with _output(out) as stream:
         w = csv.writer(stream, lineterminator="\n")
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
-
-    if out is None:
-        emit(sys.stdout)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +143,8 @@ def _dump_config(args: argparse.Namespace) -> int:
         value = getattr(args, key)
         if value is not None:
             parser[_OPTIONS[key][0]][key] = _fmt(value)
-    parser.write(sys.stdout)
+    with _output(args.out) as stream:
+        parser.write(stream)
     return 0
 
 
@@ -182,7 +188,7 @@ def _add_command(sub, name: str, run, summary: str) -> argparse.ArgumentParser:
         else:
             p.add_argument(f"--{key}", type=caster, default=None, help=text)
     p.add_argument("--config", default=None, help="INI file with [scenario] and [run] sections")
-    p.add_argument("--dump-config", action="store_true", help="print the effective configuration and exit")
+    p.add_argument("--dump-config", action="store_true", help="write the effective configuration and exit")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     return p
 
@@ -229,12 +235,8 @@ def _build_scenario(args: argparse.Namespace):
 
 
 def _emit_text(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _output(out) as stream:
+        stream.write("\n".join(lines) + "\n")
 
 
 def _reps(args: argparse.Namespace, default: int, minimum: int) -> int:

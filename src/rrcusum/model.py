@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "LocalDistribution",
     "Unit",
-    "MixtureLikelihood",
     "UnitClass",
     "PostChangeHypothesis",
     "ChangePointModel",
@@ -126,29 +125,6 @@ def unit(*sources: int) -> Unit:
 
 
 @dataclass(frozen=True)
-class MixtureLikelihood:
-    """Uniform mixture over the finite family of candidate post-change laws of a unit."""
-
-    unit: Unit
-    components: tuple[LocalDistribution, ...]
-
-    def __post_init__(self) -> None:
-        if not self.components:
-            raise ValueError(f"empty post-change family for unit {self.unit}")
-
-    @property
-    def weight(self) -> float:
-        """Common mixture weight, 1 over the number of components."""
-        return 1.0 / len(self.components)
-
-    def logpdf(self, x: np.ndarray) -> np.ndarray | float:
-        if len(self.components) == 1:
-            return self.components[0].logpdf(x)
-        stacked = np.stack([np.asarray(c.logpdf(x)) for c in self.components])
-        return logsumexp(stacked) - math.log(len(self.components))
-
-
-@dataclass(frozen=True)
 class UnitClass:
     """Units whose observations come from the same law and are scored against
     the same pre-change law and post-change family, so that their mixture llr
@@ -172,10 +148,8 @@ def _sample_and_score(
 class PostChangeHypothesis:
     """One candidate global post-change distribution, seen through the sampled units.
 
-    ``affected_units`` holds the units whose local law changes, and ``local_post``
-    gives the true post-change local law of each of those units. ``joint_post``
-    optionally carries the full K-dimensional law for callers that want to draw
-    complete vectors; the run loops only ever sample local laws.
+    ``local_post`` gives the true post-change local law of each unit whose
+    local law changes; its keys are the affected units.
 
     ``info_number_max`` may record the largest information number over all
     affected size-m subsets of sources, including subsets that are never
@@ -189,21 +163,21 @@ class PostChangeHypothesis:
     """
 
     label: str
-    affected_units: frozenset[Unit]
     local_post: Mapping[Unit, LocalDistribution]
-    joint_post: LocalDistribution | None = None
     info_number_max: float | None = None
     mixture_mean_invariant: bool | None = None
 
     def __post_init__(self) -> None:
-        if not self.affected_units:
+        if not self.local_post:
             raise ValueError("a post-change hypothesis must affect at least one unit")
-        missing = [E for E in self.affected_units if E not in self.local_post]
-        if missing:
-            raise ValueError(f"no post-change local law given for affected units {sorted(missing)}")
+
+    @property
+    def affected_units(self) -> frozenset[Unit]:
+        """The units whose local law changes: the keys of ``local_post``."""
+        return frozenset(self.local_post)
 
     def is_affected(self, unit: Unit) -> bool:
-        return unit in self.affected_units
+        return unit in self.local_post
 
 
 @dataclass(frozen=True)
@@ -221,8 +195,7 @@ class ChangePointModel:
     units: tuple[Unit, ...]
     pre_local: Mapping[Unit, LocalDistribution]
     post_family: Mapping[Unit, tuple[LocalDistribution, ...]]
-    hypotheses: tuple[PostChangeHypothesis, ...] = ()
-    _mixtures: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _sampled: frozenset = field(init=False, repr=False, compare=False, default=frozenset())
     _classes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -249,24 +222,27 @@ class ChangePointModel:
             for g in family:
                 if g.dim != self.m:
                     raise ValueError(f"post-change law of {E} has dim {g.dim}, expected {self.m}")
-            self._mixtures[E] = MixtureLikelihood(E, tuple(family))
+        object.__setattr__(self, "_sampled", frozenset(self.units))
 
-    def mixture(self, unit: Unit) -> MixtureLikelihood:
-        try:
-            return self._mixtures[unit]
-        except KeyError:
-            raise ValueError(f"unit {unit} is not sampled by this model") from None
+    def _family(self, unit: Unit) -> Sequence[LocalDistribution]:
+        if unit not in self._sampled:
+            raise ValueError(f"unit {unit} is not sampled by this model")
+        return self.post_family[unit]
 
     def mixture_llr(self, unit: Unit, x: np.ndarray) -> np.ndarray | float:
         """Log likelihood ratio of the mixture against the pre-change law at x.
 
         Accepts a single observation of shape (m,) or a batch of shape (n, m).
         """
-        mix = self.mixture(unit)
+        family = self._family(unit)
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.m:
             raise ValueError(f"observation has dimension {x.shape[-1]}, expected m={self.m}")
-        return mix.logpdf(x) - self.pre_local[unit].logpdf(x)
+        if len(family) == 1:
+            mix = family[0].logpdf(x)
+        else:
+            mix = logsumexp(np.stack([np.asarray(g.logpdf(x)) for g in family])) - math.log(len(family))
+        return mix - self.pre_local[unit].logpdf(x)
 
     def unit_class(self, unit: Unit, law: LocalDistribution | None = None) -> UnitClass:
         """Class of the unit when its observations follow ``law`` (default:
@@ -277,7 +253,7 @@ class ChangePointModel:
         kernel when it has one, else ``law.sample`` followed by
         ``mixture_llr``.
         """
-        family = self.mixture(unit).components
+        family = self._family(unit)
         pre = self.pre_local[unit]
         law = pre if law is None else law
         key = (law.key(), pre.key(), tuple(g.key() for g in family))
@@ -317,4 +293,4 @@ def affected_units(model: ChangePointModel, hypothesis: PostChangeHypothesis) ->
     May be empty (the hypothesis is then invisible to the policy); emptiness
     is reported by validate_model rather than raised here.
     """
-    return hypothesis.affected_units & frozenset(model.units)
+    return hypothesis.affected_units & model._sampled

@@ -587,7 +587,7 @@ def _run_excursions(
             rng, model.unit_class(E).draw, start, threshold, need, budget, blocks, blocks.spares(1)[0]
         )
         truncations = int(np.count_nonzero((sw == 0) & ~hit))
-        mixture = partial(_mixture_draw, [model.unit_class(E, g).draw for g in model.mixture(E).components])
+        mixture = partial(_mixture_draw, [model.unit_class(E, g).draw for g in model.post_family[E]])
         _, _, sw, y, hit = _run_stretch(rng, mixture, start, threshold, need, budget, blocks, blocks.spares(1)[0])
         cut = (sw == 0) & ~hit
         truncations += int(np.count_nonzero(cut))
@@ -630,8 +630,9 @@ def estimate_arl(
 
     The renewal estimate of the module docstring: for each pre-change class,
     config.replications plain excursions give the mean exit time of one visit
-    and as many importance-sampled excursions its alarm probability. ``cap``
-    is the step budget of every excursion. A truncated plain excursion enters
+    and as many importance-sampled excursions its alarm probability. The runs
+    start before any change, so config.nu must be 0. ``cap`` is the step
+    budget of every excursion. A truncated plain excursion enters
     the mean exit time at the cap and a truncated sampled one enters the
     alarm probability at 1/gamma, its largest possible contribution, so with
     truncations the estimate is a lower bound. Each batch of excursions is
@@ -640,6 +641,8 @@ def estimate_arl(
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
+    if config.nu != 0:
+        raise ValueError(f"nu {config.nu} has no meaning for a run length, which starts before any change")
     _, first, cls = model.class_table(model.units)
     n = -(-config.replications // _BATCH)
     args = (model, first, math.log(config.gamma), config.seed, config.replications, cap)

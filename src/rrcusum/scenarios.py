@@ -16,12 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .gaussian import (
-    GaussianLocal,
-    ModelInfeasibleError,
-    build_correlation_matrix,
-    equicorrelation_det,
-)
+from .gaussian import GaussianLocal, ModelInfeasibleError, equicorrelation_det
 from .model import ChangePointModel, PostChangeHypothesis, Unit
 
 __all__ = [
@@ -116,6 +111,8 @@ def correlated_block_hypothesis(
     by a fully correlated unit of min(m, s) block members and is recorded in
     closed form.
     """
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must lie in (0, 1), got {rho}")
     if block is None:
         if not 2 <= s <= model.K:
             raise ValueError(f"block size s must lie in [2, K], got s={s}")
@@ -129,24 +126,15 @@ def correlated_block_hypothesis(
         s = len(block)
     members = frozenset(block)
     patterns = position_patterns(model.m, rho)
-    affected = []
     local_post = {}
     for E in model.units:
         inside = [p for p, k in enumerate(E.sources) if k in members]
-        if len(inside) < 2:
-            continue
-        edges = frozenset(itertools.combinations(inside, 2))
-        affected.append(E)
-        local_post[E] = patterns[edges]
-    joint = GaussianLocal(
-        0.0, build_correlation_matrix(model.K, itertools.combinations(block, 2), rho)
-    )
+        if len(inside) >= 2:
+            local_post[E] = patterns[frozenset(itertools.combinations(inside, 2))]
     c_max = min(model.m, s)
     return PostChangeHypothesis(
         label=f"block{{{','.join(map(str, block))}}}@rho={rho:g}",
-        affected_units=frozenset(affected),
         local_post=local_post,
-        joint_post=joint,
         info_number_max=-0.5 * math.log(equicorrelation_det(c_max, rho)),
         mixture_mean_invariant=True if model.m == 2 else None,
     )
@@ -183,6 +171,8 @@ def signed_pair_hypothesis(
     sign: int = 1,
 ) -> PostChangeHypothesis:
     """One specific pair becomes correlated with the given sign of rho."""
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must lie in (0, 1), got {rho}")
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if pair is None:
@@ -194,9 +184,7 @@ def signed_pair_hypothesis(
     law = GaussianLocal(0.0, np.array([[1.0, r], [r, 1.0]]))
     return PostChangeHypothesis(
         label=f"pair{E}@rho={r:g}",
-        affected_units=frozenset([E]),
         local_post={E: law},
-        joint_post=GaussianLocal(0.0, build_correlation_matrix(model.K, [pair], r)),
         info_number_max=-0.5 * math.log(1.0 - rho * rho),
         mixture_mean_invariant=True,
     )
@@ -260,7 +248,6 @@ def mean_change_hypothesis(
         best = max(best, 0.5 * d * d)
     return PostChangeHypothesis(
         label=f"mean-shift{sorted(affected_sources)}",
-        affected_units=frozenset(local_post),
         local_post=local_post,
         info_number_max=best,
         mixture_mean_invariant=True,

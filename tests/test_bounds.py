@@ -80,7 +80,7 @@ class TestInfoNumber:
         u = unit(9, 10)
         pre, post = NotGaussian(model.pre_local[u]), NotGaussian(hyp.local_post[u])
         wmodel = ChangePointModel(10, 2, (u,), {u: pre}, {u: (post,)})
-        whyp = PostChangeHypothesis(label="wrapped", affected_units=frozenset({u}), local_post={u: post})
+        whyp = PostChangeHypothesis(label="wrapped", local_post={u: post})
         est = info_number(wmodel, whyp, u, reps=50_000, seed=1)
         assert est.stderr > 0.0
         assert abs(est.value - PAIR_INFO) < 4.0 * est.stderr
@@ -172,7 +172,7 @@ def stub_model(increment: float):
     shifted = StubLaw(increment)
     m = ChangePointModel(1, 1, (u,), {u: base}, {u: (shifted,)})
     h = PostChangeHypothesis(
-        label="stub", affected_units=frozenset({u}), local_post={u: shifted}
+        label="stub", local_post={u: shifted}
     )
     return m, h, u
 
@@ -234,7 +234,7 @@ class TestLadderProbabilities:
         m = mean_change_model(1, 1.0)
         u = unit(1)
         h = PostChangeHypothesis(
-            label="reversed", affected_units=frozenset({u}), local_post={u: GaussianLocal(-1.0, np.eye(1))}
+            label="reversed", local_post={u: GaussianLocal(-1.0, np.eye(1))}
         )
         est = ladder_prob_no_descend(m, h, u, reps=10_000, seed=0)
         assert est.value == 0.0
@@ -339,7 +339,6 @@ class TestClassifyOptimality:
         w = Unit((5,))
         h = PostChangeHypothesis(
             label="x",
-            affected_units=frozenset({w}),
             local_post={w: GaussianLocal(1.0, np.eye(1))},
         )
         assert classify_optimality(m, h) is OptimalityClass.INDETERMINATE
@@ -563,7 +562,7 @@ class TestBoundsReport:
             3, 2, units, {u: pre for u in units}, {u: (post,) for u in units}
         )
         h = PostChangeHypothesis(
-            label="partial", affected_units=frozenset({unit(2, 3)}), local_post={unit(2, 3): post}
+            label="partial", local_post={unit(2, 3): post}
         )
         rep = bounds_report(m, h, gamma=100.0, reps=10_000, ladder_reps=10_000, seed=0)
         assert rep.lower_bound_restricted

@@ -181,6 +181,12 @@ class TestBoundsCommand:
         assert code == 2
         assert "rho" in capsys.readouterr().err
 
+    def test_negative_rho_exits_2(self, capsys):
+        # rho = -0.7 leaves a unit of three block members without a post-change law
+        code = main(["bounds", "corr-pairs", "--m", "3", "--s", "4", "--rho", "-0.7", "--reps", "10000"])
+        assert code == 2
+        assert "error: rho must lie in (0, 1), got -0.7" in capsys.readouterr().err
+
     def test_missing_preset_exits_2(self, capsys):
         code = main(["bounds", "--reps", "10000"])
         assert code == 2
@@ -412,6 +418,17 @@ class TestConfigFiles:
     def test_default_study_dump_text(self, capsys):
         assert main(["study", "1", "--dump-config"]) == 0
         assert capsys.readouterr().out == "[scenario]\n\n[run]\nseed = 0\nnu = 0\nthreads = 1\n\n"
+
+    @pytest.mark.parametrize(
+        "command", [["simulate", "corr-pairs"], ["study", "1"]], ids=["simulate", "study"]
+    )
+    def test_dump_config_writes_to_out(self, command, tmp_path, capsys):
+        assert main([*command, "--dump-config"]) == 0
+        printed = capsys.readouterr().out
+        path = tmp_path / "cfg.ini"
+        assert main([*command, "--dump-config", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text(encoding="utf-8") == printed
 
     @pytest.mark.parametrize(
         "command, run",

@@ -13,7 +13,6 @@ from rrcusum.bounds import validate_model
 from rrcusum.gaussian import GaussianLocal
 from rrcusum.model import (
     ChangePointModel,
-    MixtureLikelihood,
     PostChangeHypothesis,
     Unit,
     affected_units,
@@ -80,32 +79,36 @@ class TestUnit:
         assert len({unit(1, 2), Unit((1, 2))}) == 1
 
 
+def one_unit_model(family):
+    """One unit over all sources, standard normal before the change."""
+    dim = family[0].dim
+    u = unit(*range(1, dim + 1))
+    return ChangePointModel(dim, dim, (u,), {u: GaussianLocal.standard(dim)}, {u: tuple(family)}), u
+
+
 class TestMixtureLikelihood:
+    """The mixture log density, read as mixture_llr plus the pre-change log density."""
+
     def test_singleton_is_exact_passthrough(self):
         g = GaussianLocal(0.0, pair(0.7))
-        mix = MixtureLikelihood(unit(1, 2), (g,))
+        m, u = one_unit_model((g,))
         x = np.random.default_rng(0).normal(size=(10, 2))
-        np.testing.assert_array_equal(mix.logpdf(x), g.logpdf(x))
+        np.testing.assert_array_equal(m.mixture_llr(u, x), g.logpdf(x) - m.pre_local[u].logpdf(x))
 
     def test_two_components_match_logsumexp(self):
         a = GaussianLocal(0.0, pair(0.5))
         b = GaussianLocal(0.0, pair(-0.5))
-        mix = MixtureLikelihood(unit(1, 2), (a, b))
+        m, u = one_unit_model((a, b))
         x = np.random.default_rng(1).normal(size=(25, 2))
         la = np.asarray(a.logpdf(x))
         lb = np.asarray(b.logpdf(x))
         want = np.logaddexp(la, lb) - math.log(2.0)
-        np.testing.assert_allclose(mix.logpdf(x), want, rtol=1e-13)
-
-    def test_weight(self):
-        mix = MixtureLikelihood(
-            unit(1), (GaussianLocal.standard(1), GaussianLocal(1.0, np.eye(1)))
-        )
-        assert mix.weight == pytest.approx(0.5)
+        np.testing.assert_allclose(m.mixture_llr(u, x) + m.pre_local[u].logpdf(x), want, rtol=1e-13)
 
     def test_rejects_empty(self):
+        u = unit(1)
         with pytest.raises(ValueError, match="empty post-change family"):
-            MixtureLikelihood(unit(1), ())
+            ChangePointModel(1, 1, (u,), {u: GaussianLocal.standard(1)}, {u: ()})
 
     @pytest.mark.parametrize(
         "means, covs, x",
@@ -118,10 +121,10 @@ class TestMixtureLikelihood:
     )
     def test_logpdf_matches_scipy_logsumexp(self, means, covs, x):
         comps = tuple(GaussianLocal(mu, c) for mu, c in zip(means, covs))
-        mix = MixtureLikelihood(unit(*range(1, comps[0].dim + 1)), comps)
+        m, u = one_unit_model(comps)
         stacked = np.stack([np.asarray(c.logpdf(x)) for c in comps])
         want = special.logsumexp(stacked, axis=0) - math.log(len(comps))
-        got = mix.logpdf(x)
+        got = m.mixture_llr(u, x) + m.pre_local[u].logpdf(x)
         assert np.shape(got) == np.shape(want)
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
@@ -274,33 +277,31 @@ class TestChangePointModelValidation:
         with pytest.raises(ValueError, match="dim"):
             self.make(post_family={u: (GaussianLocal.standard(1),)})
 
-    def test_mixture_accessor(self):
-        m = small_model()
-        mix = m.mixture(unit(1, 2))
-        assert isinstance(mix, MixtureLikelihood)
+    def test_unsampled_unit(self):
+        # laws given for a unit outside ``units`` do not make it sampled
+        u, w = unit(1, 2), unit(1, 3)
+        law = GaussianLocal(0.0, pair(0.5))
+        m = ChangePointModel(3, 2, (u,), {u: law, w: law}, {u: (law,), w: (law,)})
         with pytest.raises(ValueError, match="not sampled"):
-            m.mixture(Unit((1, 2, 3)))
+            m.unit_class(w)
+        with pytest.raises(ValueError, match="not sampled"):
+            m.mixture_llr(w, np.zeros(2))
 
 
 class TestPostChangeHypothesis:
     def test_rejects_empty_affected(self):
         with pytest.raises(ValueError, match="at least one"):
-            PostChangeHypothesis(label="x", affected_units=frozenset(), local_post={})
-
-    def test_rejects_missing_post_law(self):
-        u = unit(1, 2)
-        with pytest.raises(ValueError, match="no post-change local law"):
-            PostChangeHypothesis(label="x", affected_units=frozenset({u}), local_post={})
+            PostChangeHypothesis(label="x", local_post={})
 
     def test_is_affected(self):
         u = unit(1, 2)
         h = PostChangeHypothesis(
             label="x",
-            affected_units=frozenset({u}),
             local_post={u: GaussianLocal(0.0, pair(0.7))},
         )
         assert h.is_affected(u)
         assert not h.is_affected(unit(1, 3))
+        assert h.affected_units == frozenset({u})
 
 
 class TestAffectedUnits:
@@ -310,7 +311,6 @@ class TestAffectedUnits:
         w = Unit((1, 2, 3))
         h = PostChangeHypothesis(
             label="x",
-            affected_units=frozenset({u, w}),
             local_post={u: GaussianLocal(0.0, pair(0.7)), w: GaussianLocal.standard(3)},
         )
         assert affected_units(m, h) == frozenset({u})
@@ -319,7 +319,7 @@ class TestAffectedUnits:
         m = small_model()
         w = Unit((1, 2, 3))
         h = PostChangeHypothesis(
-            label="x", affected_units=frozenset({w}), local_post={w: GaussianLocal.standard(3)}
+            label="x", local_post={w: GaussianLocal.standard(3)}
         )
         assert affected_units(m, h) == frozenset()
 
@@ -329,7 +329,7 @@ class TestValidateModel:
         m = small_model()
         u = unit(1, 2)
         h = PostChangeHypothesis(
-            label="x", affected_units=frozenset({u}), local_post={u: GaussianLocal(0.0, pair(0.7))}
+            label="x", local_post={u: GaussianLocal(0.0, pair(0.7))}
         )
         report = validate_model(m, h, mc_budget=20_000, seed=0)
         assert report.ok
@@ -356,7 +356,7 @@ class TestValidateModel:
         m = small_model()
         w = Unit((1, 2, 3))
         h = PostChangeHypothesis(
-            label="x", affected_units=frozenset({w}), local_post={w: GaussianLocal.standard(3)}
+            label="x", local_post={w: GaussianLocal.standard(3)}
         )
         report = validate_model(m, h, mc_budget=10_000, seed=0)
         assert report.affected_nonempty is False

@@ -198,7 +198,7 @@ class TestEngineCrossValidation:
         # spare serves blocks separated by stretches of the other.
         model = correlated_blocks_model(5, 3, 0.7)
         hyp = correlated_block_hypothesis(model, 0.7, s=2)
-        assert len(model.mixture(model.units[0]).components) == 7
+        assert len(model.post_family[model.units[0]]) == 7
         threshold = 2.0
         spec = RunSpec(
             gamma=math.exp(threshold), replications=2000, seed=12, ordering=Ordering.AS_GIVEN
@@ -559,7 +559,7 @@ class TestEstimateDelay:
         from rrcusum.gaussian import GaussianLocal
 
         hyp = PostChangeHypothesis(
-            label="x", affected_units=frozenset({w}), local_post={w: GaussianLocal.standard(3)}
+            label="x", local_post={w: GaussianLocal.standard(3)}
         )
         with pytest.raises(ValueError, match="affects no sampled unit"):
             estimate_delay(model, hyp, config)
@@ -618,6 +618,12 @@ class TestEstimateArl:
         spec = RunSpec(gamma=20.0, replications=100)
         with pytest.raises(ValueError, match="threads must be at least 1"):
             estimate_arl(model, spec, cap=1000, threads=threads)
+
+    def test_change_time_raises(self):
+        # the run length starts before any change; a change time would be ignored
+        model = correlated_blocks_model(3, 2, 0.7)
+        with pytest.raises(ValueError, match="nu 5"):
+            estimate_arl(model, RunSpec(gamma=20.0, replications=100, nu=5), cap=1000)
 
     def test_truncation_at_cap(self):
         # truncated excursions can only lower the estimate

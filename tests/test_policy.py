@@ -255,7 +255,6 @@ class TestRunToAlarm:
         u = unit(1)
         h = PostChangeHypothesis(
             label="shift",
-            affected_units=frozenset(m.units),
             local_post={E: m.post_family[E][0] for E in m.units},
         )
         cfg = PolicyConfig(threshold=3.0, unit_order=m.units)
@@ -281,7 +280,7 @@ class TestRunToAlarm:
         u = unit(1)
         m = ChangePointModel(1, 1, (u,), {u: pre}, {u: (post,)})
         h = PostChangeHypothesis(
-            label="jump", affected_units=frozenset({u}), local_post={u: post}
+            label="jump", local_post={u: post}
         )
         cfg = PolicyConfig(threshold=math.log(100.0), unit_order=(u,))
         r = run_to_alarm(m, cfg, hypothesis=h, nu=4, rng=np.random.default_rng(0))
@@ -294,7 +293,6 @@ class TestRunToAlarm:
         cfg = PolicyConfig(threshold=0.05, unit_order=m.units)
         h = PostChangeHypothesis(
             label="shift",
-            affected_units=frozenset(m.units),
             local_post={E: m.post_family[E][0] for E in m.units},
         )
         r = run_to_alarm(m, cfg, hypothesis=h, nu=10**6, rng=np.random.default_rng(1))

@@ -173,12 +173,6 @@ class TestCorrelatedBlockHypothesis:
         m3 = correlated_blocks_model(6, 3, 0.7)
         assert correlated_block_hypothesis(m3, 0.7, s=3).mixture_mean_invariant is None
 
-    def test_joint_post_has_full_dimension(self):
-        m = correlated_blocks_model(6, 2, 0.7)
-        h = correlated_block_hypothesis(m, 0.7, s=3)
-        assert h.joint_post is not None
-        assert h.joint_post.dim == 6
-
     def test_rejects_bad_block(self):
         m = correlated_blocks_model(6, 2, 0.7)
         with pytest.raises(ValueError, match="s must lie"):
@@ -187,6 +181,14 @@ class TestCorrelatedBlockHypothesis:
             correlated_block_hypothesis(m, 0.7, s=0, block=(3,))
         with pytest.raises(ValueError, match="outside"):
             correlated_block_hypothesis(m, 0.7, s=0, block=(5, 7))
+
+    @pytest.mark.parametrize("rho", [-0.7, -0.3, 0.0, 1.0])
+    def test_rejects_rho_outside_unit_interval(self, rho):
+        # at m = 3 and rho = -0.7 the fully correlated pattern of a unit is not
+        # positive definite, so no post-change law exists for it
+        m = correlated_blocks_model(6, 3, 0.5)
+        with pytest.raises(ValueError, match="rho must lie in"):
+            correlated_block_hypothesis(m, rho, s=4)
 
 
 class TestSignedPairs:
@@ -224,6 +226,8 @@ class TestSignedPairs:
             signed_pair_hypothesis(m, 0.7, pair=(1, 7))
         with pytest.raises(ValueError, match="rho"):
             signed_pair_model(6, 1.2)
+        with pytest.raises(ValueError, match="rho must lie in"):
+            signed_pair_hypothesis(m, 0.0)
 
 
 class TestMeanChange:

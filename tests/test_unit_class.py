@@ -270,7 +270,6 @@ def _wrap(model: ChangePointModel, hyp: PostChangeHypothesis):
     )
     whyp = PostChangeHypothesis(
         label=hyp.label,
-        affected_units=hyp.affected_units,
         local_post={E: w(law) for E, law in hyp.local_post.items()},
     )
     return wmodel, whyp
