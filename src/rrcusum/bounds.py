@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
-from typing import Callable, Mapping, MutableMapping
+from typing import Callable, Mapping, MutableMapping, Sequence
 
 import numpy as np
 
@@ -60,10 +61,14 @@ __all__ = [
 _LADDER_HORIZON = 1_000
 _MIN_LADDER_REPS = 10_000
 _MIN_DRIFT_REPS = 10_000
-# Increments per draw of the ladder estimator. The mixture llr of a batch holds
-# one array per family member: 2^18 rows peak near 100 MB at m = 3 and 340 MB
-# at m = 4 (26 members), and larger batches are no faster per row.
-_LADDER_CHUNK = 1 << 18
+# Increments per draw of the ladder estimator: 1 MB of walk. One ladder call
+# peaks at 2.3 MB with a Gaussian class kernel, and at 18 MB (m = 3, 7 family
+# members) and 57 MB (m = 4, 26 members) with a law that is sampled and then
+# scored, whose mixture llr holds one array per member (tracemalloc, rho 0.7).
+# Classes run their ladders one per thread, so on two cores two ladders hold
+# what one draw of 2^18 held. Gaussian draws give the same estimates at any
+# chunk size.
+_LADDER_CHUNK = 1 << 17
 _CHERNOFF_THETAS = np.geomspace(1e-3, 1.0, 61)
 # Relative slack within which the largest closed-form information number counts
 # as equal to the smallest closed-form drift.
@@ -246,7 +251,7 @@ def _spitzer_escape(
     weights = 1.0 / n[:steps]
     # Paths are simulated in blocks of at most _LADDER_CHUNK increments (the
     # horizon is below the chunk), so memory does not grow with reps. Each
-    # block is walked in the draw's own fresh array.
+    # block is walked, and its crossings marked, in the draw's own fresh array.
     block = min(reps, _LADDER_CHUNK // steps)
     z = np.empty(reps)
     for lo in range(0, reps, block):
@@ -255,7 +260,8 @@ def _spitzer_escape(
         if descend:
             np.negative(walk, out=walk)
         np.cumsum(walk, axis=1, out=walk)
-        np.matmul(walk > 0.0, weights, out=z[lo : lo + b])
+        np.greater(walk, 0.0, out=walk)
+        np.matmul(walk, weights, out=z[lo : lo + b])
     q = math.exp(-float(z.mean()))
     note = None
     if cut:
@@ -321,6 +327,13 @@ def _per_class(
     estimated at its first unit from seeds salted with k: the drifts, and
     with ``ladder_reps`` the ladder probabilities, the information number and
     the second moment. ``cache`` keeps each class under its table, key and index.
+
+    Building the tables compiles every class, so that the estimates only read
+    the model. The classes missing from ``cache`` are then estimated one
+    class key per job, on as many threads as there are jobs and usable cores:
+    a class kernel must not be called from two threads at once, and a class
+    that is in both tables has one kernel. Every estimate draws from its own
+    seed, so the results do not depend on the number of threads.
     """
 
     def pre(E: Unit, k: int) -> dict[str, Estimate]:
@@ -342,15 +355,47 @@ def _per_class(
         return out
 
     affected = [E for E in model.units if hypothesis is not None and hypothesis.is_affected(E)]
-    out: dict[Unit, dict] = {E: {} for E in model.units}
+    tables = []
+    jobs: dict[tuple, list] = {}
     for t, (units, hyp, estimate) in enumerate(((model.units, None, pre), (affected, hypothesis, post))):
         classes, first, index = model.class_table(units, hyp)
-        for E, k in zip(units, index):
-            key = (t, classes[k].key, k)
+        keys = [(t, cls.key, k) for k, cls in enumerate(classes)]
+        tables.append((units, [keys[k] for k in index]))
+        for key, E in zip(keys, first):
             if key not in cache:
-                cache[key] = estimate(first[k], k)
+                jobs.setdefault(key[1], []).append((key, estimate, E))
+
+    def run(job: list) -> list:
+        return [(key, estimate(E, key[2])) for key, estimate, E in job]
+
+    for done in _on_threads(run, list(jobs.values())):
+        cache.update(done)
+    out: dict[Unit, dict] = {E: {} for E in model.units}
+    for units, keys in tables:
+        for E, key in zip(units, keys):
             out[E].update(cache[key])
     return out
+
+
+def _usable_cores() -> int:
+    """Number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _on_threads(fn: Callable, jobs: Sequence) -> list:
+    """``fn(job)`` of every job, in job order, on at most one thread per job
+    and usable core; serial in the calling thread when that is one."""
+    workers = min(len(jobs), _usable_cores())
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    # imported here: concurrent.futures costs every serial run at import
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def compute_unit_statistics(

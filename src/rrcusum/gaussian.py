@@ -187,7 +187,8 @@ class GaussianMixtureKernel:
     random stream is that of sampling and then calling ``mixture_llr``, and
     the increments differ from that path's by rounding. Every call works in
     the kernel's own slice buffers, so one kernel must not be called from two
-    threads at once.
+    threads at once; the bound estimates, which run one class per thread,
+    give all the estimates of a class to one thread.
     """
 
     def __init__(self, law: GaussianLocal, pre: GaussianLocal, family: Sequence[GaussianLocal]):

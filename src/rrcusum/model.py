@@ -65,6 +65,9 @@ class LocalDistribution(abc.ABC):
     Implementations must provide a vectorised log density and a batch sampler.
     ``logpdf`` accepts arrays of shape (dim,) or (n, dim) and returns a float
     or an array of shape (n,). ``sample`` returns an array of shape (n, dim).
+    The bound estimates run one unit class per thread, and a law can serve
+    several classes, so ``sample`` and ``logpdf`` may be called from two
+    threads at once.
     """
 
     dim: int
@@ -89,7 +92,9 @@ class LocalDistribution(abc.ABC):
         compiled form; the caller then samples and evaluates the llr. A draw
         must consume ``rng`` exactly as ``self.sample(rng, n)`` does, so that
         both paths see the same random stream, and return a fresh float
-        array that shares no memory with the draw's own state."""
+        array that shares no memory with the draw's own state. The draw may
+        be called from threads other than the one that compiled it, but
+        never from two at once."""
         return None
 
 

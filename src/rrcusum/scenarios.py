@@ -80,10 +80,12 @@ def correlated_blocks_model(K: int, m: int, rho: float) -> ChangePointModel:
     Units are all size-m subsets of sources in lexicographic order. Every unit
     shares the same pre-change law and the same candidate post-change family,
     namely every positive definite pattern of rho-correlations on its m
-    coordinates.
+    coordinates. rho must lie in (0, 1), as in every hypothesis on the model.
     """
     if m < 2:
         raise ValueError(f"a correlation change needs m >= 2, got m={m}")
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must lie in (0, 1), got {rho}")
     units = tuple(Unit(c) for c in itertools.combinations(range(1, K + 1), m))
     pre = GaussianLocal.standard(m)
     family = _pattern_family(position_patterns(m, rho))

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from rrcusum import bounds
 from rrcusum.bounds import (
     DegenerateBoundError,
     Estimate,
@@ -26,8 +28,9 @@ from rrcusum.bounds import (
     llr_second_moment,
     lower_bound_first_order,
     nonasymptotic_upper_bound,
+    validate_model,
 )
-from rrcusum.gaussian import GaussianLocal
+from rrcusum.gaussian import GaussianLocal, GaussianMixtureKernel
 from rrcusum.model import ChangePointModel, LocalDistribution, PostChangeHypothesis, Unit, affected_units, unit
 from rrcusum.scenarios import (
     build_preset,
@@ -251,6 +254,20 @@ class TestLadderProbabilities:
             tracemalloc.stop()
         assert 0.0 < est.value < 1.0
         assert peak < 400 * 2**20
+
+    def test_chunk_size_sets_memory_only(self, monkeypatch):
+        model, hyp = build_preset("corr-pairs", m=3, s=4)
+        E = unit(7, 8, 9)
+
+        def both():
+            return (
+                ladder_prob_no_ascend(model, E, reps=10_000, seed=2),
+                ladder_prob_no_descend(model, hyp, E, reps=10_000, seed=2),
+            )
+
+        want = both()
+        monkeypatch.setattr(bounds, "_LADDER_CHUNK", 1 << 12)
+        assert both() == want
 
     def test_preconditions(self, corr_pairs):
         model, hyp = corr_pairs
@@ -525,6 +542,78 @@ class TestComputeUnitStatistics:
         assert affected.drift_post is not None
         assert affected.q_no_descend is not None
         assert affected.info_number.value == pytest.approx(PAIR_INFO, abs=1e-14)
+
+
+def _unchanged_and_block():
+    """corr-pairs at m = 3 with unit {1,2,3} affected but following its
+    pre-change law, so that a class is in both tables and has one kernel."""
+    model, hyp = build_preset("corr-pairs", m=3, s=4)
+    E = unit(1, 2, 3)
+    local_post = {E: model.pre_local[E], **hyp.local_post}
+    return model, PostChangeHypothesis(label="unchanged and block", local_post=local_post)
+
+
+def _guard_kernels(monkeypatch) -> list:
+    """Record every class kernel entered while another thread is in it."""
+    busy, clashes, lock = set(), [], threading.Lock()
+    call = GaussianMixtureKernel.__call__
+
+    def guarded(self, rng, n):
+        with lock:
+            if id(self) in busy:
+                clashes.append(self)
+            busy.add(id(self))
+        try:
+            return call(self, rng, n)
+        finally:
+            with lock:
+                busy.discard(id(self))
+
+    monkeypatch.setattr(GaussianMixtureKernel, "__call__", guarded)
+    return clashes
+
+
+class TestThreads:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_preset("corr-pairs", m=3, s=4),
+            lambda: build_preset("signed-pairs"),
+            _unchanged_and_block,
+        ],
+        ids=["corr-pairs-m3", "signed-pairs", "unchanged-and-block"],
+    )
+    def test_results_do_not_depend_on_the_cores(self, build, monkeypatch):
+        clashes = _guard_kernels(monkeypatch)
+        model, hyp = build()
+        got = []
+        for cores in (1, 3):
+            monkeypatch.setattr(bounds, "_usable_cores", lambda: cores)
+            got.append(
+                (
+                    compute_unit_statistics(model, hyp, reps=10_000, ladder_reps=10_000, seed=4),
+                    validate_model(model, hyp, mc_budget=10_000, seed=4),
+                )
+            )
+        assert got[0] == got[1]
+        assert not clashes
+
+    def test_a_class_in_both_tables_is_one_job(self, monkeypatch):
+        model, hyp = _unchanged_and_block()
+        seen = []
+        on_threads = bounds._on_threads
+
+        def spy(fn, jobs):
+            seen.append(jobs)
+            return on_threads(fn, jobs)
+
+        monkeypatch.setattr(bounds, "_on_threads", spy)
+        stats = compute_unit_statistics(model, hyp, reps=10_000, ladder_reps=10_000, seed=4)
+        # one job for the pre-change class, which also serves {1,2,3} after the
+        # change, and one for each post-change class of the block
+        [jobs] = seen
+        assert sorted(map(len, jobs)) == [1, 1, 2]
+        assert stats[unit(1, 2, 3)].drift_post.value < 0.0
 
 
 class TestBoundsReport:

@@ -266,6 +266,12 @@ class TestSimulateCommand:
         assert rows[0]["K"] == "1"
         assert rows[0]["m"] == "1"
 
+    def test_negative_rho_arl_exits_2(self, capsys):
+        # the run length builds no hypothesis, so the model checks rho itself
+        code = main(["simulate", "corr-pairs", "--arl", "--rho", "-0.3", "--gamma", "20", "--reps", "100"])
+        assert code == 2
+        assert "error: rho must lie in (0, 1), got -0.3" in capsys.readouterr().err
+
     def test_corr_pairs_block_of_one_exits_2(self, capsys):
         code = main(["simulate", "corr-pairs", "--s", "1", "--reps", "200"])
         assert code == 2

@@ -103,6 +103,13 @@ class TestCorrelatedBlocksModel:
         with pytest.raises(ValueError, match="m >= 2"):
             correlated_blocks_model(5, 1, 0.7)
 
+    @pytest.mark.parametrize("rho", [-0.3, 0.0, 1.0])
+    def test_rejects_rho_outside_unit_interval(self, rho):
+        # at rho = -0.3 every pattern is positive definite, so only this check
+        # keeps the model from running without a valid hypothesis
+        with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\)"):
+            correlated_blocks_model(6, 3, rho)
+
 
 class TestCorrelatedBlockHypothesis:
     def test_pair_affected_count_is_block_pairs(self):
