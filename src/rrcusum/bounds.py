@@ -11,7 +11,10 @@ post-change local law against the pre-change law) and J is the post-change
 drift of the mixture log likelihood ratio. The explicit second-order terms
 charge one restart cost at the affected units and the expected passage time
 through the unaffected ones, via ladder escape probabilities of the local
-random walks.
+random walks: the probability that a pre-change walk never ascends, by a
+change of measure to the mixture law (``ladder_prob_no_ascend``), and that a
+post-change walk never descends, by Spitzer's identity
+(``ladder_prob_no_descend``).
 """
 
 from __future__ import annotations
@@ -57,18 +60,20 @@ __all__ = [
     "validate_model",
 ]
 
-# Longest walk of the ladder estimator; a series cut here carries a bias note.
+# Longest walk of the ladder estimators; a walk cut here carries a bias note.
 _LADDER_HORIZON = 1_000
 _MIN_LADDER_REPS = 10_000
 _MIN_DRIFT_REPS = 10_000
-# Increments per draw of the ladder estimator: 1 MB of walk. One ladder call
+# Increments per draw of the Spitzer ladder: 1 MB of walk. One ladder call
 # peaks at 2.3 MB with a Gaussian class kernel, and at 18 MB (m = 3, 7 family
 # members) and 57 MB (m = 4, 26 members) with a law that is sampled and then
 # scored, whose mixture llr holds one array per member (tracemalloc, rho 0.7).
-# Classes run their ladders one per thread, so on two cores two ladders hold
-# what one draw of 2^18 held. Gaussian draws give the same estimates at any
-# chunk size.
+# Gaussian draws give the same estimates at any chunk size.
 _LADDER_CHUNK = 1 << 17
+# Increments per block of the no-ascend walk, unless one column of the live
+# walks holds more. Fixed, so that the estimate depends on the seed and reps
+# only.
+_ASCENT_ELEMENTS = 1 << 17
 _CHERNOFF_THETAS = np.geomspace(1e-3, 1.0, 61)
 # Relative slack within which the largest closed-form information number counts
 # as equal to the smallest closed-form drift.
@@ -292,24 +297,78 @@ def ladder_prob_no_descend(
     return _spitzer_escape(draw, derive_rng(seed, 0x5F0), reps, descend=True)
 
 
+def _ascent_weights(
+    draw: Callable[[np.random.Generator, int], np.ndarray],
+    rng: np.random.Generator,
+    reps: int,
+) -> tuple[np.ndarray, int]:
+    """e^{-S_tau} of each of ``reps`` random walks with increments from
+    ``draw``, where tau is the first n with S_n > 0, and 0 for a walk still at
+    or below zero after ``_LADDER_HORIZON`` steps; and the number of those.
+
+    The live walks advance together in blocks of (walks, columns), the
+    columns doubling from 1 and capped by ``_ASCENT_ELEMENTS`` over the live
+    walks. A walk leaves at its first strict ascent, and the rest of its
+    block is not used. Under the mixture law the median ascent is at the
+    first step, hence the first block of one column.
+    """
+    weights = np.zeros(reps)
+    live = np.arange(reps)
+    level = np.zeros(reps)
+    steps, cols = 0, 1
+    while live.size and steps < _LADDER_HORIZON:
+        k = live.size
+        n = min(cols, max(1, _ASCENT_ELEMENTS // k), _LADDER_HORIZON - steps)
+        walk = draw(rng, k * n).reshape(k, n)
+        np.cumsum(walk, axis=1, out=walk)
+        walk += level[:, None]
+        up = walk > 0.0
+        j = up.argmax(axis=1)
+        done = up[np.arange(k), j]
+        weights[live[done]] = np.exp(-walk[done, j[done]])
+        level = walk[~done, -1]
+        live = live[~done]
+        steps += n
+        cols *= 2
+    return weights, live.size
+
+
 def ladder_prob_no_ascend(
     model: ChangePointModel,
     unit: Unit,
     reps: int = 2 * _MIN_LADDER_REPS,
     seed: int = 0,
 ) -> Estimate:
-    """Probability that the pre-change random walk of a unit never exceeds zero,
-    by Spitzer's identity over one batch of ``reps`` paths.
+    """Probability that the pre-change random walk of a unit never exceeds
+    zero, by a change of measure to the mixture law over ``reps`` walks.
 
-    The paths walk only as many steps as a Chernoff bound on the rest of the
-    series requires, and never more than ``_LADDER_HORIZON``; a note reports the
-    truncation bias when the horizon binds, and an estimate of exactly 0 when
-    the walk does not drift downward.
+    Before the change an increment is X = log(mix / f)(x) with x ~ f, so
+    E_f[e^X] = 1 whatever the family, and the mixture law is f tilted by
+    e^X. With tau the first n at which S_n > 0, Wald's likelihood ratio
+    identity gives P_f(tau < inf) = E_mix[e^{-S_tau}; tau < inf] (Siegmund
+    1976, Ann. Statist. 4), the identity behind the run length of
+    ``estimate_arl``. Under the mixture law (``ChangePointModel.mixture_draw``)
+    the walk drifts up by KL(mix || f), so tau is short.
+    The estimate is 1 - mean(e^{-S_tau}) with standard error
+    std(e^{-S_tau}) / sqrt(reps). A walk still at or below zero after
+    ``_LADDER_HORIZON`` steps counts with weight 0, which biases the
+    estimate upward by at most P_mix(tau > _LADDER_HORIZON); a note then
+    gives the fraction of walks cut. A family equal to f makes the llr 0, so
+    every walk is cut and the estimate is 1, as it should be.
+
+    The identity needs ``logpdf`` of every law to be a normalized log
+    density; it does not hold under a post-change law, where E_g[e^X] != 1.
     """
     if reps < _MIN_LADDER_REPS:
         raise ValueError(f"reps must be at least {_MIN_LADDER_REPS}, got {reps}")
-    draw = model.unit_class(unit).draw
-    return _spitzer_escape(draw, derive_rng(seed, 0x6F0), reps, descend=False)
+    weights, cut = _ascent_weights(model.mixture_draw(unit), derive_rng(seed, 0x6F0), reps)
+    note = None
+    if cut:
+        note = (
+            f"{cut} of {reps} walks cut at horizon {_LADDER_HORIZON}: biased upward by at most "
+            f"the chance of a cut, estimated at {cut / reps:.3g}"
+        )
+    return Estimate(1.0 - float(weights.mean()), float(weights.std(ddof=1)) / math.sqrt(reps), note=note)
 
 
 def _per_class(
@@ -328,12 +387,16 @@ def _per_class(
     with ``ladder_reps`` the ladder probabilities, the information number and
     the second moment. ``cache`` keeps each class under its table, key and index.
 
-    Building the tables compiles every class, so that the estimates only read
-    the model. The classes missing from ``cache`` are then estimated one
-    class key per job, on as many threads as there are jobs and usable cores:
-    a class kernel must not be called from two threads at once, and a class
-    that is in both tables has one kernel. Every estimate draws from its own
-    seed, so the results do not depend on the number of threads.
+    Building the tables, and with ``ladder_reps`` the mixture draws of the
+    pre-change classes, compiles every class kernel the estimates call, so
+    that they only read the model. The classes missing from ``cache`` are
+    then estimated in one job per pre-change law and family (``key[1:]`` of
+    the class), on as many threads as there are jobs and usable cores. A
+    class kernel must not be called from two threads at once: a class in
+    both tables has one kernel, and the no-ascend walk of a pre-change class
+    calls the kernels of its family members, which are also the post-change
+    classes of that law and family. Every estimate draws from its own seed,
+    so the results do not depend on the number of threads.
     """
 
     def pre(E: Unit, k: int) -> dict[str, Estimate]:
@@ -363,7 +426,9 @@ def _per_class(
         tables.append((units, [keys[k] for k in index]))
         for key, E in zip(keys, first):
             if key not in cache:
-                jobs.setdefault(key[1], []).append((key, estimate, E))
+                if t == 0 and ladder_reps is not None:
+                    model.mixture_draw(E)  # compiles the member classes
+                jobs.setdefault(key[1][1:], []).append((key, estimate, E))
 
     def run(job: list) -> list:
         return [(key, estimate(E, key[2])) for key, estimate, E in job]
@@ -409,7 +474,7 @@ def compute_unit_statistics(
     """Per-unit statistics for the delay bounds, estimated once per class and
     shared by its units: ``drift_pre`` and ``q_no_ascend`` per pre-change
     class of ``model.units``, the rest per post-change class of the affected
-    units (``model.class_table``). Each ladder call uses ``ladder_reps`` paths
+    units (``model.class_table``). Each ladder call uses ``ladder_reps`` walks
     of at most ``_LADDER_HORIZON`` steps. A ``cache`` shared between calls
     with the same budgets and seed keeps the estimates per class, so a class
     already in it is not estimated again; the results equal those of a call

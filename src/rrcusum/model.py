@@ -64,10 +64,13 @@ class LocalDistribution(abc.ABC):
 
     Implementations must provide a vectorised log density and a batch sampler.
     ``logpdf`` accepts arrays of shape (dim,) or (n, dim) and returns a float
-    or an array of shape (n,). ``sample`` returns an array of shape (n, dim).
-    The bound estimates run one unit class per thread, and a law can serve
-    several classes, so ``sample`` and ``logpdf`` may be called from two
-    threads at once.
+    or an array of shape (n,). It must be a normalized log density: the run
+    length of ``estimate_arl`` and the no-ascend ladder probability change
+    the measure from the pre-change law to the mixture law by the likelihood
+    ratio, which is only sound when E_f[mix / f] = 1. ``sample`` returns an
+    array of shape (n, dim). The bound estimates run one pre-change law and
+    family per thread, and a law can serve several of them, so ``sample`` and
+    ``logpdf`` may be called from two threads at once.
     """
 
     dim: int
@@ -147,6 +150,18 @@ def _sample_and_score(
     model: "ChangePointModel", unit: Unit, law: LocalDistribution, rng: np.random.Generator, n: int
 ) -> np.ndarray:
     return np.asarray(model.mixture_llr(unit, law.sample(rng, n)), dtype=float)
+
+
+def _mixture_draw(draws: Sequence[IncrementDraw], rng: np.random.Generator, n: int) -> np.ndarray:
+    """n increments with each observation drawn from a family member picked
+    uniformly at random, that is, under the mixture law; ``draws`` holds the
+    class draw of each member."""
+    pick = rng.integers(len(draws), size=n)
+    out = np.empty(n)
+    for k, draw in enumerate(draws):
+        at = pick == k
+        out[at] = draw(rng, int(np.count_nonzero(at)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -269,6 +284,15 @@ class ChangePointModel:
                 draw = partial(_sample_and_score, self, unit, law)
             cls = self._classes[key] = UnitClass(key, draw)
         return cls
+
+    def mixture_draw(self, unit: Unit) -> IncrementDraw:
+        """A ``draw(rng, n)`` of n increments of the unit's mixture llr under
+        the mixture law: each observation comes from a family member picked
+        uniformly at random and is scored by that member's class kernel,
+        ``unit_class(unit, g)``. Those are also the post-change classes of
+        the units with the same pre-change law and family whose true law is
+        the member."""
+        return partial(_mixture_draw, [self.unit_class(unit, g).draw for g in self._family(unit)])
 
     def class_table(
         self, units: Sequence[Unit], hypothesis: PostChangeHypothesis | None = None

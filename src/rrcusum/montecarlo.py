@@ -47,9 +47,11 @@ the units i = 1..U of one cycle give
 
 which is l/p for a single class. l_c is a plain Monte Carlo mean. p_c is at
 most 1/gamma, so it is estimated by importance sampling under the class's
-mixture law, with weight e^{-S_N} on the exits at or above A (Siegmund 1976,
-Ann. Statist. 4). Each batch of excursions is one _run_stretch call that stops
-every row at its first switch.
+mixture law (``ChangePointModel.mixture_draw``), with weight e^{-S_N} on the
+exits at or above A (Siegmund 1976, Ann. Statist. 4). Each batch of
+excursions is one _run_stretch call that stops every row at its first switch;
+as most excursions end after 2-3 steps, its first block has
+_EXCURSION_COLS0 columns per row, not _COLS0.
 
 The hot loop reuses its scratch. Every block of a stretch writes its
 increments, partial sums, path and switch counts into arrays allocated once
@@ -68,7 +70,6 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Collection, Sequence
 
 import numpy as np
@@ -236,6 +237,10 @@ def _compile_regime(
 
 _BATCH = 1024
 _COLS0 = 32
+# First block of an excursion call: a block of _COLS0 was mostly spare (the
+# arl workload drew 2.75 increments per increment used, against 1.31 at 4
+# columns), and 1 or 2 columns took more blocks and more time than 4.
+_EXCURSION_COLS0 = 4
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -296,6 +301,7 @@ def _run_stretch(
     budget: np.ndarray,
     blocks: _Blocks,
     spare: _Spare,
+    cols: int = _COLS0,
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Advance rows of the statistic through consecutive units of one class.
 
@@ -303,7 +309,7 @@ def _run_stretch(
     below zero, at its first crossing of the threshold, or after budget[r]
     steps. Every block lays out the increments of all running rows as
     (rows, columns), at most _BLOCK_ELEMENTS of them, with the columns per
-    row doubling from _COLS0, and works in ``blocks``. The increments come
+    row doubling from ``cols``, and works in ``blocks``. The increments come
     from ``spare`` first and then from ``draw``; those a row drew past its
     stopping step are carried back to ``spare``, which is sound because they
     are independent of everything the row consumed. Returns (used, steps,
@@ -316,7 +322,6 @@ def _run_stretch(
     alarmed = np.zeros(y.size, dtype=bool)
     run = np.arange(y.size)
     used = 0
-    cols = _COLS0
     while run.size:
         k = run.size
         left = budget[run] - steps[run]
@@ -538,18 +543,6 @@ def estimate_delay(
 # Average run length from one visit's excursions
 
 
-def _mixture_draw(draws: list, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n increments with each observation drawn from a family member picked
-    uniformly at random, that is, under the mixture law; ``draws`` holds the
-    class draw of each member."""
-    pick = rng.integers(len(draws), size=n)
-    out = np.empty(n)
-    for k, draw in enumerate(draws):
-        at = pick == k
-        out[at] = draw(rng, int(np.count_nonzero(at)))
-    return out
-
-
 def _run_excursions(
     model: ChangePointModel,
     first: list[Unit],
@@ -584,11 +577,14 @@ def _run_excursions(
         need = np.ones(rows, dtype=np.int64)
         budget = np.full(rows, cap, dtype=np.int64)
         _, steps, sw, _, hit = _run_stretch(
-            rng, model.unit_class(E).draw, start, threshold, need, budget, blocks, blocks.spares(1)[0]
+            rng, model.unit_class(E).draw, start, threshold, need, budget, blocks, blocks.spares(1)[0],
+            _EXCURSION_COLS0,
         )
         truncations = int(np.count_nonzero((sw == 0) & ~hit))
-        mixture = partial(_mixture_draw, [model.unit_class(E, g).draw for g in model.post_family[E]])
-        _, _, sw, y, hit = _run_stretch(rng, mixture, start, threshold, need, budget, blocks, blocks.spares(1)[0])
+        _, _, sw, y, hit = _run_stretch(
+            rng, model.mixture_draw(E), start, threshold, need, budget, blocks, blocks.spares(1)[0],
+            _EXCURSION_COLS0,
+        )
         cut = (sw == 0) & ~hit
         truncations += int(np.count_nonzero(cut))
         weights = np.where(hit, np.exp(-y), np.where(cut, math.exp(-threshold), 0.0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -31,7 +32,15 @@ from rrcusum.bounds import (
     validate_model,
 )
 from rrcusum.gaussian import GaussianLocal, GaussianMixtureKernel
-from rrcusum.model import ChangePointModel, LocalDistribution, PostChangeHypothesis, Unit, affected_units, unit
+from rrcusum.model import (
+    ChangePointModel,
+    LocalDistribution,
+    PostChangeHypothesis,
+    Unit,
+    affected_units,
+    derive_rng,
+    unit,
+)
 from rrcusum.scenarios import (
     build_preset,
     mean_change_hypothesis,
@@ -192,9 +201,13 @@ class TestLadderProbabilities:
         up = ladder_prob_no_descend(m, h, u, reps=10_000, seed=0)
         assert up.value == 1.0
         assert up.stderr == 0.0
-        down = ladder_prob_no_ascend(m, u, reps=10_000, seed=0)
-        assert down.value == 0.0
-        assert down.stderr == 0.0
+        # the stub's constant log density is not a density, so its pre-change
+        # walk, which ascends, has no valid counterpart; with valid laws the
+        # pre-change walk drifts down, here far enough that most walks never
+        # ascend
+        mu = 3.0
+        down = ladder_prob_no_ascend(mean_change_model(1, mu), unit(1), reps=10_000, seed=0)
+        assert abs(down.value - _mean_change_escape(mu)) < 4.0 * down.stderr
 
     def test_descending_walk(self):
         m, h, u = stub_model(-0.5)
@@ -212,7 +225,7 @@ class TestLadderProbabilities:
         assert q_up.stderr > 0.0
 
     @pytest.mark.parametrize("mu", [0.5, 1.0])
-    def test_spitzer_matches_exact_mean_change(self, mu):
+    def test_ladders_match_exact_mean_change(self, mu):
         # the unit llr is N(-mu^2/2, mu^2) before the change and N(mu^2/2, mu^2)
         # after, so P(S_n on the wrong side) = Phi(-sqrt(n) mu / 2) both ways
         exact = _mean_change_escape(mu)
@@ -224,12 +237,46 @@ class TestLadderProbabilities:
             assert est.note is None
             assert abs(est.value - exact) < 4.0 * est.stderr
 
-    def test_horizon_cut_reports_upward_bias(self):
-        # a weak drift needs more than the horizon; the note bounds the bias
+    def test_no_ascend_needs_no_horizon_at_weak_drift(self):
+        # Spitzer's series would need more than the horizon here; under the
+        # mixture law the walk still ascends within it
         mu = 0.2
         est = ladder_prob_no_ascend(mean_change_model(1, mu), unit(1), reps=10_000, seed=3)
+        assert est.note is None
+        assert abs(est.value - _mean_change_escape(mu)) < 4.0 * est.stderr
+
+    def test_horizon_cut_reports_upward_bias(self):
+        # a weak drift needs more than the horizon; the note bounds the bias.
+        # The post-change llr mirrors the pre-change one, so the series is the same
+        mu = 0.2
+        m = mean_change_model(1, mu)
+        h = mean_change_hypothesis(m, (1,), mu)
+        est = ladder_prob_no_descend(m, h, unit(1), reps=10_000, seed=3)
         assert est.note is not None and "horizon 1000" in est.note
         assert abs(est.value - _mean_change_escape(mu)) < 4.0 * est.stderr
+
+    def test_zero_llr_never_ascends(self):
+        # a family equal to the pre-change law: the llr is 0 and every walk is cut
+        pre = GaussianLocal.standard(1)
+        u = unit(1)
+        m = ChangePointModel(1, 1, (u,), {u: pre}, {u: (pre,)})
+        est = ladder_prob_no_ascend(m, u, reps=10_000, seed=0)
+        assert (est.value, est.stderr) == (1.0, 0.0)
+        assert est.note is not None and "10000 of 10000 walks cut at horizon 1000" in est.note
+
+    @pytest.mark.parametrize(
+        "name, kw",
+        [("corr-pairs", {}), ("corr-pairs", dict(m=3, s=4)), ("signed-pairs", {})],
+        ids=["corr-pairs-m2", "corr-pairs-m3", "signed-pairs"],
+    )
+    def test_no_ascend_agrees_with_spitzer(self, name, kw):
+        model, _ = build_preset(name, **kw)
+        E = model.units[0]
+        tilted = ladder_prob_no_ascend(model, E, reps=10_000, seed=5)
+        spitzer = bounds._spitzer_escape(model.unit_class(E).draw, derive_rng(5, 0x6F0), 10_000, descend=False)
+        assert tilted.note is None and spitzer.note is None
+        assert abs(tilted.value - spitzer.value) < 4.0 * math.hypot(tilted.stderr, spitzer.stderr)
+        assert 0.0 < tilted.stderr < spitzer.stderr
 
     def test_wrong_drift_is_exactly_zero(self):
         # the post-change law shifts the mean against the family, so the
@@ -523,9 +570,16 @@ class TestComputeUnitStatistics:
         stats = compute_unit_statistics(m, h, reps=10_000, ladder_reps=10_000, seed=0)
         st = stats[u]
         assert st.q_no_descend.value == 1.0
-        assert st.q_no_ascend.value == 0.0
         assert st.drift_post.value == 0.5
         assert st.second_moment.value == 0.0
+        # no-ascend needs a valid law: both mean-change units are one
+        # pre-change class and share its estimate
+        mu = 1.0
+        m = mean_change_model(2, mu)
+        stats = compute_unit_statistics(m, mean_change_hypothesis(m, (2,), mu), reps=10_000, ladder_reps=10_000)
+        q = stats[unit(1)].q_no_ascend
+        assert stats[unit(2)].q_no_ascend is q
+        assert abs(q.value - _mean_change_escape(mu)) < 4.0 * q.stderr
 
     @pytest.mark.slow
     def test_equivalent_units_share_estimates(self):
@@ -609,11 +663,40 @@ class TestThreads:
 
         monkeypatch.setattr(bounds, "_on_threads", spy)
         stats = compute_unit_statistics(model, hyp, reps=10_000, ladder_reps=10_000, seed=4)
-        # one job for the pre-change class, which also serves {1,2,3} after the
-        # change, and one for each post-change class of the block
+        # every unit has the same pre-change law and family, so one job holds
+        # the pre-change class, which also serves {1,2,3} after the change,
+        # and the two post-change classes of the block
         [jobs] = seen
-        assert sorted(map(len, jobs)) == [1, 1, 2]
+        assert list(map(len, jobs)) == [4]
         assert stats[unit(1, 2, 3)].drift_post.value < 0.0
+
+    def test_one_job_per_pre_change_law_and_family(self, monkeypatch):
+        # two scalar units whose families shift by different amounts: two
+        # jobs, each with its pre- and post-change class, on two threads
+        clashes = _guard_kernels(monkeypatch)
+        shifts = {1: 1.0, 2: 2.0}
+        model = mean_change_model(2, shifts)
+        hyp = mean_change_hypothesis(model, (1, 2), shifts)
+        seen = []
+        on_threads = bounds._on_threads
+
+        def spy(fn, jobs):
+            seen.append(list(map(len, jobs)))
+            return on_threads(fn, jobs)
+
+        monkeypatch.setattr(bounds, "_on_threads", spy)
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so that a clash would show
+        try:
+            for cores in (1, 2):
+                monkeypatch.setattr(bounds, "_usable_cores", lambda: cores)
+                got.append(compute_unit_statistics(model, hyp, reps=10_000, ladder_reps=10_000, seed=4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == [[2, 2], [2, 2]]
+        assert got[0] == got[1]
+        assert not clashes
 
 
 class TestBoundsReport:

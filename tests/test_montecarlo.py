@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rrcusum import montecarlo
-from rrcusum.model import ChangePointModel, PostChangeHypothesis, Unit, UnitClass, unit
+from rrcusum.model import ChangePointModel, PostChangeHypothesis, Unit, UnitClass, _mixture_draw, unit
 from rrcusum.montecarlo import (
     STUDIES,
     DelayEstimate,
@@ -705,7 +705,7 @@ class TestRenewalArl:
 
     def test_mixture_draw_picks_members_uniformly(self):
         draws = [lambda rng, n: np.zeros(n), lambda rng, n: np.ones(n), lambda rng, n: np.full(n, 2.0)]
-        x = montecarlo._mixture_draw(draws, np.random.default_rng(4), 30_000)
+        x = _mixture_draw(draws, np.random.default_rng(4), 30_000)
         counts = np.bincount(x.astype(int), minlength=3)
         assert counts.sum() == 30_000
         assert np.all(np.abs(counts - 10_000) < 5.0 * math.sqrt(30_000 * 2 / 9))
