@@ -13,17 +13,17 @@ charge one restart cost at the affected units and the expected passage time
 through the unaffected ones, via ladder escape probabilities of the local
 random walks: the probability that a pre-change walk never ascends, by a
 change of measure to the mixture law (``ladder_prob_no_ascend``), and that a
-post-change walk never descends, by Spitzer's identity
-(``ladder_prob_no_descend``).
+post-change walk never descends, as one over the mean epoch of its first weak
+ascent (``ladder_prob_no_descend``). Both walk to a first passage above zero
+in the same block loop.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
-from typing import Callable, Mapping, MutableMapping, Sequence
+from typing import Callable, Iterator, Mapping, MutableMapping
 
 import numpy as np
 
@@ -64,17 +64,13 @@ __all__ = [
 _LADDER_HORIZON = 1_000
 _MIN_LADDER_REPS = 10_000
 _MIN_DRIFT_REPS = 10_000
-# Increments per draw of the Spitzer ladder: 1 MB of walk. One ladder call
-# peaks at 2.3 MB with a Gaussian class kernel, and at 18 MB (m = 3, 7 family
-# members) and 57 MB (m = 4, 26 members) with a law that is sampled and then
-# scored, whose mixture llr holds one array per member (tracemalloc, rho 0.7).
-# Gaussian draws give the same estimates at any chunk size.
-_LADDER_CHUNK = 1 << 17
-# Increments per block of the no-ascend walk, unless one column of the live
-# walks holds more. Fixed, so that the estimate depends on the seed and reps
-# only.
-_ASCENT_ELEMENTS = 1 << 17
-_CHERNOFF_THETAS = np.geomspace(1e-3, 1.0, 61)
+# Increments per block of a ladder walk, unless one column of the live walks
+# holds more. Fixed, so that the estimate depends on the seed and reps only.
+_BLOCK_ELEMENTS = 1 << 17
+# Walks of the no-descend ladder per rep, and walks per group: each group
+# starts with one block of one increment per walk.
+_DESCENT_WALKS = 4
+_WALK_GROUP = 1 << 14
 # Relative slack within which the largest closed-form information number counts
 # as equal to the smallest closed-form drift.
 _OPTIMALITY_REL_TOL = 1e-9
@@ -218,60 +214,42 @@ def llr_second_moment(
     return Estimate(var, se)
 
 
-def _spitzer_escape(
+def _first_passage(
     draw: Callable[[np.random.Generator, int], np.ndarray],
     rng: np.random.Generator,
-    reps: int,
-    descend: bool,
-) -> Estimate:
-    """Probability that a random walk with increments from ``draw`` never
-    crosses zero strictly: never below it with ``descend=True``, never above
-    it otherwise.
+    walks: int,
+    weak: bool = False,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Advance ``walks`` random walks with increments from ``draw`` to their
+    first passage above zero: the first n with S_n > 0, or S_n >= 0 when
+    ``weak``, within ``_LADDER_HORIZON`` steps.
 
-    With tau the first n at which S_n is on the wrong side of zero, Spitzer's
-    identity gives P(tau = inf) = exp(-sum_n P(S_n wrong side) / n).
-    A pilot batch of ``reps`` increments gives the Chernoff rate rho, the
-    smallest mean of exp(theta X) over theta in (0, 1] with X signed so that
-    the escape direction is negative; then P(S_n wrong side) <= rho^n and the
-    series tail beyond N is at most rho^(N+1) / ((N+1)(1 - rho)). The series is
-    cut at the first N where that is below a hundredth of the Monte Carlo
-    error, or at ``_LADDER_HORIZON``. Each of ``reps`` paths of N steps gives
-    Z = sum_{n <= N} 1{S_n wrong side} / n; the estimate is exp(-mean Z) with
-    the delta-method standard error. When the horizon binds, the dropped tail
-    biases the estimate upward by at most a factor exp(tail), reported in the
-    note. A walk with rho >= 1 does not drift away from zero and escapes with
-    probability 0.
+    The live walks advance together in blocks of (walks, columns), the
+    columns doubling from 1 and capped by ``_BLOCK_ELEMENTS`` over the live
+    walks. A walk leaves at its passage, and the rest of its block is not
+    used. Yields, block by block, the walks live at its start: their
+    indices, their passage epochs (0 for a walk still below at the end of
+    the block) and their levels at passage or at the end of the block. The
+    first block is one increment per walk.
     """
-    sign = -1.0 if descend else 1.0
-    with np.errstate(over="ignore"):
-        pilot = sign * draw(rng, reps)
-        rho = min(float(np.exp(theta * pilot).mean()) for theta in _CHERNOFF_THETAS)
-    if not rho < 1.0:
-        return Estimate(0.0, 0.0, note=f"walk does not drift away from zero: Chernoff rate {rho:.4g}")
-    n = np.arange(1, _LADDER_HORIZON + 1)
-    tail = rho ** (n + 1) / ((n + 1) * (1.0 - rho))
-    settled = tail <= 0.01 / math.sqrt(reps)
-    cut = not settled.any()
-    steps = _LADDER_HORIZON if cut else int(np.argmax(settled)) + 1
-    weights = 1.0 / n[:steps]
-    # Paths are simulated in blocks of at most _LADDER_CHUNK increments (the
-    # horizon is below the chunk), so memory does not grow with reps. Each
-    # block is walked, and its crossings marked, in the draw's own fresh array.
-    block = min(reps, _LADDER_CHUNK // steps)
-    z = np.empty(reps)
-    for lo in range(0, reps, block):
-        b = min(block, reps - lo)
-        walk = draw(rng, b * steps).reshape(b, steps)
-        if descend:
-            np.negative(walk, out=walk)
+    live = np.arange(walks)
+    level = np.zeros(walks)
+    steps, cols = 0, 1
+    while live.size and steps < _LADDER_HORIZON:
+        k = live.size
+        n = min(cols, max(1, _BLOCK_ELEMENTS // k), _LADDER_HORIZON - steps)
+        walk = draw(rng, k * n).reshape(k, n)
         np.cumsum(walk, axis=1, out=walk)
-        np.greater(walk, 0.0, out=walk)
-        np.matmul(walk, weights, out=z[lo : lo + b])
-    q = math.exp(-float(z.mean()))
-    note = None
-    if cut:
-        note = f"series cut at horizon {_LADDER_HORIZON}: biased upward by at most a factor exp({tail[-1]:.3g})"
-    return Estimate(q, q * float(z.std(ddof=1)) / math.sqrt(reps), note=note)
+        walk += level[:, None]
+        up = walk >= 0.0 if weak else walk > 0.0
+        rows, j = np.arange(k), up.argmax(axis=1)
+        done = up[rows, j]
+        j[~done] = n - 1
+        level = walk[rows, j]
+        yield live, np.where(done, steps + 1 + j, 0), level
+        level, live = level[~done], live[~done]
+        steps += n
+        cols *= 2
 
 
 def ladder_prob_no_descend(
@@ -282,55 +260,51 @@ def ladder_prob_no_descend(
     seed: int = 0,
 ) -> Estimate:
     """Probability that the post-change random walk of an affected unit never
-    drops below zero, by Spitzer's identity over one batch of ``reps`` paths.
+    drops below zero, by ladder duality over ``_DESCENT_WALKS * reps`` walks.
 
-    The paths walk only as many steps as a Chernoff bound on the rest of the
-    series requires, and never more than ``_LADDER_HORIZON``; a note reports the
-    truncation bias when the horizon binds, and an estimate of exactly 0 when
-    the walk does not drift upward.
+    With tau the first n at which S_n >= 0, E[tau] = sum_n P(S_1 < 0, ...,
+    S_n < 0), and by reversal the n-th term is the chance that n is a strict
+    descending ladder epoch; so E[tau] = 1 / P(S_n >= 0 for all n) (Feller,
+    vol. II, XII.2). Under a positive drift tau is short: 1 to 3 steps on
+    average on the presets. The estimate is q = 1 / mean(tau), with
+    delta-method standard error q^2 std(tau) / sqrt(walks) and an upward
+    ratio bias of order q^3 var(tau) / walks. At equal counts this standard
+    error is 1.3 to 2 times that of Spitzer's series exp(-sum_n P(S_n < 0) /
+    n) over as many paths, so four walks per rep keep it from growing.
+
+    The walks run in groups of ``_WALK_GROUP`` with running sums of tau and
+    tau^2, so memory does not grow with ``reps``. A walk still below zero
+    after ``_LADDER_HORIZON`` steps counts with tau at the horizon, which
+    biases the estimate upward; a note then gives the number cut. A walk
+    whose first block of increments has a mean that does not exceed 0 does
+    not drift up, and its estimate is exactly 0, with a note.
     """
     if reps < _MIN_LADDER_REPS:
         raise ValueError(f"reps must be at least {_MIN_LADDER_REPS}, got {reps}")
     if not hypothesis.is_affected(unit):
         raise ValueError(f"unit {unit} is not affected under {hypothesis.label}")
     draw = model.unit_class(unit, hypothesis.local_post[unit]).draw
-    return _spitzer_escape(draw, derive_rng(seed, 0x5F0), reps, descend=True)
-
-
-def _ascent_weights(
-    draw: Callable[[np.random.Generator, int], np.ndarray],
-    rng: np.random.Generator,
-    reps: int,
-) -> tuple[np.ndarray, int]:
-    """e^{-S_tau} of each of ``reps`` random walks with increments from
-    ``draw``, where tau is the first n with S_n > 0, and 0 for a walk still at
-    or below zero after ``_LADDER_HORIZON`` steps; and the number of those.
-
-    The live walks advance together in blocks of (walks, columns), the
-    columns doubling from 1 and capped by ``_ASCENT_ELEMENTS`` over the live
-    walks. A walk leaves at its first strict ascent, and the rest of its
-    block is not used. Under the mixture law the median ascent is at the
-    first step, hence the first block of one column.
-    """
-    weights = np.zeros(reps)
-    live = np.arange(reps)
-    level = np.zeros(reps)
-    steps, cols = 0, 1
-    while live.size and steps < _LADDER_HORIZON:
-        k = live.size
-        n = min(cols, max(1, _ASCENT_ELEMENTS // k), _LADDER_HORIZON - steps)
-        walk = draw(rng, k * n).reshape(k, n)
-        np.cumsum(walk, axis=1, out=walk)
-        walk += level[:, None]
-        up = walk > 0.0
-        j = up.argmax(axis=1)
-        done = up[np.arange(k), j]
-        weights[live[done]] = np.exp(-walk[done, j[done]])
-        level = walk[~done, -1]
-        live = live[~done]
-        steps += n
-        cols *= 2
-    return weights, live.size
+    rng = derive_rng(seed, 0x5F0)
+    walks = _DESCENT_WALKS * reps
+    passed = total = square = 0
+    for lo in range(0, walks, _WALK_GROUP):
+        for b, (_, tau, level) in enumerate(_first_passage(draw, rng, min(_WALK_GROUP, walks - lo), weak=True)):
+            if lo == b == 0 and not level.mean() > 0.0:
+                note = f"walk does not drift up: mean increment {level.mean():.4g} over the first {level.size}"
+                return Estimate(0.0, 0.0, note=note)
+            tau = tau[tau > 0]
+            passed += tau.size
+            total += int(tau.sum())
+            square += int((tau * tau).sum())
+    cut = walks - passed
+    total += cut * _LADDER_HORIZON
+    square += cut * _LADDER_HORIZON**2
+    q = walks / total
+    sd = math.sqrt((walks * square - total * total) / (walks * (walks - 1)))
+    note = None
+    if cut:
+        note = f"{cut} of {walks} walks cut at horizon {_LADDER_HORIZON}, counted as ascending there: biased upward"
+    return Estimate(q, q * q * sd / math.sqrt(walks), note=note)
 
 
 def ladder_prob_no_ascend(
@@ -361,7 +335,13 @@ def ladder_prob_no_ascend(
     """
     if reps < _MIN_LADDER_REPS:
         raise ValueError(f"reps must be at least {_MIN_LADDER_REPS}, got {reps}")
-    weights, cut = _ascent_weights(model.mixture_draw(unit), derive_rng(seed, 0x6F0), reps)
+    weights = np.zeros(reps)
+    passed = 0
+    for index, tau, level in _first_passage(model.mixture_draw(unit), derive_rng(seed, 0x6F0), reps):
+        up = tau > 0
+        weights[index[up]] = np.exp(-level[up])
+        passed += int(up.sum())
+    cut = reps - passed
     note = None
     if cut:
         note = (
@@ -385,18 +365,10 @@ def _per_class(
     change and of the affected units after it. The k-th class of a table is
     estimated at its first unit from seeds salted with k: the drifts, and
     with ``ladder_reps`` the ladder probabilities, the information number and
-    the second moment. ``cache`` keeps each class under its table, key and index.
-
-    Building the tables, and with ``ladder_reps`` the mixture draws of the
-    pre-change classes, compiles every class kernel the estimates call, so
-    that they only read the model. The classes missing from ``cache`` are
-    then estimated in one job per pre-change law and family (``key[1:]`` of
-    the class), on as many threads as there are jobs and usable cores. A
-    class kernel must not be called from two threads at once: a class in
-    both tables has one kernel, and the no-ascend walk of a pre-change class
-    calls the kernels of its family members, which are also the post-change
-    classes of that law and family. Every estimate draws from its own seed,
-    so the results do not depend on the number of threads.
+    the second moment. ``cache`` keeps each class under its table, key and
+    index; the classes missing from it are estimated one after another in the
+    calling thread. Every estimate draws from its own seed, so a class gets
+    the same estimates whichever other classes are estimated with it.
     """
 
     def pre(E: Unit, k: int) -> dict[str, Estimate]:
@@ -418,49 +390,16 @@ def _per_class(
         return out
 
     affected = [E for E in model.units if hypothesis is not None and hypothesis.is_affected(E)]
-    tables = []
-    jobs: dict[tuple, list] = {}
+    out: dict[Unit, dict] = {E: {} for E in model.units}
     for t, (units, hyp, estimate) in enumerate(((model.units, None, pre), (affected, hypothesis, post))):
         classes, first, index = model.class_table(units, hyp)
         keys = [(t, cls.key, k) for k, cls in enumerate(classes)]
-        tables.append((units, [keys[k] for k in index]))
         for key, E in zip(keys, first):
             if key not in cache:
-                if t == 0 and ladder_reps is not None:
-                    model.mixture_draw(E)  # compiles the member classes
-                jobs.setdefault(key[1][1:], []).append((key, estimate, E))
-
-    def run(job: list) -> list:
-        return [(key, estimate(E, key[2])) for key, estimate, E in job]
-
-    for done in _on_threads(run, list(jobs.values())):
-        cache.update(done)
-    out: dict[Unit, dict] = {E: {} for E in model.units}
-    for units, keys in tables:
-        for E, key in zip(units, keys):
-            out[E].update(cache[key])
+                cache[key] = estimate(E, key[2])
+        for E, k in zip(units, index):
+            out[E].update(cache[keys[k]])
     return out
-
-
-def _usable_cores() -> int:
-    """Number of cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _on_threads(fn: Callable, jobs: Sequence) -> list:
-    """``fn(job)`` of every job, in job order, on at most one thread per job
-    and usable core; serial in the calling thread when that is one."""
-    workers = min(len(jobs), _usable_cores())
-    if workers <= 1:
-        return [fn(job) for job in jobs]
-    # imported here: concurrent.futures costs every serial run at import
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
 
 
 def compute_unit_statistics(
@@ -474,8 +413,9 @@ def compute_unit_statistics(
     """Per-unit statistics for the delay bounds, estimated once per class and
     shared by its units: ``drift_pre`` and ``q_no_ascend`` per pre-change
     class of ``model.units``, the rest per post-change class of the affected
-    units (``model.class_table``). Each ladder call uses ``ladder_reps`` walks
-    of at most ``_LADDER_HORIZON`` steps. A ``cache`` shared between calls
+    units (``model.class_table``). The ladder probabilities take
+    ``ladder_reps`` as their ``reps``, with walks of at most
+    ``_LADDER_HORIZON`` steps. A ``cache`` shared between calls
     with the same budgets and seed keeps the estimates per class, so a class
     already in it is not estimated again; the results equal those of a call
     without it.

@@ -187,9 +187,7 @@ class GaussianMixtureKernel:
     random stream is that of sampling and then calling ``mixture_llr``, and
     the increments differ from that path's by rounding. Every call works in
     the kernel's own slice buffers, so one kernel must not be called from two
-    threads at once; the bound estimates run one pre-change law and family
-    per thread, and every kernel they call, the members' kernels of the
-    no-ascend walk included, is a class of that law and family.
+    threads at once.
     """
 
     def __init__(self, law: GaussianLocal, pre: GaussianLocal, family: Sequence[GaussianLocal]):

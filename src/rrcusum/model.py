@@ -68,9 +68,7 @@ class LocalDistribution(abc.ABC):
     length of ``estimate_arl`` and the no-ascend ladder probability change
     the measure from the pre-change law to the mixture law by the likelihood
     ratio, which is only sound when E_f[mix / f] = 1. ``sample`` returns an
-    array of shape (n, dim). The bound estimates run one pre-change law and
-    family per thread, and a law can serve several of them, so ``sample`` and
-    ``logpdf`` may be called from two threads at once.
+    array of shape (n, dim).
     """
 
     dim: int
@@ -95,9 +93,7 @@ class LocalDistribution(abc.ABC):
         compiled form; the caller then samples and evaluates the llr. A draw
         must consume ``rng`` exactly as ``self.sample(rng, n)`` does, so that
         both paths see the same random stream, and return a fresh float
-        array that shares no memory with the draw's own state. The draw may
-        be called from threads other than the one that compiled it, but
-        never from two at once."""
+        array that shares no memory with the draw's own state."""
         return None
 
 

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -29,9 +27,8 @@ from rrcusum.bounds import (
     llr_second_moment,
     lower_bound_first_order,
     nonasymptotic_upper_bound,
-    validate_model,
 )
-from rrcusum.gaussian import GaussianLocal, GaussianMixtureKernel
+from rrcusum.gaussian import GaussianLocal
 from rrcusum.model import (
     ChangePointModel,
     LocalDistribution,
@@ -189,6 +186,51 @@ def stub_model(increment: float):
     return m, h, u
 
 
+def _spitzer_escape(draw, rng: np.random.Generator, reps: int, descend: bool) -> Estimate:
+    """Probability that a random walk with increments from ``draw`` never
+    crosses zero strictly, by Spitzer's identity: an oracle for the ladders.
+
+    Never below zero with ``descend=True``, never above it otherwise. With
+    tau the first n at which S_n is on the wrong side of zero, Spitzer's
+    identity gives P(tau = inf) = exp(-sum_n P(S_n wrong side) / n). A pilot
+    batch of ``reps`` increments gives the Chernoff rate rho, the smallest
+    mean of exp(theta X) over theta in (0, 1] with X signed so that the
+    escape direction is negative; then P(S_n wrong side) <= rho^n and the
+    series tail beyond N is at most rho^(N+1) / ((N+1)(1 - rho)). The series
+    is cut at the first N where that is below a hundredth of the Monte Carlo
+    error, or at the ladders' horizon. Each of ``reps`` paths of N steps
+    gives Z = sum_{n <= N} 1{S_n wrong side} / n; the estimate is
+    exp(-mean Z) with the delta-method standard error, and a note when the
+    horizon binds. A walk with rho >= 1 escapes with probability 0.
+    """
+    sign = -1.0 if descend else 1.0
+    with np.errstate(over="ignore"):
+        pilot = sign * draw(rng, reps)
+        rho = min(float(np.exp(theta * pilot).mean()) for theta in np.geomspace(1e-3, 1.0, 61))
+    if not rho < 1.0:
+        return Estimate(0.0, 0.0, note=f"Chernoff rate {rho:.4g}")
+    n = np.arange(1, bounds._LADDER_HORIZON + 1)
+    tail = rho ** (n + 1) / ((n + 1) * (1.0 - rho))
+    settled = tail <= 0.01 / math.sqrt(reps)
+    cut = not settled.any()
+    steps = bounds._LADDER_HORIZON if cut else int(np.argmax(settled)) + 1
+    weights = 1.0 / n[:steps]
+    # paths in blocks of at most 2^17 increments
+    block = min(reps, (1 << 17) // steps)
+    z = np.empty(reps)
+    for lo in range(0, reps, block):
+        b = min(block, reps - lo)
+        walk = draw(rng, b * steps).reshape(b, steps)
+        if descend:
+            np.negative(walk, out=walk)
+        np.cumsum(walk, axis=1, out=walk)
+        np.greater(walk, 0.0, out=walk)
+        np.matmul(walk, weights, out=z[lo : lo + b])
+    q = math.exp(-float(z.mean()))
+    note = f"series cut at horizon {bounds._LADDER_HORIZON}" if cut else None
+    return Estimate(q, q * float(z.std(ddof=1)) / math.sqrt(reps), note=note)
+
+
 def _mean_change_escape(mu: float) -> float:
     """exp(-sum_n Phi(-sqrt(n) mu / 2) / n), summed until the terms vanish."""
     n = np.arange(1, 200_001)
@@ -224,7 +266,7 @@ class TestLadderProbabilities:
         assert 0.0 < q_down.value < 1.0
         assert q_up.stderr > 0.0
 
-    @pytest.mark.parametrize("mu", [0.5, 1.0])
+    @pytest.mark.parametrize("mu", [0.3, 0.5, 1.0])
     def test_ladders_match_exact_mean_change(self, mu):
         # the unit llr is N(-mu^2/2, mu^2) before the change and N(mu^2/2, mu^2)
         # after, so P(S_n on the wrong side) = Phi(-sqrt(n) mu / 2) both ways
@@ -245,15 +287,25 @@ class TestLadderProbabilities:
         assert est.note is None
         assert abs(est.value - _mean_change_escape(mu)) < 4.0 * est.stderr
 
-    def test_horizon_cut_reports_upward_bias(self):
-        # a weak drift needs more than the horizon; the note bounds the bias.
-        # The post-change llr mirrors the pre-change one, so the series is the same
+    def test_no_descend_needs_no_horizon_at_weak_drift(self):
+        # the same drift for the post-change walk, whose first weak ascent
+        # comes within the horizon although Spitzer's series does not settle
         mu = 0.2
         m = mean_change_model(1, mu)
         h = mean_change_hypothesis(m, (1,), mu)
         est = ladder_prob_no_descend(m, h, unit(1), reps=10_000, seed=3)
-        assert est.note is not None and "horizon 1000" in est.note
+        assert est.note is None
         assert abs(est.value - _mean_change_escape(mu)) < 4.0 * est.stderr
+
+    def test_horizon_cut_reports_upward_bias(self):
+        # at a drift this weak some walks are still below zero after the
+        # horizon; they count as ascending there, which biases q upward
+        mu = 0.05
+        m = mean_change_model(1, mu)
+        h = mean_change_hypothesis(m, (1,), mu)
+        est = ladder_prob_no_descend(m, h, unit(1), reps=10_000, seed=3)
+        assert est.note is not None and "walks cut at horizon 1000" in est.note
+        assert est.value > _mean_change_escape(mu)
 
     def test_zero_llr_never_ascends(self):
         # a family equal to the pre-change law: the llr is 0 and every walk is cut
@@ -273,10 +325,24 @@ class TestLadderProbabilities:
         model, _ = build_preset(name, **kw)
         E = model.units[0]
         tilted = ladder_prob_no_ascend(model, E, reps=10_000, seed=5)
-        spitzer = bounds._spitzer_escape(model.unit_class(E).draw, derive_rng(5, 0x6F0), 10_000, descend=False)
+        spitzer = _spitzer_escape(model.unit_class(E).draw, derive_rng(5, 0x6F0), 10_000, descend=False)
         assert tilted.note is None and spitzer.note is None
         assert abs(tilted.value - spitzer.value) < 4.0 * math.hypot(tilted.stderr, spitzer.stderr)
         assert 0.0 < tilted.stderr < spitzer.stderr
+
+    @pytest.mark.parametrize(
+        "name, kw",
+        [("corr-pairs", {}), ("corr-pairs", dict(m=3, s=4)), ("signed-pairs", {})],
+        ids=["corr-pairs-m2", "corr-pairs-m3", "signed-pairs"],
+    )
+    def test_no_descend_agrees_with_spitzer(self, name, kw):
+        model, hyp = build_preset(name, **kw)
+        E = max(affected_units(model, hyp))
+        walk = ladder_prob_no_descend(model, hyp, E, reps=10_000, seed=5)
+        draw = model.unit_class(E, hyp.local_post[E]).draw
+        spitzer = _spitzer_escape(draw, derive_rng(6, 0x5F0), 10_000, descend=True)
+        assert walk.note is None and spitzer.note is None
+        assert abs(walk.value - spitzer.value) < 4.0 * math.hypot(walk.stderr, spitzer.stderr)
 
     def test_wrong_drift_is_exactly_zero(self):
         # the post-change law shifts the mean against the family, so the
@@ -302,19 +368,20 @@ class TestLadderProbabilities:
         assert 0.0 < est.value < 1.0
         assert peak < 400 * 2**20
 
-    def test_chunk_size_sets_memory_only(self, monkeypatch):
-        model, hyp = build_preset("corr-pairs", m=3, s=4)
-        E = unit(7, 8, 9)
-
-        def both():
-            return (
-                ladder_prob_no_ascend(model, E, reps=10_000, seed=2),
-                ladder_prob_no_descend(model, hyp, E, reps=10_000, seed=2),
-            )
-
-        want = both()
-        monkeypatch.setattr(bounds, "_LADDER_CHUNK", 1 << 12)
-        assert both() == want
+    def test_no_descend_memory_does_not_grow_with_reps(self):
+        # the walks run in groups of fixed size with running sums of tau
+        model, hyp = build_preset("corr-pairs", s=4)
+        E = unit(7, 8)
+        ladder_prob_no_descend(model, hyp, E, reps=10_000, seed=2)  # compiles the kernel
+        peaks = []
+        for reps in (10_000, 40_000):
+            tracemalloc.start()
+            try:
+                ladder_prob_no_descend(model, hyp, E, reps=reps, seed=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
 
     def test_preconditions(self, corr_pairs):
         model, hyp = corr_pairs
@@ -596,107 +663,6 @@ class TestComputeUnitStatistics:
         assert affected.drift_post is not None
         assert affected.q_no_descend is not None
         assert affected.info_number.value == pytest.approx(PAIR_INFO, abs=1e-14)
-
-
-def _unchanged_and_block():
-    """corr-pairs at m = 3 with unit {1,2,3} affected but following its
-    pre-change law, so that a class is in both tables and has one kernel."""
-    model, hyp = build_preset("corr-pairs", m=3, s=4)
-    E = unit(1, 2, 3)
-    local_post = {E: model.pre_local[E], **hyp.local_post}
-    return model, PostChangeHypothesis(label="unchanged and block", local_post=local_post)
-
-
-def _guard_kernels(monkeypatch) -> list:
-    """Record every class kernel entered while another thread is in it."""
-    busy, clashes, lock = set(), [], threading.Lock()
-    call = GaussianMixtureKernel.__call__
-
-    def guarded(self, rng, n):
-        with lock:
-            if id(self) in busy:
-                clashes.append(self)
-            busy.add(id(self))
-        try:
-            return call(self, rng, n)
-        finally:
-            with lock:
-                busy.discard(id(self))
-
-    monkeypatch.setattr(GaussianMixtureKernel, "__call__", guarded)
-    return clashes
-
-
-class TestThreads:
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: build_preset("corr-pairs", m=3, s=4),
-            lambda: build_preset("signed-pairs"),
-            _unchanged_and_block,
-        ],
-        ids=["corr-pairs-m3", "signed-pairs", "unchanged-and-block"],
-    )
-    def test_results_do_not_depend_on_the_cores(self, build, monkeypatch):
-        clashes = _guard_kernels(monkeypatch)
-        model, hyp = build()
-        got = []
-        for cores in (1, 3):
-            monkeypatch.setattr(bounds, "_usable_cores", lambda: cores)
-            got.append(
-                (
-                    compute_unit_statistics(model, hyp, reps=10_000, ladder_reps=10_000, seed=4),
-                    validate_model(model, hyp, mc_budget=10_000, seed=4),
-                )
-            )
-        assert got[0] == got[1]
-        assert not clashes
-
-    def test_a_class_in_both_tables_is_one_job(self, monkeypatch):
-        model, hyp = _unchanged_and_block()
-        seen = []
-        on_threads = bounds._on_threads
-
-        def spy(fn, jobs):
-            seen.append(jobs)
-            return on_threads(fn, jobs)
-
-        monkeypatch.setattr(bounds, "_on_threads", spy)
-        stats = compute_unit_statistics(model, hyp, reps=10_000, ladder_reps=10_000, seed=4)
-        # every unit has the same pre-change law and family, so one job holds
-        # the pre-change class, which also serves {1,2,3} after the change,
-        # and the two post-change classes of the block
-        [jobs] = seen
-        assert list(map(len, jobs)) == [4]
-        assert stats[unit(1, 2, 3)].drift_post.value < 0.0
-
-    def test_one_job_per_pre_change_law_and_family(self, monkeypatch):
-        # two scalar units whose families shift by different amounts: two
-        # jobs, each with its pre- and post-change class, on two threads
-        clashes = _guard_kernels(monkeypatch)
-        shifts = {1: 1.0, 2: 2.0}
-        model = mean_change_model(2, shifts)
-        hyp = mean_change_hypothesis(model, (1, 2), shifts)
-        seen = []
-        on_threads = bounds._on_threads
-
-        def spy(fn, jobs):
-            seen.append(list(map(len, jobs)))
-            return on_threads(fn, jobs)
-
-        monkeypatch.setattr(bounds, "_on_threads", spy)
-        got = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads often, so that a clash would show
-        try:
-            for cores in (1, 2):
-                monkeypatch.setattr(bounds, "_usable_cores", lambda: cores)
-                got.append(compute_unit_statistics(model, hyp, reps=10_000, ladder_reps=10_000, seed=4))
-        finally:
-            sys.setswitchinterval(interval)
-        assert seen == [[2, 2], [2, 2]]
-        assert got[0] == got[1]
-        assert not clashes
 
 
 class TestBoundsReport:

@@ -383,6 +383,21 @@ def test_units_of_a_pre_change_class_share_its_estimates():
         assert st.q_no_ascend is first.q_no_ascend
 
 
+def test_a_class_in_both_tables_is_estimated_once(monkeypatch):
+    # corr-pairs at m = 3 with {1,2,3} affected but following its pre-change
+    # law: one pre-change class, which also serves {1,2,3} after the change,
+    # and two post-change classes of the block
+    model, hyp = build_preset("corr-pairs", m=3, s=4)
+    E = unit(1, 2, 3)
+    hyp = PostChangeHypothesis(label="unchanged and block", local_post={E: model.pre_local[E], **hyp.local_post})
+    calls = _count(monkeypatch, "drift_pre", "ladder_prob_no_ascend", "drift_post", "ladder_prob_no_descend")
+    stats = compute_unit_statistics(model, hyp, reps=10_000, ladder_reps=10_000, seed=4)
+    pre, post = ["drift_pre", "ladder_prob_no_ascend"], ["drift_post", "ladder_prob_no_descend"]
+    assert sorted(calls) == sorted(pre + 3 * post)
+    assert stats[E].drift_post.value < 0.0
+    assert stats[E].q_no_descend.value == 0.0
+
+
 @pytest.mark.parametrize("m, ladders", [(2, 2), (3, 3)])
 def test_one_ladder_call_per_class_of_each_table(m, ladders, monkeypatch):
     # one pre-change class; one post-change class at m = 2, two at m = 3
