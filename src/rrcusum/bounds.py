@@ -144,8 +144,9 @@ def drift_post(
 ) -> Estimate:
     """Post-change mean of the mixture log likelihood ratio of an affected unit.
 
-    Exact (stderr 0) when the family is one Gaussian and both laws are
-    Gaussian; otherwise a Monte Carlo mean over ``reps`` increments.
+    Exact (stderr 0) when the class carries its moments, as a one-member
+    Gaussian family does; otherwise a Monte Carlo mean over ``reps``
+    increments.
     """
     if reps < _MIN_DRIFT_REPS:
         raise ValueError(f"reps must be at least {_MIN_DRIFT_REPS}, got {reps}")
@@ -161,15 +162,13 @@ def drift_post(
 def _exact_drift(model: ChangePointModel, hypothesis: PostChangeHypothesis, unit: Unit) -> float | None:
     """Closed-form post-change drift of an affected unit, or None.
 
-    With a one-member family g1 the mixture llr is log g1 - log f, whose mean
-    under the true law g is KL(g || f) - KL(g || g1): the information number
-    when g = g1, and less otherwise. Needs f, g and g1 Gaussian.
+    With a one-member Gaussian family g1 and Gaussian laws f and g, the
+    mixture llr log g1 - log f is a quadratic form in normals whose mean the
+    class kernel carries (``UnitClass.moments``). It equals KL(g || f) -
+    KL(g || g1): the information number when g = g1, and less otherwise.
     """
-    family = model.post_family[unit]
-    f, g = model.pre_local[unit], hypothesis.local_post[unit]
-    if len(family) != 1 or not all(isinstance(d, GaussianLocal) for d in (f, g, family[0])):
-        return None
-    return gaussian_kl(g, f) - gaussian_kl(g, family[0])
+    moments = model.unit_class(unit, hypothesis.local_post[unit]).moments
+    return None if moments is None else moments[0]
 
 
 def drift_pre(
@@ -181,14 +180,20 @@ def drift_pre(
     """Pre-change mean of the negated mixture log likelihood ratio.
 
     This is the KL divergence of the pre-change law against the mixture and
-    must be positive for the policy to leave unaffected units. A value not
+    must be positive for the policy to leave unaffected units. Exact (stderr
+    0) when the class carries its moments, as a one-member Gaussian family
+    does; otherwise a Monte Carlo mean over ``reps`` increments. A value not
     clearing zero by three standard errors is flagged, not raised.
     """
     if reps < _MIN_DRIFT_REPS:
         raise ValueError(f"reps must be at least {_MIN_DRIFT_REPS}, got {reps}")
-    vals = -model.unit_class(unit).draw(derive_rng(seed, 0x3F0), reps)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(reps))
+    cls = model.unit_class(unit)
+    if cls.moments is not None:
+        mean, se = -cls.moments[0], 0.0
+    else:
+        vals = cls.draw(derive_rng(seed, 0x3F0), reps)
+        mean = -float(vals.mean())
+        se = float(vals.std(ddof=1) / math.sqrt(reps))
     note = None if mean > 3.0 * se else "drift sign not resolved at three standard errors"
     return Estimate(mean, se, note=note)
 
@@ -200,16 +205,22 @@ def llr_second_moment(
     reps: int = 100_000,
     seed: int = 0,
 ) -> Estimate:
-    """Post-change variance of the mixture log likelihood ratio of an affected unit."""
+    """Post-change variance of the mixture log likelihood ratio of an affected
+    unit: exact (stderr 0) when the class carries its moments, otherwise the
+    sample variance of ``reps`` increments."""
     if reps < _MIN_DRIFT_REPS:
         raise ValueError(f"reps must be at least {_MIN_DRIFT_REPS}, got {reps}")
     if not hypothesis.is_affected(unit):
         raise ValueError(f"unit {unit} is not affected under {hypothesis.label}")
-    vals = model.unit_class(unit, hypothesis.local_post[unit]).draw(derive_rng(seed, 0x4F0), reps)
+    cls = model.unit_class(unit, hypothesis.local_post[unit])
+    if cls.moments is not None:
+        return Estimate(cls.moments[1], 0.0)
+    vals = cls.draw(derive_rng(seed, 0x4F0), reps)
     var = float(vals.var(ddof=1))
-    # standard error of the sample variance via the fourth central moment
-    centered = vals - vals.mean()
-    m4 = float((centered**4).mean())
+    # standard error of the sample variance via the fourth central moment,
+    # centred and raised in place
+    vals -= vals.mean()
+    m4 = float(np.power(vals, 4, out=vals).mean())
     se = math.sqrt(max(m4 - var * var, 0.0) / reps)
     return Estimate(var, se)
 
@@ -239,13 +250,19 @@ def _first_passage(
         k = live.size
         n = min(cols, max(1, _BLOCK_ELEMENTS // k), _LADDER_HORIZON - steps)
         walk = draw(rng, k * n).reshape(k, n)
-        np.cumsum(walk, axis=1, out=walk)
-        walk += level[:, None]
-        up = walk >= 0.0 if weak else walk > 0.0
-        rows, j = np.arange(k), up.argmax(axis=1)
-        done = up[rows, j]
-        j[~done] = n - 1
-        level = walk[rows, j]
+        if n == 1:
+            # one column: its level is the increment added, and a passage
+            # falls on its only step
+            level = level + walk[:, 0]
+            done, j = (level >= 0.0 if weak else level > 0.0), 0
+        else:
+            np.cumsum(walk, axis=1, out=walk)
+            walk += level[:, None]
+            up = walk >= 0.0 if weak else walk > 0.0
+            rows, j = np.arange(k), up.argmax(axis=1)
+            done = up[rows, j]
+            j[~done] = n - 1
+            level = walk[rows, j]
         yield live, np.where(done, steps + 1 + j, 0), level
         level, live = level[~done], live[~done]
         steps += n
@@ -506,7 +523,7 @@ def classify_optimality(
         if any(j is not None and j <= 0.0 for j in drifts):
             return OptimalityClass.INDETERMINATE
         if all(j is not None for j in drifts):
-            # f and g are Gaussian wherever the drift is exact
+            # f and g are Gaussian wherever a class kernel carries the drift
             info = {E: gaussian_kl(hypothesis.local_post[E], model.pre_local[E]) for E in affected}
             top, restricted = _largest_info(model, hypothesis, info)
             if not restricted and top <= min(drifts) * (1.0 + _OPTIMALITY_REL_TOL):

@@ -188,6 +188,11 @@ class GaussianMixtureKernel:
     the increments differ from that path's by rounding. Every call works in
     the kernel's own slice buffers, so one kernel must not be called from two
     threads at once.
+
+    With one member the increment is X = z'Qz + beta'z + c, with Q = (A0 -
+    A) / 2 and beta = b0 - b from ``_quadratic``, so ``moments`` holds its
+    exact mean tr Q + c and variance 2 tr(Q^2) + |beta|^2. A mixture has no
+    such closed form, and its ``moments`` is None.
     """
 
     def __init__(self, law: GaussianLocal, pre: GaussianLocal, family: Sequence[GaussianLocal]):
@@ -204,6 +209,11 @@ class GaussianMixtureKernel:
             const.append(0.5 * (c0 - c) - math.log(len(family)))
         self._weights = np.array(weights)
         self._const = np.array(const)[:, None]
+        self.moments: tuple[float, float] | None = None
+        if len(family) == 1:
+            # a, b are the one member's
+            q, beta = 0.5 * (a0 - a), b0 - b
+            self.moments = (float(np.trace(q)) + const[0], 2.0 * float(np.sum(q * q.T)) + float(beta @ beta))
         self._allocate_scratch()
 
     _SCRATCH = ("_z", "_phi", "_t")

@@ -93,7 +93,9 @@ class LocalDistribution(abc.ABC):
         compiled form; the caller then samples and evaluates the llr. A draw
         must consume ``rng`` exactly as ``self.sample(rng, n)`` does, so that
         both paths see the same random stream, and return a fresh float
-        array that shares no memory with the draw's own state."""
+        array that shares no memory with the draw's own state. A draw may
+        carry ``moments``, the exact mean and variance of one increment, for
+        ``unit_class`` to hand on."""
         return None
 
 
@@ -135,11 +137,13 @@ class UnitClass:
     increments are identically distributed.
 
     ``key`` identifies the class and ``draw(rng, n)`` returns n increments
-    in a fresh array.
+    in a fresh array. ``moments`` is the exact (mean, variance) of one
+    increment when the compiled draw knows it, else None.
     """
 
     key: tuple
     draw: IncrementDraw
+    moments: tuple[float, float] | None = None
 
 
 def _sample_and_score(
@@ -267,7 +271,7 @@ class ChangePointModel:
         The class is compiled on first use and shared by every unit with the
         same law, pre-change law and family. Its draw is the law's compiled
         kernel when it has one, else ``law.sample`` followed by
-        ``mixture_llr``.
+        ``mixture_llr``; its moments are the kernel's, if it carries them.
         """
         family = self._family(unit)
         pre = self.pre_local[unit]
@@ -278,7 +282,7 @@ class ChangePointModel:
             draw = law.compile_llr(pre, family)
             if draw is None:
                 draw = partial(_sample_and_score, self, unit, law)
-            cls = self._classes[key] = UnitClass(key, draw)
+            cls = self._classes[key] = UnitClass(key, draw, getattr(draw, "moments", None))
         return cls
 
     def mixture_draw(self, unit: Unit) -> IncrementDraw:
@@ -287,8 +291,10 @@ class ChangePointModel:
         uniformly at random and is scored by that member's class kernel,
         ``unit_class(unit, g)``. Those are also the post-change classes of
         the units with the same pre-change law and family whose true law is
-        the member."""
-        return partial(_mixture_draw, [self.unit_class(unit, g).draw for g in self._family(unit)])
+        the member. A one-member family needs no pick: its draw is the
+        member's class draw."""
+        draws = [self.unit_class(unit, g).draw for g in self._family(unit)]
+        return draws[0] if len(draws) == 1 else partial(_mixture_draw, draws)
 
     def class_table(
         self, units: Sequence[Unit], hypothesis: PostChangeHypothesis | None = None

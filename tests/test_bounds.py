@@ -126,9 +126,11 @@ class TestDrifts:
             drift_post(model, hyp, unit(1, 2), reps=10_000)
 
     def test_pre_drift_oracle(self, corr_pairs):
+        # one-member Gaussian family: the closed form KL(f || g1)
         model, hyp = corr_pairs
         est = drift_pre(model, unit(9, 10), reps=20_000, seed=4)
-        assert abs(est.value - PAIR_KL_REVERSED) < 4.0 * est.stderr
+        assert est.value == pytest.approx(PAIR_KL_REVERSED, abs=1e-12)
+        assert est.stderr == 0.0
         assert est.note is None
 
     def test_pre_drift_flags_unresolved_sign(self):
@@ -144,7 +146,8 @@ class TestDrifts:
         m = mean_change_model(2, 1.0)
         h = mean_change_hypothesis(m, (1, 2), 1.0)
         est = llr_second_moment(m, h, unit(1), reps=20_000, seed=5)
-        assert abs(est.value - 1.0) < 4.0 * est.stderr
+        assert est.value == pytest.approx(1.0, abs=1e-12)
+        assert est.stderr == 0.0
 
     def test_reps_floors(self, corr_pairs):
         model, hyp = corr_pairs
@@ -229,6 +232,26 @@ def _spitzer_escape(draw, rng: np.random.Generator, reps: int, descend: bool) ->
     q = math.exp(-float(z.mean()))
     note = f"series cut at horizon {bounds._LADDER_HORIZON}" if cut else None
     return Estimate(q, q * float(z.std(ddof=1)) / math.sqrt(reps), note=note)
+
+
+def _first_passage_by_cumsum(draw, rng: np.random.Generator, walks: int, weak: bool):
+    """``bounds._first_passage`` with every block, one column or more, taken
+    by cumulative sum and argmax."""
+    live, level = np.arange(walks), np.zeros(walks)
+    steps, cols = 0, 1
+    while live.size and steps < bounds._LADDER_HORIZON:
+        k = live.size
+        n = min(cols, max(1, bounds._BLOCK_ELEMENTS // k), bounds._LADDER_HORIZON - steps)
+        walk = np.cumsum(draw(rng, k * n).reshape(k, n), axis=1) + level[:, None]
+        up = walk >= 0.0 if weak else walk > 0.0
+        rows, j = np.arange(k), up.argmax(axis=1)
+        done = up[rows, j]
+        j[~done] = n - 1
+        level = walk[rows, j]
+        yield live, np.where(done, steps + 1 + j, 0), level
+        level, live = level[~done], live[~done]
+        steps += n
+        cols *= 2
 
 
 def _mean_change_escape(mu: float) -> float:
@@ -382,6 +405,23 @@ class TestLadderProbabilities:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]
+
+    @pytest.mark.parametrize("block", [bounds._BLOCK_ELEMENTS, 64])
+    @pytest.mark.parametrize("weak", [False, True])
+    def test_one_column_blocks_match_the_cumulative_sum(self, block, weak, monkeypatch):
+        # a block of 64 elements makes every block one column while more
+        # than 64 of the 500 walks are live
+        monkeypatch.setattr(bounds, "_BLOCK_ELEMENTS", block)
+
+        def draw(rng, n):
+            return rng.standard_normal(n) - 0.1
+
+        got = list(bounds._first_passage(draw, derive_rng(9), 500, weak=weak))
+        want = list(_first_passage_by_cumsum(draw, derive_rng(9), 500, weak=weak))
+        assert len(got) == len(want) > 1
+        for a, b in zip(got, want):
+            for x, y in zip(a, b):
+                np.testing.assert_array_equal(x, y)
 
     def test_preconditions(self, corr_pairs):
         model, hyp = corr_pairs

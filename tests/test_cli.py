@@ -321,10 +321,12 @@ class TestValidateCommand:
         assert "overall: ok" in out
 
     def test_degenerate_scenario_exits_1(self, capsys):
-        # a vanishing mean shift cannot clear the three-standard-error gate
-        code = main(["validate", "mean-change", "--mu", "1e-9", "--reps", "10000"])
+        # at m = 3 the mixture llr of the units holding the correlated pair
+        # {4,5} drifts down after the change (about -0.05, 6 standard errors)
+        code = main(["validate", "corr-pairs", "--K", "5", "--m", "3", "--reps", "10000"])
         out = capsys.readouterr().out
         assert code == 1
+        assert "post-drift -0.05" in out
         assert "overall: FAIL" in out
 
 

@@ -13,7 +13,10 @@ from rrcusum import bounds, montecarlo
 from rrcusum.bounds import (
     bounds_report,
     compute_unit_statistics,
+    drift_post,
+    drift_pre,
     ladder_prob_no_ascend,
+    llr_second_moment,
     lower_bound_first_order,
     validate_model,
 )
@@ -22,7 +25,9 @@ from rrcusum.model import (
     ChangePointModel,
     LocalDistribution,
     PostChangeHypothesis,
+    _mixture_draw,
     affected_units,
+    derive_rng,
     derive_seed,
     unit,
 )
@@ -309,6 +314,79 @@ def test_generic_and_compiled_paths_give_the_same_ladder_estimate(gaussian_and_w
     generic = ladder_prob_no_ascend(wmodel, E, reps=10_000, seed=3)
     assert generic.value == pytest.approx(fast.value, rel=1e-9)
     assert generic.stderr == pytest.approx(fast.stderr, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Exact moments of one-member classes
+
+
+def _one_member_classes(presets):
+    """(model, hypothesis, first unit, law) of every distinct class met in the
+    presets, with the law None for a pre-change class."""
+    seen, out = set(), []
+    for name, kw in presets:
+        model, hyp = build_preset(name, **kw)
+        for E in model.units:
+            for law in (None, hyp.local_post[E]) if hyp.is_affected(E) else (None,):
+                key = model.unit_class(E, law).key
+                if key not in seen:
+                    seen.add(key)
+                    out.append((model, hyp, E, law))
+    return out
+
+
+MOMENT_CASES = {
+    # the preset at every block size of study 1
+    "corr-pairs-m2": [("corr-pairs", dict(m=2, rho=0.7, s=s)) for s in range(2, 11)],
+    "mean-change": [("mean-change", dict(s=3))],
+}
+
+
+@pytest.mark.parametrize("presets", MOMENT_CASES.values(), ids=MOMENT_CASES.keys())
+def test_exact_moments_agree_with_sample_and_score(presets):
+    # the wrapped laws have no kernel, so the same estimators fall back to
+    # Monte Carlo over the sample-and-score draw
+    classes = _one_member_classes(presets)
+    assert {law is None for *_, law in classes} == {True, False}
+    for model, hyp, E, law in classes:
+        assert model.unit_class(E, law).moments is not None
+        wmodel, whyp = _wrap(model, hyp)
+        if law is None:
+            pairs = [(drift_pre(model, E), drift_pre(wmodel, E, seed=2))]
+        else:
+            pairs = [
+                (drift_post(model, hyp, E), drift_post(wmodel, whyp, E, seed=2)),
+                (llr_second_moment(model, hyp, E), llr_second_moment(wmodel, whyp, E, seed=2)),
+            ]
+        for exact, mc in pairs:
+            assert exact.stderr == 0.0
+            assert mc.stderr > 0.0
+            assert abs(exact.value - mc.value) < 3.0 * mc.stderr, (E, law, exact, mc)
+
+
+@pytest.mark.parametrize(
+    "name, kw", [("corr-pairs", dict(m=3, s=4)), ("signed-pairs", {})], ids=["corr-pairs-m3", "signed-pairs"]
+)
+def test_mixture_classes_keep_monte_carlo_errors(name, kw):
+    model, hyp = build_preset(name, **kw)
+    for E in model.units:
+        assert model.unit_class(E).moments is None
+        assert drift_pre(model, E, reps=10_000).stderr > 0.0
+        if hyp.is_affected(E):
+            assert model.unit_class(E, hyp.local_post[E]).moments is None
+            assert llr_second_moment(model, hyp, E, reps=10_000).stderr > 0.0
+
+
+def test_mixture_draw_of_one_member_is_the_member_draw():
+    model, _ = build_preset("corr-pairs", m=2, s=4)
+    E = model.units[0]
+    (g,) = model.post_family[E]
+    member = model.unit_class(E, g).draw
+    assert model.mixture_draw(E) is member
+    # and its draws are those of a pick among one member, bit for bit
+    rng_one, rng_pick = derive_rng(5), derive_rng(5)
+    np.testing.assert_array_equal(model.mixture_draw(E)(rng_one, 5000), _mixture_draw([member], rng_pick, 5000))
+    assert rng_one.bit_generator.state == rng_pick.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
