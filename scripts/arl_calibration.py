@@ -22,7 +22,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--gammas", type=float, nargs="+", default=[20.0, 50.0, 100.0, 300.0, 1e3, 1e5])
     ap.add_argument("--replications", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
 
     model = correlated_blocks_model(args.K, args.m, args.rho)
@@ -30,7 +29,7 @@ def main(argv: list[str] | None = None) -> int:
     worst = float("inf")
     for gamma in args.gammas:
         spec = RunSpec(gamma=gamma, replications=args.replications, seed=args.seed)
-        est = estimate_arl(model, spec, cap=math.ceil(100 * gamma), threads=args.threads)
+        est = estimate_arl(model, spec, cap=math.ceil(100 * gamma))
         ratio = est.mean / gamma
         worst = min(worst, ratio)
         print(

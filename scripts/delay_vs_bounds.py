@@ -35,7 +35,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--replications", type=int, default=2000)
     ap.add_argument("--stats-reps", type=int, default=100_000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
 
     model, hyp = build_preset(
@@ -54,7 +53,7 @@ def main(argv: list[str] | None = None) -> int:
         except DegenerateBoundError:
             upper = "n/a"
         spec = RunSpec(gamma=gamma, replications=args.replications, seed=args.seed)
-        est = estimate_delay(model, hyp, spec, threads=args.threads)
+        est = estimate_delay(model, hyp, spec)
         print(
             f"{gamma:10.0f} {lower:8.2f} {est.mean:8.2f} "
             f"{2 * est.stderr:6.2f} {upper:>8} {est.mean / lower:11.3f}"

@@ -480,8 +480,8 @@ def lower_bound_first_order(
 
     The largest information number is the hypothesis's closed form when it
     carries one, else the largest in ``unit_stats``."""
-    if not gamma > 1.0:
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
+    if not 1.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and exceed 1, got {gamma}")
     info = None if unit_stats is None else {E: st.info_number.value for E, st in unit_stats.items()}
     top, _ = _largest_info(model, hypothesis, info)
     return _lower_bound(gamma, top)
@@ -719,8 +719,8 @@ def bounds_report(
     units, and I the hypothesis's closed form or else the largest
     information number in the statistics.
     """
-    if not gamma > 1.0:
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
+    if not 1.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and exceed 1, got {gamma}")
     affected = affected_units(model, hypothesis)
     if not affected:
         raise ValueError("the hypothesis affects no sampled unit; no information to detect")

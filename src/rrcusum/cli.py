@@ -90,7 +90,7 @@ def _write_rows(header: list[str], rows: list[list], out: str | None) -> None:
 # Configuration files are INI with [scenario] and [run] sections, flat key = value.
 
 #: key -> (section, type, default, help). A default of None leaves the key
-#: unset: each subcommand picks its own replication budget and cap.
+#: unset: each subcommand picks its own replication budget.
 _OPTIONS: dict[str, tuple[str, type, object, str]] = {
     "preset": ("scenario", str, None, "scenario preset"),
     "K": ("scenario", int, 10, "number of sources"),
@@ -102,8 +102,6 @@ _OPTIONS: dict[str, tuple[str, type, object, str]] = {
     "reps": ("run", int, None, "Monte Carlo replications"),
     "seed": ("run", int, 0, "root seed"),
     "nu": ("run", int, 0, "change time"),
-    "threads": ("run", int, 1, "worker processes for replications"),
-    "cap": ("run", int, None, "step budget of every --arl excursion (default 100 * gamma)"),
     "constant": ("run", float, 0.0, "additive constant of the explicit bound"),
 }
 
@@ -112,8 +110,8 @@ _SCENARIO = ("preset", "K", "m", "rho", "s", "mu")
 #: The options each subcommand reads, besides --config, --dump-config and --out.
 _COMMAND_KEYS: dict[str, tuple[str, ...]] = {
     "bounds": (*_SCENARIO, "gamma", "reps", "seed", "constant"),
-    "simulate": (*_SCENARIO, "gamma", "reps", "seed", "nu", "threads", "cap"),
-    "study": ("reps", "seed", "nu", "threads"),
+    "simulate": (*_SCENARIO, "gamma", "reps", "seed", "nu"),
+    "study": ("reps", "seed", "nu"),
     "validate": (*_SCENARIO, "reps", "seed"),
 }
 
@@ -207,14 +205,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_run(args: argparse.Namespace, given: set[str]) -> None:
     """Reject a run that lacks its preset or would ignore a setting. --nu
-    applies only to delay runs and --cap only to --arl runs; a preset
-    parameter applies only to the presets that read it, and s never to
-    --arl, which builds no hypothesis."""
-    if args.command == "simulate":
-        if args.arl and args.nu != 0:
-            raise ValueError(f"--nu {args.nu} has no meaning with --arl, which runs before any change")
-        if not args.arl and args.cap is not None:
-            raise ValueError(f"--cap {args.cap} is the step budget of --arl excursions and needs --arl")
+    applies only to delay runs; a preset parameter applies only to the
+    presets that read it, and s never to --arl, which builds no hypothesis."""
+    if args.command == "simulate" and args.arl and args.nu != 0:
+        raise ValueError(f"--nu {args.nu} has no meaning with --arl, which runs before any change")
     if "preset" not in _COMMAND_KEYS[args.command]:
         return
     if args.preset is None:
@@ -269,8 +263,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.arl:
         model = scenarios.preset_model(args.preset, K=args.K, m=args.m, rho=args.rho, mu=args.mu)
         spec = RunSpec(gamma=args.gamma, replications=2000 if args.reps is None else args.reps, seed=args.seed)
-        cap = int(100 * args.gamma) if args.cap is None else args.cap
-        est = estimate_arl(model, spec, cap=cap, threads=args.threads)
+        cap = int(100 * args.gamma)
+        est = estimate_arl(model, spec, cap=cap)
         row = [
             args.K,
             model.m,
@@ -291,7 +285,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         nu=args.nu,
     )
-    est = estimate_delay(model, hypothesis, spec, threads=args.threads)
+    est = estimate_delay(model, hypothesis, spec)
     header = [
         "preset",
         "K",
@@ -323,7 +317,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    rows = run_study(args.study, replications=args.reps, seed=args.seed, nu=args.nu, threads=args.threads)
+    rows = run_study(args.study, replications=args.reps, seed=args.seed, nu=args.nu)
     _write_rows(STUDY_CSV_HEADER, [dataclasses.astuple(r) for r in rows], args.out)
     return 0
 

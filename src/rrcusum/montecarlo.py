@@ -22,9 +22,8 @@ produce the same stopping time law; the test suite cross-validates them.
 Replications run in batches of _BATCH rows that advance together: each round
 moves every running row through the rest of its current stretch, with one
 block of draws per class shared by all rows in that class. Batch b draws from
-its own sub-stream of the configured seed, ``derive_rng(seed, b)``, and worker
-processes only ever receive whole batches, so results are reproducible bit for
-bit and independent of the thread count.
+its own sub-stream of the configured seed, ``derive_rng(seed, b)``, so results
+are reproducible bit for bit.
 
 Every drawn increment is scored. A block gives each running row the same
 number of increments, and a row that stops partway through leaves the rest
@@ -128,8 +127,8 @@ class RunSpec:
     ordering: Ordering = Ordering.WORST_CASE
 
     def __post_init__(self) -> None:
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+        if not 1.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and exceed 1, got {self.gamma}")
         if self.replications < 1:
             raise ValueError("replications must be positive")
         if self.nu < 0:
@@ -415,14 +414,13 @@ def _run_batches(
     seed: int,
     replications: int,
     cap: int,
-    batches: range,
 ) -> tuple[np.ndarray, int, int]:
-    """Delays (or capped run lengths) of the replications in the given batches.
+    """Delays (or capped run lengths) of ``replications`` runs.
 
-    Batch b holds replications b * _BATCH onwards, at most _BATCH of them and
-    none past ``replications``, and draws from ``derive_rng(seed, b)``.
-    Returns (values, truncations, discarded). A replication is discarded when
-    it alarms at or before the change time nu.
+    Batch b holds replications b * _BATCH onwards, at most _BATCH of them, and
+    draws from ``derive_rng(seed, b)``. Returns (values, truncations,
+    discarded). A replication is discarded when it alarms at or before the
+    change time nu.
     """
     post = _compile_regime(model, order, hypothesis)
     pre = _compile_regime(model, order, None) if nu > 0 else None
@@ -430,7 +428,7 @@ def _run_batches(
     values = []
     truncations = 0
     discarded = 0
-    for b in batches:
+    for b in range(-(-replications // _BATCH)):
         rng = derive_rng(seed, b)
         rows = min(_BATCH, replications - b * _BATCH)
         pos = np.zeros(rows, dtype=np.int64)
@@ -449,7 +447,8 @@ def _in_shares(threads: int, n_batches: int, fn: Callable, *args) -> list:
     """``fn(*args, batches)`` over contiguous shares of range(n_batches), one
     share per worker process and at most ``threads`` of them, returned in
     batch order. Workers receive whole batches, so as long as every batch
-    draws from its own stream the results do not depend on threads."""
+    draws from its own stream the results do not depend on threads. Only
+    estimate_arl takes a thread count, which the benchmark's pool probe sets."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     workers = min(threads, n_batches)
@@ -471,40 +470,10 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
     return float(x.mean()), se
 
 
-def _collect(
-    model: ChangePointModel,
-    hypothesis: PostChangeHypothesis | None,
-    order: Sequence[Unit],
-    threshold: float,
-    nu: int,
-    seed: int,
-    replications: int,
-    cap: int,
-    threads: int,
-) -> DelayEstimate:
-    n_batches = -(-replications // _BATCH)
-    args = (model, hypothesis, tuple(order), threshold, nu, seed, replications, cap)
-    parts = _in_shares(threads, n_batches, _run_batches, *args)
-    values = np.concatenate([v for v, _, _ in parts])
-    truncations = sum(t for _, t, _ in parts)
-    discarded = sum(d for _, _, d in parts)
-    if not values.size:
-        raise RuntimeError("every replication alarmed before the change time; nothing to average")
-    mean, stderr = _mean_se(values)
-    return DelayEstimate(
-        mean=mean,
-        stderr=stderr,
-        replications=int(values.size),
-        truncations=truncations,
-        discarded=discarded,
-    )
-
-
 def estimate_delay(
     model: ChangePointModel,
     hypothesis: PostChangeHypothesis,
     config: RunSpec,
-    threads: int = 1,
 ) -> DelayEstimate:
     """Mean detection delay of the policy at threshold log(gamma) under the
     hypothesis, with the change at time config.nu. Runs still going after
@@ -512,7 +481,7 @@ def estimate_delay(
 
     With the worst-case ordering the unaffected units are sampled first. Each
     batch of replications is seeded independently from config.seed, so the
-    estimate is reproducible bit for bit and independent of the thread count.
+    estimate is reproducible bit for bit.
     """
     affected = affected_units(model, hypothesis)
     if not affected:
@@ -521,7 +490,7 @@ def estimate_delay(
         order = worst_case_permutation(model.units, affected)
     else:
         order = tuple(model.units)
-    est = _collect(
+    values, truncations, discarded = _run_batches(
         model,
         hypothesis,
         order,
@@ -530,7 +499,16 @@ def estimate_delay(
         config.seed,
         config.replications,
         DEFAULT_DELAY_CAP,
-        threads,
+    )
+    if not values.size:
+        raise RuntimeError("every replication alarmed before the change time; nothing to average")
+    mean, stderr = _mean_se(values)
+    est = DelayEstimate(
+        mean=mean,
+        stderr=stderr,
+        replications=int(values.size),
+        truncations=truncations,
+        discarded=discarded,
     )
     if est.high_stderr:
         warnings.warn(
@@ -693,7 +671,6 @@ STUDIES: dict[int, tuple[float, tuple[float, ...], tuple[int, ...]]] = {
 def run_custom_study(
     config: StudyConfig,
     label: str = "custom",
-    threads: int = 1,
     stats_reps: int = 100_000,
     ladder_reps: int = 20_000,
 ) -> list[StudyRow]:
@@ -704,7 +681,7 @@ def run_custom_study(
     for idx, s in enumerate(config.s_values):
         hypothesis = correlated_block_hypothesis(model, config.rho, s=s)
         point = replace(config, seed=derive_seed(config.seed, config.m, idx))
-        est = estimate_delay(model, hypothesis, point, threads=threads)
+        est = estimate_delay(model, hypothesis, point)
         lower = lower_bound_first_order(config.gamma, model, hypothesis)
         try:
             stats = compute_unit_statistics(
@@ -744,7 +721,6 @@ def run_study(
     replications: int | None = None,
     seed: int = 0,
     nu: int = 0,
-    threads: int = 1,
     stats_reps: int = 100_000,
     ladder_reps: int = 20_000,
 ) -> list[StudyRow]:
@@ -779,7 +755,6 @@ def run_study(
                 run_custom_study(
                     config,
                     label=str(study),
-                    threads=threads,
                     stats_reps=stats_reps,
                     ladder_reps=ladder_reps,
                 )

@@ -447,6 +447,12 @@ class TestFirstOrderBounds:
         with pytest.raises(ValueError, match="gamma"):
             lower_bound_first_order(1.0, model, hyp)
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_lower_bound_rejects_non_finite_gamma(self, corr_pairs, gamma):
+        model, hyp = corr_pairs
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            lower_bound_first_order(gamma, model, hyp)
+
     def test_upper_bound_oracle(self, pairs_report):
         assert pairs_report.upper_bound_first_order == pytest.approx(UPPER_1E2, rel=1e-12)
 
@@ -750,3 +756,9 @@ class TestBoundsReport:
         model, hyp = corr_pairs
         with pytest.raises(ValueError, match="gamma"):
             bounds_report(model, hyp, gamma=0.5, reps=10_000)
+
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_rejects_non_finite_gamma(self, corr_pairs, gamma):
+        model, hyp = corr_pairs
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            bounds_report(model, hyp, gamma=gamma, reps=10_000)

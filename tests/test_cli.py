@@ -125,7 +125,7 @@ class TestStudyCommand:
     def test_forwards_run_options(self, monkeypatch, capsys):
         called = {}
 
-        def fake(study, replications=None, seed=0, nu=0, threads=1, **kw):
+        def fake(study, replications=None, seed=0, nu=0, **kw):
             called.update(study=study, replications=replications, seed=seed, nu=nu)
             return stub_rows()
 
@@ -208,8 +208,6 @@ class TestSimulateCommand:
                 "200",
                 "--seed",
                 "1",
-                "--threads",
-                "1",
                 "--out",
                 str(out),
             ]
@@ -226,7 +224,7 @@ class TestSimulateCommand:
         assert int(row["replications"]) == 200
 
     def test_high_stderr_is_warned_once(self, capsys):
-        args = ["simulate", "corr-pairs", "--K", "5", "--gamma", "8", "--reps", "10", "--threads", "1"]
+        args = ["simulate", "corr-pairs", "--K", "5", "--gamma", "8", "--reps", "10"]
         with pytest.warns(UserWarning, match="exceeds 5%") as record:
             code = main(args)
         assert code == 0
@@ -245,8 +243,6 @@ class TestSimulateCommand:
             "150",
             "--seed",
             "3",
-            "--threads",
-            "1",
         ]
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -290,12 +286,8 @@ class TestSimulateCommand:
                 "10",
                 "--reps",
                 "100",
-                "--cap",
-                "2000",
                 "--seed",
                 "0",
-                "--threads",
-                "1",
                 "--out",
                 str(out),
             ]
@@ -309,7 +301,8 @@ class TestSimulateCommand:
         record = dict(zip(header, row))
         assert record["K"] == "4"
         assert record["m"] == "2"
-        assert record["cap"] == "2000"
+        # every excursion's step budget is 100 * gamma
+        assert record["cap"] == "1000"
         assert float(record["arl"]) > 0.0
 
 
@@ -373,7 +366,7 @@ class TestConfigFiles:
         [
             (["bounds"], ["--gamma", "50", "--constant", "2"]),
             (["validate"], ["--reps", "20000"]),
-            (["simulate", "--arl"], ["--gamma", "50", "--cap", "700", "--threads", "2"]),
+            (["simulate", "--arl"], ["--gamma", "50", "--reps", "700"]),
         ],
         ids=["bounds", "validate", "simulate-arl"],
     )
@@ -412,8 +405,8 @@ class TestConfigFiles:
         "command, run",
         [
             (["bounds", "corr-pairs"], "gamma = 100\nseed = 0\nconstant = 0\n"),
-            (["simulate", "corr-pairs"], "gamma = 100\nseed = 0\nnu = 0\nthreads = 1\n"),
-            (["simulate", "corr-pairs", "--arl"], "gamma = 100\nseed = 0\nnu = 0\nthreads = 1\n"),
+            (["simulate", "corr-pairs"], "gamma = 100\nseed = 0\nnu = 0\n"),
+            (["simulate", "corr-pairs", "--arl"], "gamma = 100\nseed = 0\nnu = 0\n"),
             (["validate", "corr-pairs"], "seed = 0\n"),
         ],
         ids=["bounds", "simulate", "simulate-arl", "validate"],
@@ -425,7 +418,7 @@ class TestConfigFiles:
 
     def test_default_study_dump_text(self, capsys):
         assert main(["study", "1", "--dump-config"]) == 0
-        assert capsys.readouterr().out == "[scenario]\n\n[run]\nseed = 0\nnu = 0\nthreads = 1\n\n"
+        assert capsys.readouterr().out == "[scenario]\n\n[run]\nseed = 0\nnu = 0\n\n"
 
     @pytest.mark.parametrize(
         "command", [["simulate", "corr-pairs"], ["study", "1"]], ids=["simulate", "study"]
@@ -442,8 +435,8 @@ class TestConfigFiles:
         "command, run",
         [
             (["bounds", "corr-pairs"], "gamma = 100\nseed = 0\nconstant = 1\n"),
-            (["simulate", "corr-pairs"], "gamma = 100\nseed = 0\nnu = 3\nthreads = 2\n"),
-            (["study", "1"], "seed = 0\nnu = 3\nthreads = 2\n"),
+            (["simulate", "corr-pairs"], "gamma = 100\nseed = 0\nnu = 3\n"),
+            (["study", "1"], "seed = 0\nnu = 3\n"),
             (["validate", "corr-pairs"], "seed = 0\n"),
         ],
         ids=["bounds", "simulate", "study", "validate"],
@@ -451,7 +444,7 @@ class TestConfigFiles:
     def test_shared_config_loads_for_every_subcommand(self, command, run, tmp_path, capsys):
         # each subcommand takes the keys it reads and leaves the others
         path = tmp_path / "shared.ini"
-        path.write_text("[run]\nnu = 3\nthreads = 2\nconstant = 1\n", encoding="utf-8")
+        path.write_text("[run]\nnu = 3\nconstant = 1\n", encoding="utf-8")
         assert main([*command, "--config", str(path), "--dump-config"]) == 0
         assert capsys.readouterr().out.endswith(f"[run]\n{run}\n")
 
@@ -462,12 +455,14 @@ class TestConfigFiles:
         assert code == 2
         assert "unknown key 'gamma' in [scenario]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["simulate", "corr-pairs"], ["study", "1"]])
-    def test_threads_default_to_one(self, command, capsys):
-        assert main([*command, "--dump-config"]) == 0
-        parser = configparser.ConfigParser()
-        parser.read_file(io.StringIO(capsys.readouterr().out))
-        assert parser["run"]["threads"] == "1"
+    @pytest.mark.parametrize("key", ["threads", "cap"])
+    def test_removed_run_key_exits_2(self, key, tmp_path, capsys):
+        # neither a worker count nor an excursion cap is an option of any subcommand
+        path = tmp_path / "run.ini"
+        path.write_text(f"[run]\n{key} = 2\n", encoding="utf-8")
+        code = main(["simulate", "corr-pairs", "--config", str(path), "--reps", "50"])
+        assert code == 2
+        assert f"unknown key '{key}' in [run]" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
@@ -497,8 +492,22 @@ class TestArgumentErrors:
             ["validate", "corr-pairs", "--gamma", "50"],
             ["validate", "corr-pairs", "--nu", "3"],
             ["validate", "corr-pairs", "--threads", "2"],
+            ["simulate", "corr-pairs", "--threads", "2"],
+            ["simulate", "corr-pairs", "--cap", "100"],
+            ["simulate", "corr-pairs", "--arl", "--cap", "100"],
+            ["study", "1", "--threads", "2"],
         ],
-        ids=["bounds-nu", "bounds-threads", "validate-gamma", "validate-nu", "validate-threads"],
+        ids=[
+            "bounds-nu",
+            "bounds-threads",
+            "validate-gamma",
+            "validate-nu",
+            "validate-threads",
+            "simulate-threads",
+            "simulate-cap",
+            "simulate-arl-cap",
+            "study-threads",
+        ],
     )
     def test_option_the_subcommand_does_not_read_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -553,9 +562,8 @@ class TestArgumentErrors:
         "argv, flag",
         [
             (["simulate", "corr-pairs", "--arl", "--nu", "3"], "--nu 3"),
-            (["simulate", "corr-pairs", "--cap", "100"], "--cap 100"),
         ],
-        ids=["arl-nu", "delay-cap"],
+        ids=["arl-nu"],
     )
     def test_simulate_option_of_the_other_mode_exits_2(self, argv, flag, capsys):
         assert main(argv) == 2
@@ -563,11 +571,22 @@ class TestArgumentErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flag} ")
 
-    def test_threads_below_one_exits_2(self, capsys):
-        assert main(["simulate", "corr-pairs", "--s", "4", "--reps", "100", "--threads", "-3"]) == 2
+    @pytest.mark.parametrize("gamma", ["inf", "1e400", "nan"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["bounds", "corr-pairs", "--reps", "10000"],
+            ["simulate", "corr-pairs", "--s", "4", "--reps", "10"],
+            ["simulate", "corr-pairs", "--arl", "--reps", "10"],
+        ],
+        ids=["bounds", "simulate", "simulate-arl"],
+    )
+    def test_non_finite_gamma_exits_2(self, command, gamma, capsys):
+        # 1e400 reads as inf; an infinite threshold would never alarm
+        assert main([*command, "--gamma", gamma]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: threads must be at least 1")
+        assert captured.err.startswith("error: gamma must be finite and exceed 1")
 
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):

@@ -102,7 +102,13 @@ class TestRunSpec:
 
     @pytest.mark.parametrize(
         "kw, msg",
-        [(dict(gamma=1.0), "gamma"), (dict(replications=0), "replications"), (dict(nu=-1), "nu")],
+        [
+            (dict(gamma=1.0), "gamma"),
+            (dict(replications=0), "replications"),
+            (dict(nu=-1), "nu"),
+            (dict(gamma=math.inf), "gamma must be finite"),
+            (dict(gamma=math.nan), "gamma must be finite"),
+        ],
     )
     def test_validation(self, kw, msg):
         with pytest.raises(ValueError, match=msg):
@@ -483,30 +489,22 @@ class TestEstimateDelay:
         b = estimate_delay(model, hyp, config)
         assert a == b
 
-    def test_thread_count_does_not_change_results(self):
-        # a full batch and a partial one
-        model, hyp, config = self.make(replications=montecarlo._BATCH + 44)
-        a = estimate_delay(model, hyp, config, threads=1)
-        b = estimate_delay(model, hyp, config, threads=3)
-        assert a == b
-
-    def test_thread_count_does_not_change_results_with_change_time(self):
-        # two full batches and a partial one, one per worker
-        model, hyp, config = self.make(replications=2 * montecarlo._BATCH + 88, nu=5)
-        assert config.replications % montecarlo._BATCH
-        a = estimate_delay(model, hyp, config, threads=1)
-        b = estimate_delay(model, hyp, config, threads=3)
-        assert a.discarded > 0
-        assert a == b
-
-    def test_spares_do_not_outlive_a_batch(self):
-        # at least two batches per worker, so a spare carried from one batch
-        # to the next would make the result depend on the thread count
-        model, hyp, config = self.make(replications=6 * montecarlo._BATCH + 88, nu=5)
-        a = estimate_delay(model, hyp, config, threads=1)
-        assert a.discarded > 0
-        for threads in (2, 3):
-            assert estimate_delay(model, hyp, config, threads=threads) == a
+    def test_spares_do_not_outlive_a_batch(self, monkeypatch):
+        # batch 1 of a two-batch run, here a partial one, gives the same
+        # values as a one-batch run handed batch 1's stream; a spare carried
+        # over from batch 0 would change them
+        model, hyp, _ = self.make()
+        batch = montecarlo._BATCH
+        args = (model, hyp, tuple(model.units), 1.0, 5, 3)
+        both, _, both_discarded = montecarlo._run_batches(*args, 2 * batch - 44, 10_000)
+        first, _, first_discarded = montecarlo._run_batches(*args, batch, 10_000)
+        derive_rng = montecarlo.derive_rng
+        monkeypatch.setattr(montecarlo, "derive_rng", lambda seed, b: derive_rng(seed, b + 1))
+        second, _, second_discarded = montecarlo._run_batches(*args, batch - 44, 10_000)
+        assert first_discarded > 0 and second_discarded > 0
+        assert both_discarded == first_discarded + second_discarded
+        assert both.size + both_discarded == 2 * batch - 44
+        np.testing.assert_array_equal(both, np.concatenate([first, second]))
 
     def test_traced_stretches_see_every_increment(self, monkeypatch):
         seen = {"class": 0, "stretch": 0, "used": 0}
@@ -581,12 +579,6 @@ class TestEstimateDelay:
         est = estimate_delay(model, hyp, config)
         assert est.discarded > 0
         assert est.replications + est.discarded == 300
-
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_threads_below_one_raise(self, threads):
-        model, hyp, config = self.make()
-        with pytest.raises(ValueError, match="threads must be at least 1"):
-            estimate_delay(model, hyp, config, threads=threads)
 
     def test_all_replications_discarded_raises(self):
         model, hyp, _ = self.make()
@@ -669,11 +661,13 @@ class TestRenewalArl:
     def test_matches_engine_run_lengths(self, model, gamma, runs):
         threshold = math.log(gamma)
         cap = int(100 * gamma)
-        engine = montecarlo._collect(model, None, tuple(model.units), threshold, 0, 21, runs, cap, 1)
-        assert engine.truncations == 0
+        args = (model, None, tuple(model.units), threshold, 0, 21, runs, cap)
+        runs, truncations, _ = montecarlo._run_batches(*args)
+        assert truncations == 0
+        engine, engine_se = montecarlo._mean_se(runs)
         est = estimate_arl(model, RunSpec(gamma=gamma, replications=8000, seed=22), cap=cap)
         assert est.truncations == 0
-        assert abs(est.mean - engine.mean) < 3.0 * math.hypot(est.stderr, engine.stderr)
+        assert abs(est.mean - engine) < 3.0 * math.hypot(est.stderr, engine_se)
 
     def test_cycle_formula(self):
         # two units: the second is reached with probability 1 - 0.5, and a
