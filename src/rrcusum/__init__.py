@@ -9,10 +9,8 @@ from .model import (
     unit,
 )
 from .gaussian import (
-    CorrelationMatrix,
     GaussianLocal,
     ModelInfeasibleError,
-    build_correlation_matrix,
     equicorrelation_det,
     gaussian_kl,
 )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterator, Mapping, MutableMapping
 
 import numpy as np
@@ -32,6 +32,7 @@ from .model import (
     ChangePointModel,
     PostChangeHypothesis,
     Unit,
+    UnitClass,
     affected_units,
     derive_rng,
     derive_seed,
@@ -90,6 +91,11 @@ class Estimate:
     note: str | None = None
 
 
+def _clears_zero(e: Estimate) -> bool:
+    """Whether the estimate's sign is resolved: positive by three standard errors."""
+    return e.value > 3.0 * e.stderr
+
+
 @dataclass(frozen=True)
 class UnitStatistics:
     """Everything the delay bounds need about one unit.
@@ -107,6 +113,33 @@ class UnitStatistics:
     drift_post: Estimate | None = None
     second_moment: Estimate | None = None
     q_no_descend: Estimate | None = None
+
+
+def _post_class(model: ChangePointModel, hypothesis: PostChangeHypothesis, unit: Unit) -> UnitClass:
+    """The class of an affected unit under its post-change law."""
+    if not hypothesis.is_affected(unit):
+        raise ValueError(f"unit {unit} is not affected under {hypothesis.label}")
+    return model.unit_class(unit, hypothesis.local_post[unit])
+
+
+def _sample_mean(vals: np.ndarray) -> Estimate:
+    """Mean of a draw and its standard error, the bits of ``vals.mean()`` and
+    ``vals.std(ddof=1) / sqrt(n)``. The draw is centred and squared in place,
+    as numpy does to its centred copy, so no copy is made."""
+    n = vals.size
+    mean = vals.mean()
+    vals -= mean
+    vals *= vals
+    return Estimate(float(mean), math.sqrt(vals.sum() / (n - 1)) / math.sqrt(n))
+
+
+def _class_mean(cls: UnitClass, reps: int, seed: int, salt: int) -> Estimate:
+    """Mean llr increment of a unit class: exact (stderr 0) when the class
+    carries its moments, as a one-member Gaussian family does; otherwise a
+    Monte Carlo mean over ``reps`` increments."""
+    if cls.moments is not None:
+        return Estimate(cls.moments[0], 0.0)
+    return _sample_mean(cls.draw(derive_rng(seed, salt), reps))
 
 
 def info_number(
@@ -131,8 +164,7 @@ def info_number(
     if isinstance(f, GaussianLocal) and isinstance(g, GaussianLocal):
         return Estimate(gaussian_kl(g, f), 0.0)
     x = g.sample(derive_rng(seed, 0x1F0), reps)
-    vals = np.asarray(g.logpdf(x)) - np.asarray(f.logpdf(x))
-    return Estimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps)))
+    return _sample_mean(np.asarray(g.logpdf(x)) - np.asarray(f.logpdf(x)))
 
 
 def drift_post(
@@ -142,33 +174,11 @@ def drift_post(
     reps: int = 100_000,
     seed: int = 0,
 ) -> Estimate:
-    """Post-change mean of the mixture log likelihood ratio of an affected unit.
-
-    Exact (stderr 0) when the class carries its moments, as a one-member
-    Gaussian family does; otherwise a Monte Carlo mean over ``reps``
-    increments.
-    """
+    """Post-change mean of the mixture log likelihood ratio of an affected
+    unit: the mean increment of its post-change class (``_class_mean``)."""
     if reps < _MIN_DRIFT_REPS:
         raise ValueError(f"reps must be at least {_MIN_DRIFT_REPS}, got {reps}")
-    if not hypothesis.is_affected(unit):
-        raise ValueError(f"unit {unit} is not affected under {hypothesis.label}")
-    exact = _exact_drift(model, hypothesis, unit)
-    if exact is not None:
-        return Estimate(exact, 0.0)
-    vals = model.unit_class(unit, hypothesis.local_post[unit]).draw(derive_rng(seed, 0x2F0), reps)
-    return Estimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps)))
-
-
-def _exact_drift(model: ChangePointModel, hypothesis: PostChangeHypothesis, unit: Unit) -> float | None:
-    """Closed-form post-change drift of an affected unit, or None.
-
-    With a one-member Gaussian family g1 and Gaussian laws f and g, the
-    mixture llr log g1 - log f is a quadratic form in normals whose mean the
-    class kernel carries (``UnitClass.moments``). It equals KL(g || f) -
-    KL(g || g1): the information number when g = g1, and less otherwise.
-    """
-    moments = model.unit_class(unit, hypothesis.local_post[unit]).moments
-    return None if moments is None else moments[0]
+    return _class_mean(_post_class(model, hypothesis, unit), reps, seed, 0x2F0)
 
 
 def drift_pre(
@@ -177,25 +187,18 @@ def drift_pre(
     reps: int = 100_000,
     seed: int = 0,
 ) -> Estimate:
-    """Pre-change mean of the negated mixture log likelihood ratio.
+    """Pre-change mean of the negated mixture log likelihood ratio: minus the
+    mean increment of the unit's pre-change class (``_class_mean``).
 
     This is the KL divergence of the pre-change law against the mixture and
-    must be positive for the policy to leave unaffected units. Exact (stderr
-    0) when the class carries its moments, as a one-member Gaussian family
-    does; otherwise a Monte Carlo mean over ``reps`` increments. A value not
-    clearing zero by three standard errors is flagged, not raised.
+    must be positive for the policy to leave unaffected units. A value that
+    does not clear zero by three standard errors is flagged, not raised.
     """
     if reps < _MIN_DRIFT_REPS:
         raise ValueError(f"reps must be at least {_MIN_DRIFT_REPS}, got {reps}")
-    cls = model.unit_class(unit)
-    if cls.moments is not None:
-        mean, se = -cls.moments[0], 0.0
-    else:
-        vals = cls.draw(derive_rng(seed, 0x3F0), reps)
-        mean = -float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(reps))
-    note = None if mean > 3.0 * se else "drift sign not resolved at three standard errors"
-    return Estimate(mean, se, note=note)
+    up = _class_mean(model.unit_class(unit), reps, seed, 0x3F0)
+    est = Estimate(-up.value, up.stderr)
+    return est if _clears_zero(est) else replace(est, note="drift sign not resolved at three standard errors")
 
 
 def llr_second_moment(
@@ -210,9 +213,7 @@ def llr_second_moment(
     sample variance of ``reps`` increments."""
     if reps < _MIN_DRIFT_REPS:
         raise ValueError(f"reps must be at least {_MIN_DRIFT_REPS}, got {reps}")
-    if not hypothesis.is_affected(unit):
-        raise ValueError(f"unit {unit} is not affected under {hypothesis.label}")
-    cls = model.unit_class(unit, hypothesis.local_post[unit])
+    cls = _post_class(model, hypothesis, unit)
     if cls.moments is not None:
         return Estimate(cls.moments[1], 0.0)
     vals = cls.draw(derive_rng(seed, 0x4F0), reps)
@@ -298,9 +299,7 @@ def ladder_prob_no_descend(
     """
     if reps < _MIN_LADDER_REPS:
         raise ValueError(f"reps must be at least {_MIN_LADDER_REPS}, got {reps}")
-    if not hypothesis.is_affected(unit):
-        raise ValueError(f"unit {unit} is not affected under {hypothesis.label}")
-    draw = model.unit_class(unit, hypothesis.local_post[unit]).draw
+    draw = _post_class(model, hypothesis, unit).draw
     rng = derive_rng(seed, 0x5F0)
     walks = _DESCENT_WALKS * reps
     passed = total = square = 0
@@ -519,11 +518,14 @@ def classify_optimality(
     if not affected:
         return OptimalityClass.INDETERMINATE
     if all(len(model.post_family[E]) == 1 for E in affected):
-        drifts = [_exact_drift(model, hypothesis, E) for E in affected]
+        # With a one-member Gaussian family g1 and Gaussian laws f and g, the
+        # class kernel carries the exact drift, KL(g || f) - KL(g || g1): the
+        # information number when g = g1, and less otherwise.
+        moments = [_post_class(model, hypothesis, E).moments for E in affected]
+        drifts = [None if mo is None else mo[0] for mo in moments]
         if any(j is not None and j <= 0.0 for j in drifts):
             return OptimalityClass.INDETERMINATE
         if all(j is not None for j in drifts):
-            # f and g are Gaussian wherever a class kernel carries the drift
             info = {E: gaussian_kl(hypothesis.local_post[E], model.pre_local[E]) for E in affected}
             top, restricted = _largest_info(model, hypothesis, info)
             if not restricted and top <= min(drifts) * (1.0 + _OPTIMALITY_REL_TOL):
@@ -540,8 +542,8 @@ class NonAsymptoticBound:
     valid for every large enough threshold.
 
     ``total`` adds the first-order term, the expected passage time through
-    unaffected units, the restart and overshoot cost at the affected units,
-    and a user-supplied additive constant that the analysis leaves unspecified.
+    unaffected units and the restart and overshoot cost at the affected units.
+    It leaves out the additive constant that the analysis does not specify.
     ``coarse_total`` replaces the passage term with a simpler bound built from
     the worst escape probabilities alone; evaluated on the same estimates it
     always dominates ``total``.
@@ -551,21 +553,15 @@ class NonAsymptoticBound:
     first_order: float
     unaffected_passage: float
     affected_overshoot: float
-    additive_constant: float
     coarse_unaffected_passage: float
 
     @property
     def total(self) -> float:
-        return self.first_order + self.unaffected_passage + self.affected_overshoot + self.additive_constant
+        return self.first_order + self.unaffected_passage + self.affected_overshoot
 
     @property
     def coarse_total(self) -> float:
-        return (
-            self.first_order
-            + self.coarse_unaffected_passage
-            + self.affected_overshoot
-            + self.additive_constant
-        )
+        return self.first_order + self.coarse_unaffected_passage + self.affected_overshoot
 
 
 def nonasymptotic_upper_bound(
@@ -573,7 +569,6 @@ def nonasymptotic_upper_bound(
     model: ChangePointModel,
     hypothesis: PostChangeHypothesis,
     unit_stats: Mapping[Unit, UnitStatistics],
-    additive_constant: float = 0.0,
 ) -> NonAsymptoticBound:
     """Evaluate the explicit delay bound from precomputed unit statistics.
 
@@ -638,7 +633,6 @@ def nonasymptotic_upper_bound(
         first_order=first_order,
         unaffected_passage=passage,
         affected_overshoot=overshoot,
-        additive_constant=float(additive_constant),
         coarse_unaffected_passage=coarse,
     )
 
@@ -676,7 +670,6 @@ class BoundsReport:
             out["upper_bound_coarse"] = b.coarse_total
             out["upper_bound_unaffected_passage"] = b.unaffected_passage
             out["upper_bound_affected_overshoot"] = b.affected_overshoot
-            out["upper_bound_additive_constant"] = b.additive_constant
         else:
             out["upper_bound_total"] = math.inf
             out["upper_bound_coarse"] = math.inf
@@ -685,19 +678,12 @@ class BoundsReport:
         for E in sorted(self.unit_stats):
             st = self.unit_stats[E]
             tag = "unit." + "-".join(str(k) for k in E.sources)
-            out[f"{tag}.info_number"] = st.info_number.value
-            out[f"{tag}.info_number.se"] = st.info_number.stderr
-            out[f"{tag}.drift_pre"] = st.drift_pre.value
-            out[f"{tag}.drift_pre.se"] = st.drift_pre.stderr
-            out[f"{tag}.q_no_ascend"] = st.q_no_ascend.value
-            out[f"{tag}.q_no_ascend.se"] = st.q_no_ascend.stderr
-            if st.drift_post is not None:
-                out[f"{tag}.drift_post"] = st.drift_post.value
-                out[f"{tag}.drift_post.se"] = st.drift_post.stderr
-                out[f"{tag}.second_moment"] = st.second_moment.value
-                out[f"{tag}.second_moment.se"] = st.second_moment.stderr
-                out[f"{tag}.q_no_descend"] = st.q_no_descend.value
-                out[f"{tag}.q_no_descend.se"] = st.q_no_descend.stderr
+            # every field after the unit is an Estimate, or None when not affected
+            for field in fields(UnitStatistics)[1:]:
+                e = getattr(st, field.name)
+                if e is not None:
+                    out[f"{tag}.{field.name}"] = e.value
+                    out[f"{tag}.{field.name}.se"] = e.stderr
         return out
 
 
@@ -708,7 +694,6 @@ def bounds_report(
     reps: int = 100_000,
     ladder_reps: int = 2 * _MIN_LADDER_REPS,
     seed: int = 0,
-    additive_constant: float = 0.0,
 ) -> BoundsReport:
     """Compute every bound for the model and hypothesis at threshold log(gamma).
 
@@ -733,7 +718,7 @@ def bounds_report(
     if j > 0.0:
         upper1, are = A / j, top / j
         try:
-            nonasym = nonasymptotic_upper_bound(A, model, hypothesis, stats, additive_constant)
+            nonasym = nonasymptotic_upper_bound(A, model, hypothesis, stats)
         except DegenerateBoundError as exc:
             degenerate = str(exc)
     else:
@@ -763,10 +748,6 @@ class UnitValidation:
     family_size: int
     drift_pre: Estimate
     drift_post: Estimate | None = None
-
-
-def _clears_zero(e: Estimate) -> bool:
-    return e.value > 3.0 * e.stderr
 
 
 @dataclass(frozen=True)

@@ -102,14 +102,13 @@ _OPTIONS: dict[str, tuple[str, type, object, str]] = {
     "reps": ("run", int, None, "Monte Carlo replications"),
     "seed": ("run", int, 0, "root seed"),
     "nu": ("run", int, 0, "change time"),
-    "constant": ("run", float, 0.0, "additive constant of the explicit bound"),
 }
 
 _SCENARIO = ("preset", "K", "m", "rho", "s", "mu")
 
 #: The options each subcommand reads, besides --config, --dump-config and --out.
 _COMMAND_KEYS: dict[str, tuple[str, ...]] = {
-    "bounds": (*_SCENARIO, "gamma", "reps", "seed", "constant"),
+    "bounds": (*_SCENARIO, "gamma", "reps", "seed"),
     "simulate": (*_SCENARIO, "gamma", "reps", "seed", "nu"),
     "study": ("reps", "seed", "nu"),
     "validate": (*_SCENARIO, "reps", "seed"),
@@ -252,7 +251,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         reps=reps,
         ladder_reps=max(reps // 5, 10_000),
         seed=args.seed,
-        additive_constant=args.constant,
     )
     lines = [f"{key} = {_fmt(value)}" for key, value in report.to_flat_dict().items()]
     _emit_text(lines, args.out)

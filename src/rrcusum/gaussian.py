@@ -1,15 +1,16 @@
 """Gaussian local laws and the closed forms that go with them.
 
-All observation models used in the experiments are zero-mean multivariate
-normals whose covariance is a correlation matrix (unit diagonal), so the
-information numbers and likelihood ratios below have explicit expressions.
+All observation models of the presets are normals, so the information
+numbers and likelihood ratios below have explicit expressions: zero-mean with
+a correlation matrix (unit diagonal) as covariance for corr-pairs and
+signed-pairs, and of unit variance with a mean that shifts at the change for
+mean-change.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,12 +18,10 @@ from .model import LocalDistribution, logsumexp
 
 __all__ = [
     "ModelInfeasibleError",
-    "CorrelationMatrix",
     "GaussianLocal",
     "GaussianMixtureKernel",
     "equicorrelation_det",
     "gaussian_kl",
-    "build_correlation_matrix",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -59,41 +58,10 @@ def _cholesky_or_raise(a: np.ndarray, what: str) -> np.ndarray:
     return chol
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """A symmetric positive definite matrix with unit diagonal.
-
-    Validated at construction; the array is frozen afterwards.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.array(self.values, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"correlation matrix must be square, got shape {a.shape}")
-        if not np.allclose(a, a.T, atol=1e-12):
-            raise ValueError("correlation matrix must be symmetric")
-        if not np.allclose(np.diag(a), 1.0, atol=1e-12):
-            raise ValueError("correlation matrix must have unit diagonal")
-        off = a[~np.eye(a.shape[0], dtype=bool)]
-        if off.size and np.abs(off).max() >= 1.0:
-            raise ValueError("off-diagonal correlations must have magnitude below 1")
-        _cholesky_or_raise(a, "correlation matrix")
-        a.setflags(write=False)
-        object.__setattr__(self, "values", a)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
 class GaussianLocal(LocalDistribution):
     """Multivariate normal local law with cached Cholesky factor, log determinant and key."""
 
-    def __init__(self, mean: np.ndarray | float, cov: np.ndarray | CorrelationMatrix):
-        if isinstance(cov, CorrelationMatrix):
-            cov = cov.values
+    def __init__(self, mean: np.ndarray | float, cov: np.ndarray):
         cov = np.array(cov, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ValueError(f"covariance must be square, got shape {cov.shape}")
@@ -282,37 +250,3 @@ def gaussian_kl(p: GaussianLocal, q: GaussianLocal) -> float:
     quad = float(zm @ zm)
     return 0.5 * (trace + quad - p.dim + q.log_det - p.log_det)
 
-
-def build_correlation_matrix(
-    K: int,
-    correlated_pairs: Iterable[tuple[int, int]],
-    rho: float | Mapping[tuple[int, int], float],
-) -> CorrelationMatrix:
-    """Assemble a K x K correlation matrix with the given nonzero entries.
-
-    Pairs use 1-based source indices. ``rho`` is either one value shared by
-    every pair or a map from pair to value. Raises ModelInfeasibleError, naming
-    the smallest failing leading principal minor, when the result is not
-    positive definite.
-    """
-    if K < 1:
-        raise ValueError(f"K must be positive, got {K}")
-    a = np.eye(K)
-    for pair in correlated_pairs:
-        i, j = pair
-        if i == j:
-            raise ValueError(f"pair {pair} repeats a source")
-        if not (1 <= i <= K and 1 <= j <= K):
-            raise ValueError(f"pair {pair} references a source outside 1..{K}")
-        if isinstance(rho, Mapping):
-            key = (min(i, j), max(i, j))
-            r = rho.get(key, rho.get((key[1], key[0])))
-            if r is None:
-                raise ValueError(f"no correlation value given for pair {key}")
-        else:
-            r = rho
-        r = float(r)
-        if not -1.0 < r < 1.0 or r == 0.0:
-            raise ValueError(f"correlation for pair {(i, j)} must be nonzero in (-1, 1), got {r}")
-        a[i - 1, j - 1] = a[j - 1, i - 1] = r
-    return CorrelationMatrix(a)

@@ -605,16 +605,17 @@ def estimate_arl(
     The renewal estimate of the module docstring: for each pre-change class,
     config.replications plain excursions give the mean exit time of one visit
     and as many importance-sampled excursions its alarm probability. The runs
-    start before any change, so config.nu must be 0. ``cap`` is the step
-    budget of every excursion. A truncated plain excursion enters
-    the mean exit time at the cap and a truncated sampled one enters the
+    start before any change, so config.nu must be 0. ``cap``, at most 2^63 -
+    1, is the step budget of every excursion. A truncated plain excursion
+    enters the mean exit time at the cap and a truncated sampled one enters the
     alarm probability at 1/gamma, its largest possible contribution, so with
     truncations the estimate is a lower bound. Each batch of excursions is
     seeded independently from config.seed, so the estimate is reproducible
     bit for bit and independent of the thread count.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
+    if not 1 <= cap <= np.iinfo(np.int64).max:
+        # every excursion's budget is an int64 step count
+        raise ValueError(f"cap must lie in [1, 2^63 - 1], got {cap}")
     if config.nu != 0:
         raise ValueError(f"nu {config.nu} has no meaning for a run length, which starts before any change")
     _, first, cls = model.class_table(model.units)

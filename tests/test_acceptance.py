@@ -72,7 +72,7 @@ def test_c1_threshold_calibration():
 def test_c2_first_order_agreement():
     # gamma = 1e5, all 45 pairs affected: the mean delay must land between
     # three quarters of the first-order prediction and the explicit bound
-    # evaluated with zero additive constant and Monte Carlo ladder estimates
+    # evaluated with Monte Carlo ladder estimates
     model = correlated_blocks_model(10, 2, 0.7)
     hyp = correlated_block_hypothesis(model, 0.7, s=10)
     gamma = 1e5
@@ -93,9 +93,7 @@ def test_c2_first_order_agreement():
     stats = compute_unit_statistics(
         model, hyp, reps=100_000, ladder_reps=20_000, seed=_seed(22)
     )
-    upper = nonasymptotic_upper_bound(
-        math.log(gamma), model, hyp, stats, additive_constant=0.0
-    ).total
+    upper = nonasymptotic_upper_bound(math.log(gamma), model, hyp, stats).total
     ok = lower <= est.mean <= upper
     assert _report(
         2,

@@ -268,6 +268,14 @@ class TestSimulateCommand:
         assert code == 2
         assert "error: rho must lie in (0, 1), got -0.3" in capsys.readouterr().err
 
+    def test_arl_cap_beyond_int64_exits_2(self, capsys):
+        # --arl runs at cap 100 * gamma, here 1e19 steps
+        code = main(["simulate", "corr-pairs", "--arl", "--gamma", "1e17", "--reps", "10"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: cap must lie in [1, 2^63 - 1], got 10000000000000000000" in captured.err
+
     def test_corr_pairs_block_of_one_exits_2(self, capsys):
         code = main(["simulate", "corr-pairs", "--s", "1", "--reps", "200"])
         assert code == 2
@@ -364,7 +372,7 @@ class TestConfigFiles:
     @pytest.mark.parametrize(
         "command, flags",
         [
-            (["bounds"], ["--gamma", "50", "--constant", "2"]),
+            (["bounds"], ["--gamma", "50"]),
             (["validate"], ["--reps", "20000"]),
             (["simulate", "--arl"], ["--gamma", "50", "--reps", "700"]),
         ],
@@ -404,7 +412,7 @@ class TestConfigFiles:
     @pytest.mark.parametrize(
         "command, run",
         [
-            (["bounds", "corr-pairs"], "gamma = 100\nseed = 0\nconstant = 0\n"),
+            (["bounds", "corr-pairs"], "gamma = 100\nseed = 0\n"),
             (["simulate", "corr-pairs"], "gamma = 100\nseed = 0\nnu = 0\n"),
             (["simulate", "corr-pairs", "--arl"], "gamma = 100\nseed = 0\nnu = 0\n"),
             (["validate", "corr-pairs"], "seed = 0\n"),
@@ -434,8 +442,8 @@ class TestConfigFiles:
     @pytest.mark.parametrize(
         "command, run",
         [
-            (["bounds", "corr-pairs"], "gamma = 100\nseed = 0\nconstant = 1\n"),
-            (["simulate", "corr-pairs"], "gamma = 100\nseed = 0\nnu = 3\n"),
+            (["bounds", "corr-pairs"], "gamma = 50\nseed = 0\n"),
+            (["simulate", "corr-pairs"], "gamma = 50\nseed = 0\nnu = 3\n"),
             (["study", "1"], "seed = 0\nnu = 3\n"),
             (["validate", "corr-pairs"], "seed = 0\n"),
         ],
@@ -444,7 +452,7 @@ class TestConfigFiles:
     def test_shared_config_loads_for_every_subcommand(self, command, run, tmp_path, capsys):
         # each subcommand takes the keys it reads and leaves the others
         path = tmp_path / "shared.ini"
-        path.write_text("[run]\nnu = 3\nconstant = 1\n", encoding="utf-8")
+        path.write_text("[run]\nnu = 3\ngamma = 50\n", encoding="utf-8")
         assert main([*command, "--config", str(path), "--dump-config"]) == 0
         assert capsys.readouterr().out.endswith(f"[run]\n{run}\n")
 
@@ -455,9 +463,10 @@ class TestConfigFiles:
         assert code == 2
         assert "unknown key 'gamma' in [scenario]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["threads", "cap"])
+    @pytest.mark.parametrize("key", ["threads", "cap", "constant"])
     def test_removed_run_key_exits_2(self, key, tmp_path, capsys):
-        # neither a worker count nor an excursion cap is an option of any subcommand
+        # a worker count, an excursion cap and an additive constant of the
+        # bound are options of no subcommand
         path = tmp_path / "run.ini"
         path.write_text(f"[run]\n{key} = 2\n", encoding="utf-8")
         code = main(["simulate", "corr-pairs", "--config", str(path), "--reps", "50"])
@@ -489,6 +498,7 @@ class TestArgumentErrors:
         [
             ["bounds", "corr-pairs", "--nu", "3"],
             ["bounds", "corr-pairs", "--threads", "2"],
+            ["bounds", "corr-pairs", "--constant", "1"],
             ["validate", "corr-pairs", "--gamma", "50"],
             ["validate", "corr-pairs", "--nu", "3"],
             ["validate", "corr-pairs", "--threads", "2"],
@@ -500,6 +510,7 @@ class TestArgumentErrors:
         ids=[
             "bounds-nu",
             "bounds-threads",
+            "bounds-constant",
             "validate-gamma",
             "validate-nu",
             "validate-threads",

@@ -10,10 +10,8 @@ import pytest
 from scipy import stats
 
 from rrcusum.gaussian import (
-    CorrelationMatrix,
     GaussianLocal,
     ModelInfeasibleError,
-    build_correlation_matrix,
     equicorrelation_det,
     gaussian_kl,
 )
@@ -64,78 +62,6 @@ class TestEquicorrelationDet:
             equicorrelation_det(3, 0.0)
 
 
-class TestCorrelationMatrix:
-    def test_accepts_valid(self):
-        c = CorrelationMatrix(equi(3, 0.5))
-        assert c.dim == 3
-        assert not c.values.flags.writeable
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            CorrelationMatrix(np.ones((2, 3)))
-
-    def test_rejects_asymmetric(self):
-        a = equi(3, 0.5)
-        a[0, 1] = 0.4
-        with pytest.raises(ValueError, match="symmetric"):
-            CorrelationMatrix(a)
-
-    def test_rejects_bad_diagonal(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            CorrelationMatrix(2.0 * np.eye(2))
-
-    def test_rejects_unit_magnitude_offdiagonal(self):
-        with pytest.raises(ValueError, match="magnitude"):
-            CorrelationMatrix(pair(1.0))
-
-    def test_rejects_indefinite(self):
-        a = np.array([[1.0, 0.95, 0.0], [0.95, 1.0, 0.95], [0.0, 0.95, 1.0]])
-        with pytest.raises(ModelInfeasibleError, match="order 3"):
-            CorrelationMatrix(a)
-
-
-class TestBuildCorrelationMatrix:
-    def test_scalar_rho(self):
-        c = build_correlation_matrix(4, [(1, 2), (3, 4)], 0.6)
-        a = c.values
-        assert a[0, 1] == a[1, 0] == 0.6
-        assert a[2, 3] == a[3, 2] == 0.6
-        assert a[0, 2] == 0.0
-        assert np.all(np.diag(a) == 1.0)
-
-    def test_mapping_rho_with_reversed_keys(self):
-        c = build_correlation_matrix(4, [(2, 1), (3, 4)], {(1, 2): 0.3, (4, 3): -0.5})
-        assert c.values[0, 1] == 0.3
-        assert c.values[2, 3] == -0.5
-
-    def test_missing_mapping_entry(self):
-        with pytest.raises(ValueError, match="no correlation value"):
-            build_correlation_matrix(3, [(1, 2)], {(1, 3): 0.5})
-
-    def test_rejects_self_pair(self):
-        with pytest.raises(ValueError, match="repeats"):
-            build_correlation_matrix(3, [(2, 2)], 0.5)
-
-    def test_rejects_out_of_range_source(self):
-        with pytest.raises(ValueError, match="outside"):
-            build_correlation_matrix(3, [(1, 4)], 0.5)
-
-    def test_rejects_zero_and_unit_rho(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            build_correlation_matrix(3, [(1, 2)], 0.0)
-        with pytest.raises(ValueError, match="nonzero"):
-            build_correlation_matrix(3, [(1, 2)], 1.0)
-
-    def test_infeasible_chain_names_minor(self):
-        # a path of two strong correlations cannot be completed with a zero
-        with pytest.raises(ModelInfeasibleError, match="order 3"):
-            build_correlation_matrix(3, [(1, 2), (2, 3)], 0.95)
-
-    def test_feasible_chain_at_moderate_rho(self):
-        c = build_correlation_matrix(3, [(1, 2), (2, 3)], 0.7)
-        assert c.dim == 3
-
-
 class TestGaussianLocal:
     def test_logpdf_matches_scipy(self):
         rng = np.random.default_rng(7)
@@ -170,6 +96,16 @@ class TestGaussianLocal:
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(ModelInfeasibleError):
             GaussianLocal(0.0, pair(1.5))
+
+    def test_rejects_nonsquare_covariance(self):
+        with pytest.raises(ValueError, match="square"):
+            GaussianLocal(0.0, np.ones((2, 3)))
+
+    def test_infeasible_chain_names_minor(self):
+        # a path of two strong correlations cannot be completed with a zero
+        a = np.array([[1.0, 0.95, 0.0], [0.95, 1.0, 0.95], [0.0, 0.95, 1.0]])
+        with pytest.raises(ModelInfeasibleError, match="order 3"):
+            GaussianLocal(0.0, a)
 
     def test_rejects_asymmetric_covariance(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -294,7 +230,8 @@ class TestKullbackLeibler:
 
 def test_sample_local_returns_one_vector():
     # one draw from a local law is the factor times one standard normal vector, plus the mean
-    g = GaussianLocal(np.array([0.5, -1.0, 2.0]), build_correlation_matrix(3, [(1, 2), (2, 3)], 0.4))
+    cov = np.array([[1.0, 0.4, 0.0], [0.4, 1.0, 0.4], [0.0, 0.4, 1.0]])
+    g = GaussianLocal(np.array([0.5, -1.0, 2.0]), cov)
     v = g.sample(np.random.default_rng(0), 1)[0]
     assert v.shape == (3,)
     z = np.random.default_rng(0).standard_normal(3)

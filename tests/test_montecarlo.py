@@ -604,6 +604,14 @@ class TestEstimateArl:
             estimate_arl(model, config, cap=0)
         assert estimate_arl(model, config, cap=1).truncations > 0
 
+    def test_cap_beyond_int64_raises(self):
+        # every excursion's step budget is an int64
+        model = correlated_blocks_model(3, 2, 0.7)
+        spec = RunSpec(gamma=20.0, replications=100)
+        with pytest.raises(ValueError, match=r"cap must lie in \[1, 2\^63 - 1\], got 9223372036854775808$"):
+            estimate_arl(model, spec, cap=2**63)
+        assert estimate_arl(model, spec, cap=2**63 - 1).truncations == 0
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_raise(self, threads):
         model = correlated_blocks_model(3, 2, 0.7)
