@@ -13,7 +13,6 @@ import argparse
 import math
 
 from rrcusum.bounds import (
-    DegenerateBoundError,
     compute_unit_statistics,
     lower_bound_first_order,
     nonasymptotic_upper_bound,
@@ -48,15 +47,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     for gamma in args.gammas:
         lower = lower_bound_first_order(gamma, model, hyp, stats)
-        try:
-            upper = f"{nonasymptotic_upper_bound(math.log(gamma), model, hyp, stats).total:8.1f}"
-        except DegenerateBoundError:
-            upper = "n/a"
+        upper = nonasymptotic_upper_bound(math.log(gamma), model, hyp, stats).total
         spec = RunSpec(gamma=gamma, replications=args.replications, seed=args.seed)
         est = estimate_delay(model, hyp, spec)
         print(
             f"{gamma:10.0f} {lower:8.2f} {est.mean:8.2f} "
-            f"{2 * est.stderr:6.2f} {upper:>8} {est.mean / lower:11.3f}"
+            f"{2 * est.stderr:6.2f} {upper:8.1f} {est.mean / lower:11.3f}"
         )
     return 0
 

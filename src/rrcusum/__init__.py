@@ -27,7 +27,6 @@ from .policy import (
 )
 from .bounds import (
     BoundsReport,
-    DegenerateBoundError,
     Estimate,
     NonAsymptoticBound,
     OptimalityClass,

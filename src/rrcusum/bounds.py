@@ -36,10 +36,10 @@ from .model import (
     affected_units,
     derive_rng,
     derive_seed,
+    sample_mean,
 )
 
 __all__ = [
-    "DegenerateBoundError",
     "Estimate",
     "UnitStatistics",
     "NonAsymptoticBound",
@@ -75,11 +75,6 @@ _WALK_GROUP = 1 << 14
 # Relative slack within which the largest closed-form information number counts
 # as equal to the smallest closed-form drift.
 _OPTIMALITY_REL_TOL = 1e-9
-
-
-class DegenerateBoundError(RuntimeError):
-    """An estimated escape probability is zero or a post-change drift is not
-    positive, so a bound degenerates to infinity."""
 
 
 @dataclass(frozen=True)
@@ -122,24 +117,13 @@ def _post_class(model: ChangePointModel, hypothesis: PostChangeHypothesis, unit:
     return model.unit_class(unit, hypothesis.local_post[unit])
 
 
-def _sample_mean(vals: np.ndarray) -> Estimate:
-    """Mean of a draw and its standard error, the bits of ``vals.mean()`` and
-    ``vals.std(ddof=1) / sqrt(n)``. The draw is centred and squared in place,
-    as numpy does to its centred copy, so no copy is made."""
-    n = vals.size
-    mean = vals.mean()
-    vals -= mean
-    vals *= vals
-    return Estimate(float(mean), math.sqrt(vals.sum() / (n - 1)) / math.sqrt(n))
-
-
 def _class_mean(cls: UnitClass, reps: int, seed: int, salt: int) -> Estimate:
     """Mean llr increment of a unit class: exact (stderr 0) when the class
     carries its moments, as a one-member Gaussian family does; otherwise a
     Monte Carlo mean over ``reps`` increments."""
     if cls.moments is not None:
         return Estimate(cls.moments[0], 0.0)
-    return _sample_mean(cls.draw(derive_rng(seed, salt), reps))
+    return Estimate(*sample_mean(cls.draw(derive_rng(seed, salt), reps)))
 
 
 def info_number(
@@ -164,7 +148,7 @@ def info_number(
     if isinstance(f, GaussianLocal) and isinstance(g, GaussianLocal):
         return Estimate(gaussian_kl(g, f), 0.0)
     x = g.sample(derive_rng(seed, 0x1F0), reps)
-    return _sample_mean(np.asarray(g.logpdf(x)) - np.asarray(f.logpdf(x)))
+    return Estimate(*sample_mean(np.asarray(g.logpdf(x)) - np.asarray(f.logpdf(x))))
 
 
 def drift_post(
@@ -546,7 +530,8 @@ class NonAsymptoticBound:
     It leaves out the additive constant that the analysis does not specify.
     ``coarse_total`` replaces the passage term with a simpler bound built from
     the worst escape probabilities alone; evaluated on the same estimates it
-    always dominates ``total``.
+    always dominates ``total``. A degenerate bound says why in ``degenerate``,
+    and both totals are then inf.
     """
 
     threshold: float
@@ -554,6 +539,7 @@ class NonAsymptoticBound:
     unaffected_passage: float
     affected_overshoot: float
     coarse_unaffected_passage: float
+    degenerate: str | None = None
 
     @property
     def total(self) -> float:
@@ -572,9 +558,12 @@ def nonasymptotic_upper_bound(
 ) -> NonAsymptoticBound:
     """Evaluate the explicit delay bound from precomputed unit statistics.
 
-    Raises DegenerateBoundError when an unaffected unit has an estimated zero
-    escape probability or every affected unit has an estimated zero
-    no-descend probability, since the bound is then infinite.
+    The bound degenerates to infinity when an affected unit has a nonpositive
+    post-change drift or an estimated zero no-descend probability, when the
+    chance that some affected unit escapes rounds to zero, or when a needed
+    no-ascend probability is estimated as zero. It then says why in
+    ``degenerate`` and holds inf in its second-order terms, and in
+    ``first_order`` too when a drift is nonpositive.
     """
     if not A > 0.0:
         raise ValueError(f"threshold must be positive, got {A}")
@@ -589,9 +578,13 @@ def nonasymptotic_upper_bound(
         if st.drift_post is None or st.second_moment is None or st.q_no_descend is None:
             raise ValueError(f"unit statistics for affected unit {E} lack post-change entries")
 
+    def degenerate(first_order: float, reason: str) -> NonAsymptoticBound:
+        return NonAsymptoticBound(A, first_order, math.inf, math.inf, math.inf, reason)
+
     j = {E: unit_stats[E].drift_post.value for E in affected}
-    if min(j.values()) <= 0.0:
-        raise DegenerateBoundError("estimated post-change drift is nonpositive for some affected unit")
+    low = min(j.values())
+    if low <= 0.0:
+        return degenerate(math.inf, f"upper bound degenerate: smallest post-change drift is {low:.4g}")
     first_order = max(A / j[E] for E in affected)
 
     overshoot = 0.0
@@ -599,7 +592,7 @@ def nonasymptotic_upper_bound(
         st = unit_stats[E]
         q = st.q_no_descend.value
         if q <= 0.0:
-            raise DegenerateBoundError(f"no-descend probability of {E} estimated as zero")
+            return degenerate(first_order, f"no-descend probability of {E} estimated as zero")
         overshoot = max(overshoot, (1.0 / q) * (1.0 + st.second_moment.value / j[E] ** 2))
 
     unaffected = [E for E in model.units if E not in set(affected)]
@@ -608,18 +601,19 @@ def nonasymptotic_upper_bound(
         for E in affected:
             stall *= 1.0 - unit_stats[E].q_no_descend.value
         if stall >= 1.0:
-            raise DegenerateBoundError("every affected unit has no-descend probability zero")
+            reason = "1 - q rounds to 1 for every affected no-descend probability q, each below 2^-53"
+            return degenerate(first_order, reason)
         inv_sum = 0.0
         for E in unaffected:
             q = unit_stats[E].q_no_ascend.value
             if q <= 0.0:
-                raise DegenerateBoundError(f"no-ascend probability of {E} estimated as zero")
+                return degenerate(first_order, f"no-ascend probability of {E} estimated as zero")
             inv_sum += 1.0 / q
         passage = inv_sum / (1.0 - stall)
         p_minus = min(unit_stats[E].q_no_descend.value for E in affected)
         p_plus = min(unit_stats[E].q_no_ascend.value for E in model.units)
         if p_plus <= 0.0:
-            raise DegenerateBoundError("smallest no-ascend probability estimated as zero")
+            return degenerate(first_order, "smallest no-ascend probability estimated as zero")
         coarse = (len(unaffected) / p_plus) / (1.0 - (1.0 - p_minus) ** len(affected))
         # The coarse term dominates in exact arithmetic, with equality when the
         # escape probabilities coincide; rounding can put it an ulp below.
@@ -642,39 +636,33 @@ class BoundsReport:
     """All bound-related quantities for one model and hypothesis."""
 
     gamma: float
-    threshold: float
     seed: int
     lower_bound: float
     lower_bound_restricted: bool
-    upper_bound_first_order: float
     are_bound: float
     optimality: OptimalityClass
     unit_stats: Mapping[Unit, UnitStatistics]
-    nonasymptotic: NonAsymptoticBound | None = None
-    degenerate: str | None = None
+    nonasymptotic: NonAsymptoticBound
 
     def to_flat_dict(self) -> dict[str, object]:
+        b = self.nonasymptotic
         out: dict[str, object] = {
             "gamma": self.gamma,
-            "threshold": self.threshold,
+            "threshold": b.threshold,
             "seed": self.seed,
             "lower_bound": self.lower_bound,
             "lower_bound_restricted": self.lower_bound_restricted,
-            "upper_bound_first_order": self.upper_bound_first_order,
+            "upper_bound_first_order": b.first_order,
             "are_bound": self.are_bound,
             "optimality": self.optimality.value,
+            "upper_bound_total": b.total,
+            "upper_bound_coarse": b.coarse_total,
         }
-        if self.nonasymptotic is not None:
-            b = self.nonasymptotic
-            out["upper_bound_total"] = b.total
-            out["upper_bound_coarse"] = b.coarse_total
+        if b.degenerate is None:
             out["upper_bound_unaffected_passage"] = b.unaffected_passage
             out["upper_bound_affected_overshoot"] = b.affected_overshoot
         else:
-            out["upper_bound_total"] = math.inf
-            out["upper_bound_coarse"] = math.inf
-        if self.degenerate is not None:
-            out["degenerate"] = self.degenerate
+            out["degenerate"] = b.degenerate
         for E in sorted(self.unit_stats):
             st = self.unit_stats[E]
             tag = "unit." + "-".join(str(k) for k in E.sources)
@@ -697,45 +685,30 @@ def bounds_report(
 ) -> BoundsReport:
     """Compute every bound for the model and hypothesis at threshold log(gamma).
 
-    A bound that degenerates is reported as infinite, and ``degenerate``
-    says why. The lower bound, the first-order upper bound A / J and the
-    efficiency ratio bound I / J read the unit statistics that the explicit
-    bound uses: J is the smallest post-change drift over affected sampled
-    units, and I the hypothesis's closed form or else the largest
-    information number in the statistics.
+    The explicit bound (``nonasymptotic``) carries the threshold and the
+    first-order upper bound A / J, and says why when it degenerates. The lower
+    bound and the efficiency ratio bound I / J, inf when J is not positive,
+    read the same unit statistics: J is the smallest post-change drift over
+    affected sampled units, and I the hypothesis's closed form or else the
+    largest information number in the statistics.
     """
     if not 1.0 < gamma < math.inf:
         raise ValueError(f"gamma must be finite and exceed 1, got {gamma}")
     affected = affected_units(model, hypothesis)
     if not affected:
         raise ValueError("the hypothesis affects no sampled unit; no information to detect")
-    A = math.log(gamma)
     stats = compute_unit_statistics(model, hypothesis, reps=reps, ladder_reps=ladder_reps, seed=seed)
     top, restricted = _largest_info(model, hypothesis, {E: st.info_number.value for E, st in stats.items()})
-    lower = _lower_bound(gamma, top)
     j = min(stats[E].drift_post.value for E in affected)
-    nonasym = degenerate = None
-    if j > 0.0:
-        upper1, are = A / j, top / j
-        try:
-            nonasym = nonasymptotic_upper_bound(A, model, hypothesis, stats)
-        except DegenerateBoundError as exc:
-            degenerate = str(exc)
-    else:
-        upper1 = are = math.inf
-        degenerate = f"upper bound degenerate: smallest post-change drift is {j:.4g}"
     return BoundsReport(
         gamma=gamma,
-        threshold=A,
         seed=seed,
-        lower_bound=lower,
+        lower_bound=_lower_bound(gamma, top),
         lower_bound_restricted=restricted,
-        upper_bound_first_order=upper1,
-        are_bound=are,
+        are_bound=top / j if j > 0.0 else math.inf,
         optimality=classify_optimality(model, hypothesis),
         unit_stats=stats,
-        nonasymptotic=nonasym,
-        degenerate=degenerate,
+        nonasymptotic=nonasymptotic_upper_bound(math.log(gamma), model, hypothesis, stats),
     )
 
 

@@ -203,9 +203,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_run(args: argparse.Namespace, given: set[str]) -> None:
-    """Reject a run that lacks its preset or would ignore a setting. --nu
-    applies only to delay runs; a preset parameter applies only to the
-    presets that read it, and s never to --arl, which builds no hypothesis."""
+    """Reject a run that has a negative seed, lacks its preset or would ignore
+    a setting. --nu applies only to delay runs; a preset parameter applies
+    only to the presets that read it, and s never to --arl, which builds no
+    hypothesis."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     if args.command == "simulate" and args.arl and args.nu != 0:
         raise ValueError(f"--nu {args.nu} has no meaning with --arl, which runs before any change")
     if "preset" not in _COMMAND_KEYS[args.command]:

@@ -27,6 +27,7 @@ __all__ = [
     "affected_units",
     "derive_rng",
     "derive_seed",
+    "sample_mean",
 ]
 
 IncrementDraw = Callable[[np.random.Generator, int], np.ndarray]
@@ -57,6 +58,20 @@ def derive_rng(seed: int, *salt: int) -> np.random.Generator:
 def derive_seed(seed: int, *salt: int) -> int:
     """Integer seed of the sub-stream of ``seed`` named by ``salt``."""
     return int(np.random.SeedSequence((seed, *salt)).generate_state(1)[0])
+
+
+def sample_mean(vals: np.ndarray) -> tuple[float, float]:
+    """Mean of a float draw and its standard error, inf for a single value:
+    the bits of ``vals.mean()`` and ``vals.std(ddof=1) / sqrt(n)``. The draw
+    is centred and squared in place, as numpy does to its centred copy, so
+    no copy is made and ``vals`` is overwritten."""
+    n = vals.size
+    mean = float(vals.mean())
+    if n == 1:
+        return mean, math.inf
+    vals -= mean
+    vals *= vals
+    return mean, math.sqrt(vals.sum() / (n - 1)) / math.sqrt(n)
 
 
 class LocalDistribution(abc.ABC):

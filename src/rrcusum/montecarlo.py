@@ -74,7 +74,6 @@ from typing import Callable, Collection, Sequence
 import numpy as np
 
 from .bounds import (
-    DegenerateBoundError,
     compute_unit_statistics,
     lower_bound_first_order,
     nonasymptotic_upper_bound,
@@ -86,6 +85,7 @@ from .model import (
     affected_units,
     derive_rng,
     derive_seed,
+    sample_mean,
 )
 from .scenarios import correlated_block_hypothesis, correlated_blocks_model
 
@@ -463,13 +463,6 @@ def _in_shares(threads: int, n_batches: int, fn: Callable, *args) -> list:
         return [fut.result() for fut in futures]
 
 
-def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error, inf for a single value."""
-    x = x.astype(float)
-    se = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else math.inf
-    return float(x.mean()), se
-
-
 def estimate_delay(
     model: ChangePointModel,
     hypothesis: PostChangeHypothesis,
@@ -502,7 +495,7 @@ def estimate_delay(
     )
     if not values.size:
         raise RuntimeError("every replication alarmed before the change time; nothing to average")
-    mean, stderr = _mean_se(values)
+    mean, stderr = sample_mean(values.astype(float))
     est = DelayEstimate(
         mean=mean,
         stderr=stderr,
@@ -625,8 +618,8 @@ def estimate_arl(
     ell, ell_se, p, p_se = (np.empty(len(first)) for _ in range(4))
     for c in range(len(first)):
         mine = batches[c * n : (c + 1) * n]
-        ell[c], ell_se[c] = _mean_se(np.concatenate([s for s, _, _ in mine]))
-        p[c], p_se[c] = _mean_se(np.concatenate([w for _, w, _ in mine]))
+        ell[c], ell_se[c] = sample_mean(np.concatenate([s for s, _, _ in mine]).astype(float))
+        p[c], p_se[c] = sample_mean(np.concatenate([w for _, w, _ in mine]))
     if not p.any():
         raise RuntimeError("no importance-sampled excursion reached the threshold; raise replications")
     mean, stderr = _renewal_arl(ell, ell_se, p, p_se, cls)
@@ -684,19 +677,15 @@ def run_custom_study(
         point = replace(config, seed=derive_seed(config.seed, config.m, idx))
         est = estimate_delay(model, hypothesis, point)
         lower = lower_bound_first_order(config.gamma, model, hypothesis)
-        try:
-            stats = compute_unit_statistics(
-                model,
-                hypothesis,
-                reps=stats_reps,
-                ladder_reps=ladder_reps,
-                seed=config.seed,
-                cache=stats_cache,
-            )
-            bound = nonasymptotic_upper_bound(math.log(config.gamma), model, hypothesis, stats)
-            upper, coarse = bound.total, bound.coarse_total
-        except DegenerateBoundError:
-            upper = coarse = math.inf
+        stats = compute_unit_statistics(
+            model,
+            hypothesis,
+            reps=stats_reps,
+            ladder_reps=ladder_reps,
+            seed=config.seed,
+            cache=stats_cache,
+        )
+        bound = nonasymptotic_upper_bound(math.log(config.gamma), model, hypothesis, stats)
         rows.append(
             StudyRow(
                 study=label,
@@ -710,8 +699,8 @@ def run_custom_study(
                 stderr=est.stderr,
                 truncations=est.truncations,
                 lower_bound=lower,
-                upper_bound=upper,
-                upper_bound_coarse=coarse,
+                upper_bound=bound.total,
+                upper_bound_coarse=bound.coarse_total,
             )
         )
     return rows

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from scipy.special import ndtr
 
 from rrcusum import bounds
 from rrcusum.bounds import (
-    DegenerateBoundError,
     Estimate,
     NonAsymptoticBound,
     OptimalityClass,
@@ -471,7 +472,7 @@ class TestFirstOrderBounds:
             lower_bound_first_order(gamma, model, hyp)
 
     def test_upper_bound_oracle(self, pairs_report):
-        assert pairs_report.upper_bound_first_order == pytest.approx(UPPER_1E2, rel=1e-12)
+        assert pairs_report.nonasymptotic.first_order == pytest.approx(UPPER_1E2, rel=1e-12)
 
     def test_upper_bound_rejects_nonpositive_threshold(self, corr_pairs):
         # gamma 1 puts the threshold log(gamma) at 0
@@ -494,16 +495,27 @@ class TestFirstOrderBounds:
         model, hyp = build_preset("corr-pairs", **kw)
         rep = bounds_report(model, hyp, gamma=1e2, reps=10_000, ladder_reps=10_000)
         j = min(rep.unit_stats[E].drift_post.value for E in affected_units(model, hyp))
-        assert rep.upper_bound_first_order == rep.threshold / j == rep.nonasymptotic.first_order
-        assert rep.are_bound == pytest.approx(rep.upper_bound_first_order / rep.lower_bound, rel=1e-12)
+        b = rep.nonasymptotic
+        assert b.first_order == b.threshold / j
+        assert rep.are_bound == pytest.approx(b.first_order / rep.lower_bound, rel=1e-12)
 
     def test_misspecified_singleton_degenerates(self, reversed_shift):
         model, hyp = reversed_shift
         rep = bounds_report(model, hyp, gamma=1e2, reps=10_000, ladder_reps=10_000)
-        assert rep.upper_bound_first_order == math.inf
+        b = rep.nonasymptotic
+        assert b.first_order == b.total == b.coarse_total == math.inf
         assert rep.are_bound == math.inf
-        assert rep.nonasymptotic is None
-        assert rep.degenerate == "upper bound degenerate: smallest post-change drift is -1.5"
+        assert b.degenerate == "upper bound degenerate: smallest post-change drift is -1.5"
+
+    @pytest.mark.slow
+    def test_corr_pairs_m3_degenerates_with_its_reason(self):
+        # a unit holding one affected source has a negative post-change drift
+        model, hyp = build_preset("corr-pairs", m=3, s=4)
+        rep = bounds_report(model, hyp, gamma=1e2, reps=10_000, ladder_reps=10_000)
+        b = rep.nonasymptotic
+        assert b.total == b.coarse_total == math.inf
+        assert b.degenerate.startswith("upper bound degenerate: smallest post-change drift is -")
+        assert rep.to_flat_dict()["degenerate"] == b.degenerate
 
 
 class TestClassifyOptimality:
@@ -566,6 +578,11 @@ def scalar_triplet():
     return m, h
 
 
+def assert_degenerate(b: NonAsymptoticBound, reason: str) -> None:
+    assert b.total == b.coarse_total == math.inf
+    assert re.search(reason, b.degenerate)
+
+
 class TestNonAsymptoticBound:
     def test_synthetic_arithmetic(self, scalar_triplet):
         m, h = scalar_triplet
@@ -579,6 +596,7 @@ class TestNonAsymptoticBound:
         assert b.total == pytest.approx(20.0)
         assert b.coarse_total == pytest.approx(28.0)
         assert b.coarse_total >= b.total
+        assert b.degenerate is None
 
     def test_coarse_dominates_under_rounding(self):
         # one affected source and 44 unaffected ones with the same escape
@@ -638,8 +656,9 @@ class TestNonAsymptoticBound:
             second_moment=Estimate(0.25),
             q_no_descend=Estimate(0.0),
         )
-        with pytest.raises(DegenerateBoundError, match="no-descend"):
-            nonasymptotic_upper_bound(2.0, m, h, stats)
+        b = nonasymptotic_upper_bound(2.0, m, h, stats)
+        assert_degenerate(b, "no-descend probability of .* estimated as zero")
+        assert b.first_order == pytest.approx(4.0)
 
     def test_degenerate_nonpositive_drift(self, scalar_triplet):
         m, h = scalar_triplet
@@ -654,13 +673,28 @@ class TestNonAsymptoticBound:
             second_moment=Estimate(0.25),
             q_no_descend=Estimate(0.5),
         )
-        with pytest.raises(DegenerateBoundError, match="drift"):
-            nonasymptotic_upper_bound(2.0, m, h, stats)
+        b = nonasymptotic_upper_bound(2.0, m, h, stats)
+        assert_degenerate(b, "smallest post-change drift is -0.01")
+        assert b.first_order == math.inf
 
     def test_degenerate_zero_no_ascend(self, scalar_triplet):
         m, h = scalar_triplet
-        with pytest.raises(DegenerateBoundError, match="no-ascend"):
-            nonasymptotic_upper_bound(2.0, m, h, make_stats(q1=0.0))
+        b = nonasymptotic_upper_bound(2.0, m, h, make_stats(q1=0.0))
+        assert_degenerate(b, "no-ascend probability of .* estimated as zero")
+
+    def test_degenerate_stall(self, scalar_triplet):
+        # 1 - 1e-17 rounds to 1, so no affected unit is ever seen to escape
+        m, h = scalar_triplet
+        stats = make_stats()
+        u = unit(3)
+        stats[u] = replace(stats[u], q_no_descend=Estimate(1e-17))
+        assert_degenerate(nonasymptotic_upper_bound(2.0, m, h, stats), "rounds to 1")
+
+    def test_degenerate_smallest_no_ascend(self, scalar_triplet):
+        # the affected unit's no-ascend probability enters only the coarse term
+        m, h = scalar_triplet
+        b = nonasymptotic_upper_bound(2.0, m, h, make_stats(q3=0.0))
+        assert_degenerate(b, "smallest no-ascend probability estimated as zero")
 
     def test_missing_statistics(self, scalar_triplet):
         m, h = scalar_triplet
@@ -731,12 +765,11 @@ class TestBoundsReport:
         )
         want = math.log(1e4) / PAIR_INFO
         assert rep.lower_bound == pytest.approx(want, rel=1e-12)
-        assert rep.upper_bound_first_order == pytest.approx(want, rel=1e-12)
+        assert rep.nonasymptotic.first_order == pytest.approx(want, rel=1e-12)
         assert rep.are_bound == pytest.approx(1.0, rel=1e-12)
         assert rep.optimality is OptimalityClass.ASYMPTOTICALLY_OPTIMAL
         assert not rep.lower_bound_restricted
-        assert rep.degenerate is None
-        assert rep.nonasymptotic is not None
+        assert rep.nonasymptotic.degenerate is None
         assert rep.nonasymptotic.total >= want
         flat = rep.to_flat_dict()
         assert flat["optimality"] == "asymptotically_optimal"

@@ -547,6 +547,29 @@ class TestArgumentErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "corr-pairs"],
+            ["simulate", "corr-pairs"],
+            ["simulate", "corr-pairs", "--arl"],
+            ["study", "1"],
+            ["validate", "corr-pairs"],
+        ],
+        ids=["bounds", "simulate", "simulate-arl", "study", "validate"],
+    )
+    def test_negative_seed_exits_2_naming_it(self, argv, capsys):
+        assert main([*argv, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be nonnegative, got -1\n"
+
+    def test_negative_seed_from_a_config_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\nseed = -3\n", encoding="utf-8")
+        assert main(["study", "1", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: --seed must be nonnegative, got -3\n"
+
     def test_preset_parameter_from_a_config_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
         path.write_text("[scenario]\npreset = signed-pairs\nm = 7\n", encoding="utf-8")

@@ -17,6 +17,7 @@ from rrcusum.model import (
     Unit,
     affected_units,
     logsumexp,
+    sample_mean,
     unit,
 )
 
@@ -168,6 +169,17 @@ class TestLogsumexp:
         out = np.empty(40)
         assert logsumexp(a.copy(), out=out) is out
         np.testing.assert_allclose(out, special.logsumexp(a, axis=0), rtol=1e-14)
+
+
+class TestSampleMean:
+    def test_is_numpy_mean_and_std_bit_for_bit(self):
+        draws = np.random.default_rng(7)
+        for n in (2, 3, 1000, 123_457):
+            for x in (draws.normal(3.0, 2.0, n), draws.integers(1, 500, n).astype(float)):
+                want = (float(x.mean()), float(x.std(ddof=1) / math.sqrt(n)))
+                assert sample_mean(x.copy()) == want
+        # one value has no spread to estimate
+        assert sample_mean(np.array([2.5])) == (2.5, math.inf)
 
 
 class TestMixtureLLR:

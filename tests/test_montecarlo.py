@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rrcusum import montecarlo
-from rrcusum.model import ChangePointModel, PostChangeHypothesis, Unit, UnitClass, _mixture_draw, unit
+from rrcusum.model import ChangePointModel, PostChangeHypothesis, Unit, UnitClass, _mixture_draw, sample_mean, unit
 from rrcusum.montecarlo import (
     STUDIES,
     DelayEstimate,
@@ -672,7 +672,7 @@ class TestRenewalArl:
         args = (model, None, tuple(model.units), threshold, 0, 21, runs, cap)
         runs, truncations, _ = montecarlo._run_batches(*args)
         assert truncations == 0
-        engine, engine_se = montecarlo._mean_se(runs)
+        engine, engine_se = sample_mean(runs.astype(float))
         est = estimate_arl(model, RunSpec(gamma=gamma, replications=8000, seed=22), cap=cap)
         assert est.truncations == 0
         assert abs(est.mean - engine) < 3.0 * math.hypot(est.stderr, engine_se)

@@ -51,3 +51,16 @@ def test_delay_vs_bounds(capsys):
     assert [row[0] for row in rows] == ["100"]
     lower, delay = float(rows[0][1]), float(rows[0][2])
     assert delay == pytest.approx(lower, rel=0.5)
+
+
+def test_delay_vs_bounds_prints_inf_for_a_degenerate_bound(capsys):
+    # at m = 3, s = 4 some affected unit has a negative post-change drift
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = _load("delay_vs_bounds").main(
+            ["--m", "3", "--s", "4", "--gammas", "1e2", "--replications", "100", "--stats-reps", "10000"]
+        )
+    assert code == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [row[0] for row in rows] == ["100"]
+    assert rows[0][4] == "inf"

@@ -426,12 +426,13 @@ def test_report_estimates_the_smallest_drift_once(case, monkeypatch):
     assert in_report == len(calls)
     assert report.unit_stats == stats
     j = min(stats[E].drift_post.value for E in affected_units(model, hyp))
+    b = report.nonasymptotic
     if j > 0.0:
-        assert report.upper_bound_first_order == math.log(gamma) / j
-        assert report.are_bound == pytest.approx(report.upper_bound_first_order / report.lower_bound, rel=1e-12)
+        assert b.first_order == math.log(gamma) / j
+        assert report.are_bound == pytest.approx(b.first_order / report.lower_bound, rel=1e-12)
     else:
-        assert report.upper_bound_first_order == report.are_bound == math.inf
-        assert f"smallest post-change drift is {j:.4g}" in report.degenerate
+        assert b.first_order == report.are_bound == math.inf
+        assert f"smallest post-change drift is {j:.4g}" in b.degenerate
     assert report.lower_bound == lower_bound_first_order(gamma, model, hyp)
 
 
