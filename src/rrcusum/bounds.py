@@ -139,7 +139,7 @@ def info_number(
     The closed form is used when both laws are Gaussian; otherwise the value is
     a Monte Carlo mean over ``reps`` draws from the post-change law.
     """
-    if unit not in set(model.units):
+    if unit not in model._sampled:
         raise ValueError(f"unit {unit} is not sampled by this model")
     if not hypothesis.is_affected(unit):
         return Estimate(0.0, 0.0, note="not affected")
@@ -201,11 +201,12 @@ def llr_second_moment(
     if cls.moments is not None:
         return Estimate(cls.moments[1], 0.0)
     vals = cls.draw(derive_rng(seed, 0x4F0), reps)
-    var = float(vals.var(ddof=1))
-    # standard error of the sample variance via the fourth central moment,
-    # centred and raised in place
+    # the sample variance and, for its standard error, the fourth central
+    # moment, centred and squared in place
     vals -= vals.mean()
-    m4 = float(np.power(vals, 4, out=vals).mean())
+    np.square(vals, out=vals)
+    var = float(vals.sum() / (reps - 1))
+    m4 = float(np.square(vals, out=vals).mean())
     se = math.sqrt(max(m4 - var * var, 0.0) / reps)
     return Estimate(var, se)
 
@@ -595,7 +596,7 @@ def nonasymptotic_upper_bound(
             return degenerate(first_order, f"no-descend probability of {E} estimated as zero")
         overshoot = max(overshoot, (1.0 / q) * (1.0 + st.second_moment.value / j[E] ** 2))
 
-    unaffected = [E for E in model.units if E not in set(affected)]
+    unaffected = [E for E in model.units if not hypothesis.is_affected(E)]
     if unaffected:
         stall = 1.0
         for E in affected:

@@ -180,7 +180,7 @@ def signed_pair_hypothesis(
     if pair is None:
         pair = (model.K - 1, model.K)
     E = Unit(tuple(sorted(pair)))
-    if E not in set(model.units):
+    if E not in model._sampled:
         raise ValueError(f"pair {E} is not a unit of the model")
     r = sign * rho
     law = GaussianLocal(0.0, np.array([[1.0, r], [r, 1.0]]))
@@ -243,7 +243,7 @@ def mean_change_hypothesis(
     best = 0.0
     for k in affected_sources:
         E = Unit((k,))
-        if E not in set(model.units):
+        if E not in model._sampled:
             raise ValueError(f"source {k} is not sampled by the model")
         d = float(mu[k]) if isinstance(mu, Mapping) else float(mu)
         local_post[E] = GaussianLocal(np.array([sign * d]), np.eye(1))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -144,7 +145,8 @@ class TestDrifts:
 
     def test_mixture_drifts_are_the_same_seed_draw_moments(self):
         # a mixture class carries no moments: each drift is the mean and the
-        # standard error of its own draw, bit for bit as numpy gives them
+        # standard error of its own draw, and the second moment the variance
+        # of its own, taken in place, bit for bit as numpy gives them
         model, hyp = build_preset("corr-pairs", m=3, s=4)
         E = next(E for E in model.units if hyp.is_affected(E))
         reps, seed = 10_000, 7
@@ -158,6 +160,11 @@ class TestDrifts:
             vals = cls.draw(derive_rng(seed, salt), reps)
             assert est.value == sign * float(vals.mean())
             assert est.stderr == float(vals.std(ddof=1) / math.sqrt(reps))
+        est = llr_second_moment(model, hyp, E, reps=reps, seed=seed)
+        vals = post.draw(derive_rng(seed, 0x4F0), reps)
+        assert est.value == float(vals.var(ddof=1))
+        m4 = float(((vals - vals.mean()) ** 4).mean())
+        assert est.stderr == pytest.approx(math.sqrt((m4 - est.value**2) / reps), rel=1e-12)
 
     def test_second_moment_mean_shift(self):
         # scalar unit mean shift: the llr is x - 1/2 with unit variance
@@ -642,6 +649,23 @@ class TestNonAsymptoticBound:
         b = nonasymptotic_upper_bound(2.0, m, h, stats)
         assert b.unaffected_passage == 0.0
         assert b.coarse_unaffected_passage == 0.0
+
+    def test_linear_in_the_number_of_units(self):
+        # unit membership must cost O(1): with a set rebuilt per source or per
+        # unit, building the hypothesis and the bound take about 100 s here
+        K = 20_000
+        start = time.perf_counter()
+        m = mean_change_model(K, 1.0)
+        h = mean_change_hypothesis(m, tuple(range(1, K + 1)), 1.0)
+        post = dict(drift_post=Estimate(0.5), second_moment=Estimate(1.0), q_no_descend=Estimate(0.5))
+        stats = {
+            u: UnitStatistics(unit=u, info_number=Estimate(0.5), drift_pre=Estimate(0.5), q_no_ascend=Estimate(0.4), **post)
+            for u in m.units
+        }
+        b = nonasymptotic_upper_bound(2.0, m, h, stats)
+        assert time.perf_counter() - start < 10.0
+        assert b.first_order == pytest.approx(4.0)
+        assert b.unaffected_passage == 0.0
 
     def test_degenerate_zero_no_descend(self, scalar_triplet):
         m, h = scalar_triplet
