@@ -10,6 +10,7 @@ mean-change.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -137,6 +138,20 @@ def _quadratic(law: GaussianLocal, g: GaussianLocal) -> tuple[np.ndarray, np.nda
 # scoring, with slices of 2048 to 8192 rows within 20% of each other.
 _KERNEL_SLICE = 4096
 
+# One slice's normals, features and member terms, shared by every kernel a
+# thread calls: arrays of this size allocated per call are handed back to the
+# system when freed, and their pages fault in again on the next call, while a
+# buffer per kernel would grow with the number of unit classes.
+_scratch = threading.local()
+
+
+def _slice_scratch(size: int) -> np.ndarray:
+    """The calling thread's scratch, grown to at least ``size`` floats; it never shrinks."""
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or len(buf) < size:
+        buf = _scratch.buf = np.empty(size)
+    return buf
+
 
 class GaussianMixtureKernel:
     """Mixture llr increments of a Gaussian unit class, straight from the
@@ -153,9 +168,10 @@ class GaussianMixtureKernel:
     slices of at most _KERNEL_SLICE columns, instead of one triangular solve
     per member. A call draws exactly the normals ``law.sample`` draws, so the
     random stream is that of sampling and then calling ``mixture_llr``, and
-    the increments differ from that path's by rounding. Every call works in
-    the kernel's own slice buffers, so one kernel must not be called from two
-    threads at once.
+    the increments differ from that path's by rounding. A kernel holds only
+    its weights: every call works in one slice buffer per thread, shared by
+    all kernels, so several threads may draw at once, from one kernel or
+    from several.
 
     With one member the increment is X = z'Qz + beta'z + c, with Q = (A0 -
     A) / 2 and beta = b0 - b from ``_quadratic``, so ``moments`` holds its
@@ -182,46 +198,33 @@ class GaussianMixtureKernel:
             # a, b are the one member's
             q, beta = 0.5 * (a0 - a), b0 - b
             self.moments = (float(np.trace(q)) + const[0], 2.0 * float(np.sum(q * q.T)) + float(beta @ beta))
-        self._allocate_scratch()
-
-    _SCRATCH = ("_z", "_phi", "_t")
-
-    def _allocate_scratch(self) -> None:
-        # One slice's normals, features and member terms, reused by every
-        # call: arrays of this size allocated per call are handed back to the
-        # system when freed, and their pages fault in again on the next call.
-        self._z = np.empty((_KERNEL_SLICE, self.dim))
-        self._phi = np.empty((len(self._pairs) + self.dim) * _KERNEL_SLICE)
-        self._t = np.empty(len(self._const) * _KERNEL_SLICE)
-
-    def __getstate__(self) -> dict:
-        # a worker process allocates its own scratch rather than receive it
-        return {k: v for k, v in self.__dict__.items() if k not in self._SCRATCH}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._allocate_scratch()
 
     def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
         out = np.empty(n)
+        # the slice's normals, its features and its member terms, in that order
+        at_phi = self.dim * _KERNEL_SLICE
+        at_t = at_phi + (len(self._pairs) + self.dim) * _KERNEL_SLICE
+        buf = _slice_scratch(at_t + len(self._const) * _KERNEL_SLICE)
+        z_buf, phi_buf, t_buf = buf[:at_phi], buf[at_phi:at_t], buf[at_t:]
         for lo in range(0, n, _KERNEL_SLICE):
-            z = self._z[: min(_KERNEL_SLICE, n - lo)]
+            rows = min(_KERNEL_SLICE, n - lo)
+            z = z_buf[: rows * self.dim].reshape(rows, self.dim)
             # slice by slice in rows, the normals of one (n, dim) draw
             rng.standard_normal(out=z)
-            self._llr(z.T, out[lo : lo + len(z)])
+            self._llr(z.T, phi_buf, t_buf, out[lo : lo + rows])
         return out
 
-    def _llr(self, z: np.ndarray, out: np.ndarray) -> None:
+    def _llr(self, z: np.ndarray, phi_buf: np.ndarray, t_buf: np.ndarray, out: np.ndarray) -> None:
         rows = z.shape[1]
         q = len(self._pairs)
         # products written in place: fancy-indexed gathers and a concatenation
         # would hold three more copies of the slice
-        phi = self._phi[: (q + self.dim) * rows].reshape(q + self.dim, rows)
+        phi = phi_buf[: (q + self.dim) * rows].reshape(q + self.dim, rows)
         for k, (i, j) in enumerate(self._pairs):
             np.multiply(z[i], z[j], out=phi[k])
         phi[q:] = z
         members = len(self._const)
-        t = out[None] if members == 1 else self._t[: members * rows].reshape(members, rows)
+        t = out[None] if members == 1 else t_buf[: members * rows].reshape(members, rows)
         np.matmul(self._weights, phi, out=t)
         t += self._const
         if members > 1:

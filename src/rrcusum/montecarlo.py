@@ -55,9 +55,9 @@ _EXCURSION_COLS0 columns per row, not _COLS0.
 The hot loop reuses its scratch. Every block of a stretch writes its
 increments, partial sums, path and switch counts into arrays allocated once
 per estimate (``_Blocks``), the spares live there too, and every Gaussian class
-kernel keeps the buffers of one slice, so a block allocates only the
-increments the kernel returns, the unconsumed increments it carries and
-boolean masks of at most 16 KiB. Arrays of 128 KiB and more that outlive a
+kernel works in one slice buffer per thread, shared by all kernels, so a block
+allocates only the increments the kernel returns, the unconsumed increments
+it carries and boolean masks of at most 16 KiB. Arrays of 128 KiB and more that outlive a
 block, allocated and freed thousands of times per estimate, would be handed
 back to the system by the C allocator and fault their pages in again on the
 next block.

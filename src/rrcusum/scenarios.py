@@ -10,6 +10,7 @@ affected ones.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Mapping
@@ -46,6 +47,13 @@ def position_patterns(m: int, rho: float) -> dict[frozenset, GaussianLocal]:
     any valid global correlation matrix, and conversely every positive definite
     pattern is realised by embedding it into an identity matrix.
     """
+    return dict(_patterns(m, rho))
+
+
+# The pattern laws of the last few (m, rho), read but never changed by the
+# model and hypothesis builders; position_patterns hands out a copy.
+@functools.lru_cache(maxsize=8)
+def _patterns(m: int, rho: float) -> dict[frozenset, GaussianLocal]:
     if m < 2:
         raise ValueError(f"correlation patterns need m >= 2, got m={m}")
     if m > _MAX_PATTERN_UNIT_SIZE:
@@ -88,7 +96,7 @@ def correlated_blocks_model(K: int, m: int, rho: float) -> ChangePointModel:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     units = tuple(Unit(c) for c in itertools.combinations(range(1, K + 1), m))
     pre = GaussianLocal.standard(m)
-    family = _pattern_family(position_patterns(m, rho))
+    family = _pattern_family(_patterns(m, rho))
     return ChangePointModel(
         K=K,
         m=m,
@@ -127,7 +135,7 @@ def correlated_block_hypothesis(
             raise ValueError(f"block {block} references sources outside 1..{model.K}")
         s = len(block)
     members = frozenset(block)
-    patterns = position_patterns(model.m, rho)
+    patterns = _patterns(model.m, rho)
     local_post = {}
     for E in model.units:
         inside = [p for p, k in enumerate(E.sources) if k in members]
@@ -212,20 +220,20 @@ def mean_change_model(
             raise ValueError(f"mean shift of source {k} must be nonzero")
         return v
 
-    post_family = {}
-    for E in units:
-        d = shift(E.sources[0])
-        laws = [GaussianLocal(np.array([d]), np.eye(1))]
-        if signed:
-            laws.insert(0, GaussianLocal(np.array([-d]), np.eye(1)))
-        post_family[E] = tuple(laws)
+    shifts = {E: shift(E.sources[0]) for E in units}
+    # one family per distinct shift
+    families = {d: (_shifted(-d), _shifted(d)) if signed else (_shifted(d),) for d in set(shifts.values())}
     return ChangePointModel(
         K=K,
         m=1,
         units=units,
         pre_local={E: pre for E in units},
-        post_family={E: post_family[E] for E in units},
+        post_family={E: families[shifts[E]] for E in units},
     )
+
+
+def _shifted(d: float) -> GaussianLocal:
+    return GaussianLocal(np.array([d]), np.eye(1))
 
 
 def mean_change_hypothesis(
@@ -240,13 +248,16 @@ def mean_change_hypothesis(
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     local_post = {}
+    laws: dict[float, GaussianLocal] = {}  # one per distinct shift
     best = 0.0
     for k in affected_sources:
         E = Unit((k,))
         if E not in model._sampled:
             raise ValueError(f"source {k} is not sampled by the model")
         d = float(mu[k]) if isinstance(mu, Mapping) else float(mu)
-        local_post[E] = GaussianLocal(np.array([sign * d]), np.eye(1))
+        if d not in laws:
+            laws[d] = _shifted(sign * d)
+        local_post[E] = laws[d]
         best = max(best, 0.5 * d * d)
     return PostChangeHypothesis(
         label=f"mean-shift{sorted(affected_sources)}",

@@ -62,6 +62,15 @@ class TestPositionPatterns:
         assert law.cov[0, 2] == 0.0
         assert law.cov[1, 2] == 0.0
 
+    def test_edits_to_the_patterns_do_not_reach_the_builders(self):
+        pats = position_patterns(3, 0.7)
+        assert position_patterns(3, 0.7) is not pats
+        pats.clear()
+        assert len(position_patterns(3, 0.7)) == 7
+        model = correlated_blocks_model(5, 3, 0.7)
+        assert len(model.post_family[model.units[0]]) == 7
+        assert len(correlated_block_hypothesis(model, 0.7, s=4).local_post) == 10
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="m >= 2"):
             position_patterns(1, 0.5)
@@ -94,6 +103,12 @@ class TestCorrelatedBlocksModel:
         fams = {id(m.post_family[E]) for E in m.units}
         assert len(pres) == 1
         assert len(fams) == 1
+
+    def test_hypothesis_laws_are_the_family_members(self):
+        m = correlated_blocks_model(7, 3, 0.7)
+        h = correlated_block_hypothesis(m, 0.7, s=5)
+        members = {id(g) for g in m.post_family[m.units[0]]}
+        assert {id(law) for law in h.local_post.values()} <= members
 
     def test_family_size_matches_pattern_count(self):
         m = correlated_blocks_model(6, 3, 0.95)
@@ -256,6 +271,17 @@ class TestMeanChange:
     def test_rejects_zero_shift(self):
         with pytest.raises(ValueError, match="nonzero"):
             mean_change_model(3, 0.0)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_one_family_per_distinct_shift(self, signed):
+        m = mean_change_model(6, {1: 0.5, 2: 1.0, 3: 0.5, 4: 1.0, 5: 0.5, 6: 2.0}, signed=signed)
+        fams = {E.sources[0]: m.post_family[E] for E in m.units}
+        assert len({id(f) for f in fams.values()}) == 3
+        assert fams[1] is fams[3] is fams[5] and fams[2] is fams[4]
+        h = mean_change_hypothesis(m, (1, 2, 3, 4), {1: 0.5, 2: 1.0, 3: 0.5, 4: 1.0}, sign=-1)
+        assert h.local_post[unit(1)] is h.local_post[unit(3)]
+        assert h.local_post[unit(1)] is not h.local_post[unit(2)]
+        assert [h.local_post[unit(k)].mean[0] for k in (1, 2, 3, 4)] == [-0.5, -1.0, -0.5, -1.0]
 
     def test_hypothesis_label_and_info(self):
         m = mean_change_model(10, 1.0)

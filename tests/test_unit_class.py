@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 import pickle
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,14 +75,14 @@ def test_kernel_matches_mixture_llr_and_random_stream(case, n):
 
 def _kernels():
     """(kernel, its law, pre-change law and family), for a singleton family
-    and for one of seven members."""
+    at m=2 and for a member of seven at m=3 and of 26 at m=4."""
     out = []
-    for m in (2, 3):
+    for m in (2, 3, 4):
         model, hyp = build_preset("corr-pairs", K=6, m=m, s=4)
         E = max(hyp.affected_units)
         laws = (hyp.local_post[E], model.pre_local[E], model.post_family[E])
         out.append((model.unit_class(E, laws[0]).draw, laws))
-    assert [len(laws[2]) for _, laws in out] == [1, 7]
+    assert [len(laws[2]) for _, laws in out] == [1, 7, 26]
     return out
 
 
@@ -108,6 +110,59 @@ def test_kernel_draw_equals_a_fresh_kernel(n):
         )
 
 
+def test_kernels_of_different_shapes_interleave_bit_for_bit():
+    # every kernel cuts its slice out of the one scratch of the thread
+    kernels = _kernels()
+    sizes = (9000, 1, 4096, 257)
+    want = [[GaussianMixtureKernel(*laws)(np.random.default_rng(n), n) for n in sizes] for _, laws in kernels]
+    for i, n in enumerate(sizes):
+        for k in (2, 0, 1) if i % 2 else (0, 1, 2):
+            np.testing.assert_array_equal(kernels[k][0](np.random.default_rng(n), n), want[k][i])
+
+
+@pytest.mark.parametrize("picks", [(1, 1), (0, 2)], ids=["same-kernel", "other-kernels"])
+def test_threads_draw_at_once_bit_for_bit(picks):
+    kernels = [kernel for kernel, _ in _kernels()]
+    sizes = (9000, 257, 4096, 1) * 8
+
+    def draws(k, seed):
+        rng = np.random.default_rng(seed)
+        return [kernels[k](rng, n) for n in sizes]
+
+    jobs = list(zip(picks, (21, 22)))
+    want = [draws(*job) for job in jobs]
+    got = [None] * len(jobs)
+    start = threading.Barrier(len(jobs))
+
+    def work(i):
+        start.wait()
+        got[i] = draws(*jobs[i])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for g, w in zip(got, want):
+        assert g is not None
+        for a, b in zip(g, w):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_memory_of_a_mixture_draw_does_not_grow_with_its_members():
+    model, _ = build_preset("corr-pairs", K=5, m=4, s=4)
+    E = model.units[0]
+    tracemalloc.start()
+    try:
+        # compiles the 26 member classes and draws through each of them
+        model.mixture_draw(E)(np.random.default_rng(3), 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model._classes) == len(model.post_family[E]) == 26
+    assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MB traced"
+
+
 def test_kernel_handles_a_signed_mean_family():
     model = mean_change_model(3, 0.8, signed=True)
     hyp = mean_change_hypothesis(model, (3,), 0.8, sign=-1)
@@ -126,9 +181,10 @@ def test_classes_are_shared_and_compiled_once():
     post = {model.unit_class(E, hyp.local_post[E]) for E in sorted(hyp.affected_units)}
     assert len(post) == 1
     # an equal law built separately falls in the same class
-    other = build_preset("corr-pairs", K=6, m=2, s=5)[1]
     E = max(hyp.affected_units)
-    assert model.unit_class(E, other.local_post[E]) is next(iter(post))
+    other = GaussianLocal(hyp.local_post[E].mean, hyp.local_post[E].cov)
+    assert other is not hyp.local_post[E]
+    assert model.unit_class(E, other) is next(iter(post))
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +290,15 @@ def test_model_with_compiled_classes_pickles():
     model, hyp = build_preset("corr-pairs", K=5, m=3, s=3)
     E = max(hyp.affected_units)
     model.unit_class(E, hyp.local_post[E])
-    data = pickle.dumps(model)
-    assert len(data) < 100_000  # the kernels' slice scratch stays behind
-    clone = pickle.loads(data)
-    a = clone.unit_class(E, hyp.local_post[E]).draw(np.random.default_rng(2), 10)
-    b = model.unit_class(E, hyp.local_post[E]).draw(np.random.default_rng(2), 10)
-    np.testing.assert_array_equal(a, b)
+    for drawn in (False, True):
+        if drawn:  # the classes have worked in the thread's scratch
+            model.mixture_draw(E)(np.random.default_rng(1), 9000)
+        data = pickle.dumps(model)
+        assert len(data) < 100_000  # a kernel holds only its weights
+        clone = pickle.loads(data)
+        a = clone.unit_class(E, hyp.local_post[E]).draw(np.random.default_rng(2), 10)
+        b = model.unit_class(E, hyp.local_post[E]).draw(np.random.default_rng(2), 10)
+        np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
