@@ -149,8 +149,8 @@ class StudyConfig(RunSpec):
         super().__post_init__()
         if self.K < 2:
             raise ValueError(f"K must be at least 2, got {self.K}")
-        if not 1 <= self.m <= self.K:
-            raise ValueError(f"m must lie in [1, K], got {self.m}")
+        if not 2 <= self.m <= self.K:
+            raise ValueError(f"m must lie in [2, K], got {self.m}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         if any(not 2 <= s <= self.K for s in self.s_values):
@@ -443,26 +443,6 @@ def _run_batches(
     return np.concatenate(values), truncations, discarded
 
 
-def _in_shares(threads: int, n_batches: int, fn: Callable, *args) -> list:
-    """``fn(*args, batches)`` over contiguous shares of range(n_batches), one
-    share per worker process and at most ``threads`` of them, returned in
-    batch order. Workers receive whole batches, so as long as every batch
-    draws from its own stream the results do not depend on threads. Only
-    estimate_arl takes a thread count, which the benchmark's pool probe sets."""
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    workers = min(threads, n_batches)
-    shares = [range(n_batches * i // workers, n_batches * (i + 1) // workers) for i in range(workers)]
-    if workers == 1:
-        return [fn(*args, shares[0])]
-    # imported here: multiprocessing costs every single-process run at import
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args, share) for share in shares]
-        return [fut.result() for fut in futures]
-
-
 def estimate_delay(
     model: ChangePointModel,
     hypothesis: PostChangeHypothesis,
@@ -521,45 +501,43 @@ def _run_excursions(
     seed: int,
     replications: int,
     cap: int,
-    batches: range,
-) -> list[tuple[np.ndarray, np.ndarray, int]]:
+) -> list[list[tuple[np.ndarray, np.ndarray, int]]]:
     """Excursions of one visit, from statistic 0 to the first switch or alarm.
 
-    ``first`` holds one unit of each pre-change class. With
-    n = ceil(replications / _BATCH) batches per class, batch i belongs to
-    class c = i // n as its batch b = i % n, draws from
+    ``first`` holds one unit of each pre-change class. Class c runs
+    ceil(replications / _BATCH) batches, in order; its batch b draws from
     ``derive_rng(seed, c, b)`` and holds min(_BATCH, replications - b * _BATCH)
     excursions of each kind: plain ones under the class's pre-change law, then
     importance-sampled ones under its mixture law. Every excursion stops after
-    at most ``cap`` steps. Returns per batch (exit times of the plain
-    excursions, weights of the sampled ones, truncations). A weight is
+    at most ``cap`` steps. Returns per class, per batch, (exit times of the
+    plain excursions, weights of the sampled ones, truncations). A weight is
     e^{-S_N} on an alarm, e^{-threshold} on a truncation (an upper bound on
     what the excursion could still contribute) and 0 on a switch.
     """
-    n = -(-replications // _BATCH)
     blocks = _Blocks()
     out = []
-    for i in batches:
-        c, b = divmod(i, n)
-        E = first[c]
-        rng = derive_rng(seed, c, b)
-        rows = min(_BATCH, replications - b * _BATCH)
-        start = np.zeros(rows)
-        need = np.ones(rows, dtype=np.int64)
-        budget = np.full(rows, cap, dtype=np.int64)
-        _, steps, sw, _, hit = _run_stretch(
-            rng, model.unit_class(E).draw, start, threshold, need, budget, blocks, blocks.spares(1)[0],
-            _EXCURSION_COLS0,
-        )
-        truncations = int(np.count_nonzero((sw == 0) & ~hit))
-        _, _, sw, y, hit = _run_stretch(
-            rng, model.mixture_draw(E), start, threshold, need, budget, blocks, blocks.spares(1)[0],
-            _EXCURSION_COLS0,
-        )
-        cut = (sw == 0) & ~hit
-        truncations += int(np.count_nonzero(cut))
-        weights = np.where(hit, np.exp(-y), np.where(cut, math.exp(-threshold), 0.0))
-        out.append((steps, weights, truncations))
+    for c, E in enumerate(first):
+        mine = []
+        for b in range(-(-replications // _BATCH)):
+            rng = derive_rng(seed, c, b)
+            rows = min(_BATCH, replications - b * _BATCH)
+            start = np.zeros(rows)
+            need = np.ones(rows, dtype=np.int64)
+            budget = np.full(rows, cap, dtype=np.int64)
+            _, steps, sw, _, hit = _run_stretch(
+                rng, model.unit_class(E).draw, start, threshold, need, budget, blocks, blocks.spares(1)[0],
+                _EXCURSION_COLS0,
+            )
+            truncations = int(np.count_nonzero((sw == 0) & ~hit))
+            _, _, sw, y, hit = _run_stretch(
+                rng, model.mixture_draw(E), start, threshold, need, budget, blocks, blocks.spares(1)[0],
+                _EXCURSION_COLS0,
+            )
+            cut = (sw == 0) & ~hit
+            truncations += int(np.count_nonzero(cut))
+            weights = np.where(hit, np.exp(-y), np.where(cut, math.exp(-threshold), 0.0))
+            mine.append((steps, weights, truncations))
+        out.append(mine)
     return out
 
 
@@ -604,20 +582,23 @@ def estimate_arl(
     alarm probability at 1/gamma, its largest possible contribution, so with
     truncations the estimate is a lower bound. Each batch of excursions is
     seeded independently from config.seed, so the estimate is reproducible
-    bit for bit and independent of the thread count.
+    bit for bit.
+
+    Every excursion runs in the calling process. ``threads`` must be at least
+    1 and is otherwise ignored: it stays only because the benchmark's pool
+    probe passes it, and goes when ROADMAP item 1 removes that probe.
     """
     if not 1 <= cap <= np.iinfo(np.int64).max:
         # every excursion's budget is an int64 step count
         raise ValueError(f"cap must lie in [1, 2^63 - 1], got {cap}")
     if config.nu != 0:
         raise ValueError(f"nu {config.nu} has no meaning for a run length, which starts before any change")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     _, first, cls = model.class_table(model.units)
-    n = -(-config.replications // _BATCH)
-    args = (model, first, math.log(config.gamma), config.seed, config.replications, cap)
-    batches = [x for part in _in_shares(threads, len(first) * n, _run_excursions, *args) for x in part]
+    per_class = _run_excursions(model, first, math.log(config.gamma), config.seed, config.replications, cap)
     ell, ell_se, p, p_se = (np.empty(len(first)) for _ in range(4))
-    for c in range(len(first)):
-        mine = batches[c * n : (c + 1) * n]
+    for c, mine in enumerate(per_class):
         ell[c], ell_se[c] = sample_mean(np.concatenate([s for s, _, _ in mine]).astype(float))
         p[c], p_se[c] = sample_mean(np.concatenate([w for _, w, _ in mine]))
     if not p.any():
@@ -627,7 +608,7 @@ def estimate_arl(
         mean=mean,
         stderr=stderr,
         replications=config.replications,
-        truncations=sum(t for _, _, t in batches),
+        truncations=sum(t for mine in per_class for _, _, t in mine),
     )
 
 

@@ -151,7 +151,8 @@ def run_to_alarm(
     config: PolicyConfig,
     hypothesis: PostChangeHypothesis | None = None,
     nu: int = 0,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> RunResult:
     """Simulate one full run of the policy until alarm or ``max_steps``.
@@ -160,15 +161,13 @@ def run_to_alarm(
     From time nu + 1 on, affected units follow the hypothesis law and all other
     units keep the pre-change law. ``hypothesis=None`` runs entirely under the
     pre-change regime, the no-change case. The run is a deterministic function
-    of the rng state. Hitting ``max_steps`` without an alarm is reported with
-    ``truncated=True``, not raised.
+    of the state of ``rng``, which every call must give. Hitting ``max_steps``
+    without an alarm is reported with ``truncated=True``, not raised.
     """
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be positive, got {max_steps}")
-    if rng is None:
-        rng = np.random.default_rng()
     state = init_policy(model, config)
     visits: dict[Unit, int] = {E: 0 for E in config.unit_order}
     alarming = None

@@ -240,13 +240,11 @@ def mean_change_hypothesis(
     model: ChangePointModel,
     affected_sources: tuple[int, ...],
     mu: float | Mapping[int, float],
-    sign: int = 1,
 ) -> PostChangeHypothesis:
-    """The listed sources shift their mean by +mu (or -mu with ``sign=-1``)."""
+    """The listed sources shift their mean by mu (per source with a mapping);
+    a negative mu shifts it down."""
     if not affected_sources:
         raise ValueError("at least one source must be affected")
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
     local_post = {}
     laws: dict[float, GaussianLocal] = {}  # one per distinct shift
     best = 0.0
@@ -256,7 +254,7 @@ def mean_change_hypothesis(
             raise ValueError(f"source {k} is not sampled by the model")
         d = float(mu[k]) if isinstance(mu, Mapping) else float(mu)
         if d not in laws:
-            laws[d] = _shifted(sign * d)
+            laws[d] = _shifted(d)
         local_post[E] = laws[d]
         best = max(best, 0.5 * d * d)
     return PostChangeHypothesis(

@@ -221,7 +221,7 @@ def test_c6_kl_drift_identities():
     cases = [
         ("corr-pairs", *build_preset("corr-pairs"), True),
         ("mean-change", *build_preset("mean-change"), True),
-        ("reversed-shift", reversed_model, mean_change_hypothesis(reversed_model, (3,), 1.0, sign=-1), False),
+        ("reversed-shift", reversed_model, mean_change_hypothesis(reversed_model, (3,), -1.0), False),
     ]
     checks = []
     for name, model, hyp, matched in cases:

@@ -61,7 +61,7 @@ def corr_pairs():
 def reversed_shift():
     """The true law shifts source 3 by -1, against a family that shifts it by +1."""
     m = mean_change_model(3, 1.0)
-    return m, mean_change_hypothesis(m, (3,), 1.0, sign=-1)
+    return m, mean_change_hypothesis(m, (3,), -1.0)
 
 
 class NotGaussian(LocalDistribution):

@@ -8,6 +8,10 @@ within pooled Monte Carlo error rather than run by run.
 from __future__ import annotations
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +38,8 @@ from rrcusum.scenarios import (
     correlated_blocks_model,
     mean_change_model,
 )
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 class TestWorstCasePermutation:
@@ -87,6 +93,7 @@ class TestStudyConfig:
             (dict(s_values=(11,)), "s must lie"),
             (dict(replications=0), "replications"),
             (dict(nu=-1), "nu"),
+            (dict(m=1), "m must lie"),  # a correlation change needs m >= 2
         ],
     )
     def test_validation(self, kw, msg):
@@ -712,13 +719,32 @@ class TestRenewalArl:
         assert counts.sum() == 30_000
         assert np.all(np.abs(counts - 10_000) < 5.0 * math.sqrt(30_000 * 2 / 9))
 
-    def test_thread_count_does_not_change_results(self):
-        # 3 classes of 2 batches each, at least 2 batches per worker
-        model = mean_change_model(3, {1: 0.5, 2: 1.0, 3: 2.0})
-        spec = RunSpec(gamma=20.0, replications=montecarlo._BATCH + 100, seed=5)
-        serial = estimate_arl(model, spec, cap=2000, threads=1)
-        for threads in (2, 3):
-            assert estimate_arl(model, spec, cap=2000, threads=threads) == serial
+    def test_run_length_starts_no_worker_process(self):
+        # 3 classes of 2 batches each, in a child process, since this one may
+        # already hold multiprocessing
+        code = (
+            "import sys\n"
+            "from rrcusum import montecarlo\n"
+            "from rrcusum.scenarios import mean_change_model\n"
+            "model = mean_change_model(3, {1: 0.5, 2: 1.0, 3: 2.0})\n"
+            "spec = montecarlo.RunSpec(gamma=20.0, replications=montecarlo._BATCH + 100, seed=5)\n"
+            "for threads in (1, 2, 3):\n"
+            "    print(repr(montecarlo.estimate_arl(model, spec, cap=2000, threads=threads)))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')\n"
+            "             or m == 'concurrent.futures.process'))\n"
+        )
+        path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        *estimates, loaded = done.stdout.splitlines()
+        assert len(estimates) == 3 and len(set(estimates)) == 1
+        assert loaded == "[]"
 
     def test_traced_stretches_see_every_excursion(self, monkeypatch):
         seen = {"calls": 0, "drawn": 0, "used": 0}

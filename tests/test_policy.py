@@ -304,9 +304,9 @@ class TestRunToAlarm:
         m = chain_model(2)
         cfg = PolicyConfig(threshold=1.0, unit_order=m.units)
         with pytest.raises(ValueError, match="nu"):
-            run_to_alarm(m, cfg, nu=-1)
+            run_to_alarm(m, cfg, nu=-1, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="max_steps"):
-            run_to_alarm(m, cfg, max_steps=0)
+            run_to_alarm(m, cfg, rng=np.random.default_rng(0), max_steps=0)
 
     def test_result_is_plain_record(self):
         r = RunResult(

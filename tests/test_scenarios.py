@@ -278,7 +278,7 @@ class TestMeanChange:
         fams = {E.sources[0]: m.post_family[E] for E in m.units}
         assert len({id(f) for f in fams.values()}) == 3
         assert fams[1] is fams[3] is fams[5] and fams[2] is fams[4]
-        h = mean_change_hypothesis(m, (1, 2, 3, 4), {1: 0.5, 2: 1.0, 3: 0.5, 4: 1.0}, sign=-1)
+        h = mean_change_hypothesis(m, (1, 2, 3, 4), {1: -0.5, 2: -1.0, 3: -0.5, 4: -1.0})
         assert h.local_post[unit(1)] is h.local_post[unit(3)]
         assert h.local_post[unit(1)] is not h.local_post[unit(2)]
         assert [h.local_post[unit(k)].mean[0] for k in (1, 2, 3, 4)] == [-0.5, -1.0, -0.5, -1.0]
@@ -298,15 +298,13 @@ class TestMeanChange:
 
     def test_sign_flip(self):
         m = mean_change_model(3, 1.0, signed=True)
-        h = mean_change_hypothesis(m, (1,), 1.0, sign=-1)
+        h = mean_change_hypothesis(m, (1,), -1.0)
         assert h.local_post[unit(1)].mean[0] == -1.0
 
     def test_rejects_bad_arguments(self):
         m = mean_change_model(3, 1.0)
         with pytest.raises(ValueError, match="at least one"):
             mean_change_hypothesis(m, (), 1.0)
-        with pytest.raises(ValueError, match="sign"):
-            mean_change_hypothesis(m, (1,), 1.0, sign=0)
         with pytest.raises(ValueError, match="not sampled"):
             mean_change_hypothesis(m, (5,), 1.0)
 

@@ -165,7 +165,7 @@ def test_memory_of_a_mixture_draw_does_not_grow_with_its_members():
 
 def test_kernel_handles_a_signed_mean_family():
     model = mean_change_model(3, 0.8, signed=True)
-    hyp = mean_change_hypothesis(model, (3,), 0.8, sign=-1)
+    hyp = mean_change_hypothesis(model, (3,), -0.8)
     for E in model.units:
         for law in _laws(model, hyp, E):
             rng_kernel, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
