@@ -16,14 +16,9 @@ from .gaussian import (
 )
 from .policy import (
     Decision,
-    PolicyConfig,
-    PolicyState,
+    RoundRobinCusum,
     RunResult,
-    StepDecision,
-    init_policy,
-    required_observation,
     run_to_alarm,
-    step,
 )
 from .bounds import (
     BoundsReport,

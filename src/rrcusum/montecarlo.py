@@ -496,49 +496,50 @@ def estimate_delay(
 
 def _run_excursions(
     model: ChangePointModel,
-    first: list[Unit],
+    E: Unit,
+    c: int,
     threshold: float,
     seed: int,
     replications: int,
     cap: int,
-) -> list[list[tuple[np.ndarray, np.ndarray, int]]]:
-    """Excursions of one visit, from statistic 0 to the first switch or alarm.
+    blocks: _Blocks,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Excursions of one visit to pre-change class c, whose first unit is E,
+    from statistic 0 to the first switch or alarm.
 
-    ``first`` holds one unit of each pre-change class. Class c runs
-    ceil(replications / _BATCH) batches, in order; its batch b draws from
-    ``derive_rng(seed, c, b)`` and holds min(_BATCH, replications - b * _BATCH)
-    excursions of each kind: plain ones under the class's pre-change law, then
-    importance-sampled ones under its mixture law. Every excursion stops after
-    at most ``cap`` steps. Returns per class, per batch, (exit times of the
-    plain excursions, weights of the sampled ones, truncations). A weight is
-    e^{-S_N} on an alarm, e^{-threshold} on a truncation (an upper bound on
-    what the excursion could still contribute) and 0 on a switch.
+    The class runs ceil(replications / _BATCH) batches, in order; its batch b
+    draws from ``derive_rng(seed, c, b)`` and holds min(_BATCH, replications -
+    b * _BATCH) excursions of each kind: plain ones under the class's
+    pre-change law, then importance-sampled ones under its mixture law. Every
+    excursion stops after at most ``cap`` steps. Returns the replications exit
+    times of the plain excursions, the replications weights of the sampled
+    ones and the number of truncations. A weight is e^{-S_N} on an alarm,
+    e^{-threshold} on a truncation (an upper bound on what the excursion could
+    still contribute) and 0 on a switch.
     """
-    blocks = _Blocks()
-    out = []
-    for c, E in enumerate(first):
-        mine = []
-        for b in range(-(-replications // _BATCH)):
-            rng = derive_rng(seed, c, b)
-            rows = min(_BATCH, replications - b * _BATCH)
-            start = np.zeros(rows)
-            need = np.ones(rows, dtype=np.int64)
-            budget = np.full(rows, cap, dtype=np.int64)
-            _, steps, sw, _, hit = _run_stretch(
-                rng, model.unit_class(E).draw, start, threshold, need, budget, blocks, blocks.spares(1)[0],
-                _EXCURSION_COLS0,
-            )
-            truncations = int(np.count_nonzero((sw == 0) & ~hit))
-            _, _, sw, y, hit = _run_stretch(
-                rng, model.mixture_draw(E), start, threshold, need, budget, blocks, blocks.spares(1)[0],
-                _EXCURSION_COLS0,
-            )
-            cut = (sw == 0) & ~hit
-            truncations += int(np.count_nonzero(cut))
-            weights = np.where(hit, np.exp(-y), np.where(cut, math.exp(-threshold), 0.0))
-            mine.append((steps, weights, truncations))
-        out.append(mine)
-    return out
+    steps = np.empty(replications)
+    weights = np.empty(replications)
+    truncations = 0
+    for b in range(-(-replications // _BATCH)):
+        rng = derive_rng(seed, c, b)
+        lo = b * _BATCH
+        hi = min(lo + _BATCH, replications)
+        start = np.zeros(hi - lo)
+        need = np.ones(hi - lo, dtype=np.int64)
+        budget = np.full(hi - lo, cap, dtype=np.int64)
+        _, steps[lo:hi], sw, _, hit = _run_stretch(
+            rng, model.unit_class(E).draw, start, threshold, need, budget, blocks, blocks.spares(1)[0],
+            _EXCURSION_COLS0,
+        )
+        truncations += int(np.count_nonzero((sw == 0) & ~hit))
+        _, _, sw, y, hit = _run_stretch(
+            rng, model.mixture_draw(E), start, threshold, need, budget, blocks, blocks.spares(1)[0],
+            _EXCURSION_COLS0,
+        )
+        cut = (sw == 0) & ~hit
+        truncations += int(np.count_nonzero(cut))
+        weights[lo:hi] = np.where(hit, np.exp(-y), np.where(cut, math.exp(-threshold), 0.0))
+    return steps, weights, truncations
 
 
 def _renewal_arl(
@@ -596,20 +597,20 @@ def estimate_arl(
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     _, first, cls = model.class_table(model.units)
-    per_class = _run_excursions(model, first, math.log(config.gamma), config.seed, config.replications, cap)
+    blocks = _Blocks()
     ell, ell_se, p, p_se = (np.empty(len(first)) for _ in range(4))
-    for c, mine in enumerate(per_class):
-        ell[c], ell_se[c] = sample_mean(np.concatenate([s for s, _, _ in mine]).astype(float))
-        p[c], p_se[c] = sample_mean(np.concatenate([w for _, w, _ in mine]))
+    truncations = 0
+    for c, E in enumerate(first):
+        steps, weights, cut = _run_excursions(
+            model, E, c, math.log(config.gamma), config.seed, config.replications, cap, blocks
+        )
+        ell[c], ell_se[c] = sample_mean(steps)
+        p[c], p_se[c] = sample_mean(weights)
+        truncations += cut
     if not p.any():
         raise RuntimeError("no importance-sampled excursion reached the threshold; raise replications")
     mean, stderr = _renewal_arl(ell, ell_se, p, p_se, cls)
-    return DelayEstimate(
-        mean=mean,
-        stderr=stderr,
-        replications=config.replications,
-        truncations=sum(t for mine in per_class for _, _, t in mine),
-    )
+    return DelayEstimate(mean=mean, stderr=stderr, replications=config.replications, truncations=truncations)
 
 
 # ---------------------------------------------------------------------------

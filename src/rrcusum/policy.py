@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,14 +23,9 @@ from .model import ChangePointModel, PostChangeHypothesis, Unit
 __all__ = [
     "IllegalStateError",
     "NumericError",
-    "PolicyConfig",
-    "PolicyState",
     "Decision",
-    "StepDecision",
+    "RoundRobinCusum",
     "RunResult",
-    "init_policy",
-    "required_observation",
-    "step",
     "run_to_alarm",
 ]
 
@@ -45,56 +40,66 @@ class NumericError(RuntimeError):
     """Raised when a non-finite log likelihood ratio reaches the policy."""
 
 
-@dataclass(frozen=True)
-class PolicyConfig:
-    """Threshold and sampling order of the policy.
-
-    ``threshold`` is the alarm level A in nats, strictly positive. For a false
-    alarm budget gamma the calibrated choice is A = log(gamma). ``unit_order``
-    is the permutation the policy cycles through.
-    """
-
-    threshold: float
-    unit_order: tuple[Unit, ...]
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.threshold) or self.threshold <= 0.0:
-            raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
-        if not self.unit_order:
-            raise ValueError("unit_order must not be empty")
-        if len(set(self.unit_order)) != len(self.unit_order):
-            raise ValueError("unit_order must not repeat units")
-
-
-@dataclass
-class PolicyState:
-    """Mutable run state: current statistic, position in the order, step count."""
-
-    config: PolicyConfig
-    statistic: float = 0.0
-    cursor: int = 0
-    step_count: int = 0
-    stopped: bool = False
-
-
 class Decision(enum.Enum):
     CONTINUE = "continue"
     SWITCH = "switch"
     ALARM = "alarm"
 
 
-@dataclass(frozen=True)
-class StepDecision:
-    """Outcome of one policy step.
+class RoundRobinCusum:
+    """One run of the policy: its statistic, its position in the order, the
+    number of steps taken and whether it has raised an alarm.
 
-    ``unit`` is the unit to observe next for CONTINUE and SWITCH, and the unit
-    whose statistic crossed the threshold for ALARM. ``time`` is the 1-based
-    index of the step just taken.
+    ``threshold`` is the alarm level A in nats, strictly positive. For a false
+    alarm budget gamma the calibrated choice is A = log(gamma). ``order`` is
+    the permutation of the model's units the policy cycles through,
+    ``model.units`` by default. The policy starts at the first unit of the
+    order with statistic 0.
     """
 
-    decision: Decision
-    unit: Unit
-    time: int
+    def __init__(
+        self, model: ChangePointModel, threshold: float, order: Sequence[Unit] | None = None
+    ) -> None:
+        if not math.isfinite(threshold) or threshold <= 0.0:
+            raise ValueError(f"threshold must be positive and finite, got {threshold}")
+        order = tuple(model.units if order is None else order)
+        # the model's units are distinct and nonempty, so this also refuses
+        # repeats and an empty order
+        if len(order) != len(model.units) or set(order) != set(model.units):
+            raise ValueError("order must be a permutation of the model units, without repeats")
+        self.threshold = threshold
+        self.order = order
+        self.statistic = 0.0
+        self.cursor = 0
+        self.step_count = 0
+        self.stopped = False
+
+    @property
+    def unit(self) -> Unit:
+        """Unit to observe next, or the unit that raised the alarm once stopped."""
+        return self.order[self.cursor]
+
+    def step(self, llr: float) -> Decision:
+        """Advance by one observation of ``self.unit`` whose mixture llr is ``llr``.
+
+        Pure arithmetic on the supplied value; the caller samples the
+        observation and computes its llr. ``step_count`` afterwards is the
+        1-based index of this step.
+        """
+        if self.stopped:
+            raise IllegalStateError("policy already stopped, create a fresh one to run again")
+        if not math.isfinite(llr):
+            raise NumericError(f"non-finite log likelihood ratio at step {self.step_count + 1}: {llr!r}")
+        y = max(self.statistic, 0.0) + float(llr)
+        self.statistic = y
+        self.step_count += 1
+        if y >= self.threshold:
+            self.stopped = True
+            return Decision.ALARM
+        if y <= 0.0:
+            self.cursor = (self.cursor + 1) % len(self.order)
+            return Decision.SWITCH
+        return Decision.CONTINUE
 
 
 @dataclass(frozen=True)
@@ -107,55 +112,18 @@ class RunResult:
     truncated: bool
 
 
-def init_policy(model: ChangePointModel, config: PolicyConfig) -> PolicyState:
-    """Fresh state at the first unit of the order with statistic 0."""
-    if set(config.unit_order) != set(model.units) or len(config.unit_order) != len(model.units):
-        raise ValueError("unit_order must be a permutation of the model units")
-    return PolicyState(config=config)
-
-
-def required_observation(state: PolicyState) -> Unit:
-    """Unit whose observation the policy consumes at the next step."""
-    return state.config.unit_order[state.cursor]
-
-
-def step(state: PolicyState, llr_value: float) -> StepDecision:
-    """Advance the policy by one observation whose mixture llr is ``llr_value``.
-
-    Pure arithmetic on the supplied value; the caller is responsible for
-    sampling the observation of ``required_observation(state)`` and computing
-    its llr. Mutates ``state`` in place.
-    """
-    if state.stopped:
-        raise IllegalStateError("policy already stopped, create a fresh state to run again")
-    if not math.isfinite(llr_value):
-        raise NumericError(
-            f"non-finite log likelihood ratio at step {state.step_count + 1}: {llr_value!r}"
-        )
-    order = state.config.unit_order
-    current = order[state.cursor]
-    y = max(state.statistic, 0.0) + float(llr_value)
-    state.statistic = y
-    state.step_count += 1
-    if y >= state.config.threshold:
-        state.stopped = True
-        return StepDecision(Decision.ALARM, current, state.step_count)
-    if y <= 0.0:
-        state.cursor = (state.cursor + 1) % len(order)
-        return StepDecision(Decision.SWITCH, order[state.cursor], state.step_count)
-    return StepDecision(Decision.CONTINUE, current, state.step_count)
-
-
 def run_to_alarm(
     model: ChangePointModel,
-    config: PolicyConfig,
+    threshold: float,
     hypothesis: PostChangeHypothesis | None = None,
     nu: int = 0,
     *,
     rng: np.random.Generator,
+    order: Sequence[Unit] | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> RunResult:
-    """Simulate one full run of the policy until alarm or ``max_steps``.
+    """Simulate one full run of ``RoundRobinCusum(model, threshold, order)``
+    until alarm or ``max_steps``.
 
     Observations up to and including time ``nu`` come from the pre-change law.
     From time nu + 1 on, affected units follow the hypothesis law and all other
@@ -168,38 +136,20 @@ def run_to_alarm(
         raise ValueError(f"nu must be nonnegative, got {nu}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be positive, got {max_steps}")
-    state = init_policy(model, config)
-    visits: dict[Unit, int] = {E: 0 for E in config.unit_order}
-    alarming = None
-    while not state.stopped and state.step_count < max_steps:
-        E = required_observation(state)
-        post_regime = hypothesis is not None and state.step_count + 1 > nu
-        if post_regime and hypothesis.is_affected(E):
-            law = hypothesis.local_post[E]
-        else:
-            law = model.pre_local[E]
-        x = law.sample(rng, 1)[0]
-        llr = float(model.mixture_llr(E, x))
-        decision = step(state, llr)
+    policy = RoundRobinCusum(model, threshold, order)
+    visits = dict.fromkeys(policy.order, 0)
+    while not policy.stopped and policy.step_count < max_steps:
+        E = policy.unit
+        post_regime = hypothesis is not None and policy.step_count + 1 > nu
+        law = hypothesis.local_post[E] if post_regime and hypothesis.is_affected(E) else model.pre_local[E]
+        policy.step(float(model.mixture_llr(E, law.sample(rng, 1)[0])))
         visits[E] += 1
-        if decision.decision is Decision.ALARM:
-            alarming = decision.unit
-    if not state.stopped:
-        return RunResult(
-            stopping_time=None,
-            alarming_unit=None,
-            delay=None,
-            visit_counts=visits,
-            final_statistic=state.statistic,
-            truncated=True,
-        )
-    T = state.step_count
-    delay = T - nu if (hypothesis is not None and T > nu) else None
+    T = policy.step_count if policy.stopped else None
     return RunResult(
         stopping_time=T,
-        alarming_unit=alarming,
-        delay=delay,
+        alarming_unit=policy.unit if policy.stopped else None,
+        delay=T - nu if (T is not None and hypothesis is not None and T > nu) else None,
         visit_counts=visits,
-        final_statistic=state.statistic,
-        truncated=False,
+        final_statistic=policy.statistic,
+        truncated=not policy.stopped,
     )

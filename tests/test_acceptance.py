@@ -26,7 +26,7 @@ from rrcusum.bounds import (
 from rrcusum.gaussian import equicorrelation_det
 from rrcusum.model import derive_rng, unit
 from rrcusum.montecarlo import Ordering, StudyConfig, estimate_arl, estimate_delay
-from rrcusum.policy import PolicyConfig, PolicyState, step
+from rrcusum.policy import RoundRobinCusum
 from rrcusum.scenarios import (
     build_preset,
     correlated_block_hypothesis,
@@ -258,14 +258,15 @@ def test_c6_kl_drift_identities():
 
 
 def test_c7_policy_property_suite():
-    order = (unit(1), unit(2), unit(3))
+    model = mean_change_model(3, 1.0)
+    order = model.units
 
     def run(values, threshold):
-        s = PolicyState(config=PolicyConfig(threshold=threshold, unit_order=order))
+        s = RoundRobinCusum(model, threshold)
         trace = []
         for v in values:
-            d = step(s, v)
-            trace.append((d.decision.value, d.unit, d.time, s.statistic, s.cursor))
+            d = s.step(v)
+            trace.append((d.value, s.unit, s.step_count, s.statistic, s.cursor))
             if s.stopped:
                 break
         return trace, s

@@ -276,6 +276,13 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert "error: cap must lie in [1, 2^63 - 1], got 10000000000000000000" in captured.err
 
+    def test_arl_without_a_sampled_alarm_exits_1(self, capsys):
+        code = main(["simulate", "corr-pairs", "--arl", "--reps", "1", "--seed", "3", "--gamma", "1e3"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no importance-sampled excursion reached the threshold; raise replications\n"
+
     def test_corr_pairs_block_of_one_exits_2(self, capsys):
         code = main(["simulate", "corr-pairs", "--s", "1", "--reps", "200"])
         assert code == 2
@@ -352,6 +359,12 @@ class TestReplicationMinimum:
         path.write_text("[scenario]\npreset = corr-pairs\n[run]\nreps = 500\n")
         assert main(["bounds", "--config", str(path)]) == 2
         assert "--reps of at least 10000, got 500" in capsys.readouterr().err
+
+    def test_default_reps_is_the_minimum(self, capsys):
+        assert main(["validate", "corr-pairs"]) == 0
+        default = capsys.readouterr().out
+        assert main(["validate", "corr-pairs", "--reps", "10000"]) == 0
+        assert capsys.readouterr().out == default
 
     def test_validate_runs_at_the_minimum(self, capsys):
         assert main(["validate", "corr-pairs", "--K", "5", "--reps", "10000"]) == 0

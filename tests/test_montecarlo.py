@@ -31,7 +31,7 @@ from rrcusum.montecarlo import (
     run_study,
     worst_case_permutation,
 )
-from rrcusum.policy import PolicyConfig, run_to_alarm
+from rrcusum.policy import run_to_alarm
 from rrcusum.scenarios import (
     build_preset,
     correlated_block_hypothesis,
@@ -149,10 +149,9 @@ def reference_delays(model, hyp, order, threshold, n, seed, nu=0):
     """Delays of n runs of the step-by-step policy loop; a run that alarms at
     or before nu has no delay and is left out, as the engine discards it."""
     rng = np.random.default_rng(seed)
-    cfg = PolicyConfig(threshold=threshold, unit_order=order)
     out = []
     for _ in range(n):
-        r = run_to_alarm(model, cfg, hypothesis=hyp, nu=nu, rng=rng)
+        r = run_to_alarm(model, threshold, hypothesis=hyp, nu=nu, rng=rng, order=order)
         assert not r.truncated
         if r.delay is not None:
             out.append(r.delay)
@@ -241,10 +240,9 @@ class TestEngineCrossValidation:
         fast = estimate_arl(model, config, cap=100_000)
         assert fast.truncations == 0
         rng = np.random.default_rng(55)
-        cfg = PolicyConfig(threshold=threshold, unit_order=model.units)
         ref = []
         for _ in range(200):
-            r = run_to_alarm(model, cfg, rng=rng, max_steps=100_000)
+            r = run_to_alarm(model, threshold, rng=rng, max_steps=100_000)
             assert not r.truncated
             ref.append(r.stopping_time)
         ref = np.asarray(ref, dtype=float)
@@ -651,6 +649,14 @@ class TestEstimateArl:
         )
         est = estimate_arl(model, config, cap=10_000)
         assert est.mean - 2.0 * est.stderr > 20.0
+
+    def test_no_sampled_excursion_reaching_the_threshold_raises(self):
+        # one replication at seed 3: the one importance-sampled excursion of
+        # the one class switches before it reaches log(1e3)
+        model, _ = build_preset("corr-pairs")
+        spec = RunSpec(gamma=1e3, replications=1, seed=3)
+        with pytest.raises(RuntimeError, match="no importance-sampled excursion reached the threshold; raise replications"):
+            estimate_arl(model, spec, cap=100_000)
 
     def test_deterministic(self):
         model = correlated_blocks_model(3, 2, 0.7)

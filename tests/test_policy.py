@@ -1,7 +1,8 @@
 """Stepping rules of the cycling detection policy.
 
-The step function is pure arithmetic, so most tests drive it with hand-picked
-or generated llr streams and compare against an inline reference recursion.
+``RoundRobinCusum.step`` is pure arithmetic, so most tests drive it with
+hand-picked or generated llr streams and compare against an inline reference
+recursion.
 """
 
 from __future__ import annotations
@@ -13,26 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrcusum import policy
 from rrcusum.gaussian import GaussianLocal
 from rrcusum.model import ChangePointModel, PostChangeHypothesis, unit
 from rrcusum.policy import (
     Decision,
     IllegalStateError,
     NumericError,
-    PolicyConfig,
-    PolicyState,
+    RoundRobinCusum,
     RunResult,
-    init_policy,
-    required_observation,
     run_to_alarm,
-    step,
 )
-
-ORDER3 = (unit(1), unit(2), unit(3))
-
-
-def fresh(threshold=2.0, order=ORDER3) -> PolicyState:
-    return PolicyState(config=PolicyConfig(threshold=threshold, unit_order=order))
 
 
 def chain_model(n: int) -> ChangePointModel:
@@ -49,126 +41,141 @@ def chain_model(n: int) -> ChangePointModel:
     )
 
 
+MODEL3 = chain_model(3)
+ORDER3 = MODEL3.units
+
+
+def fresh(threshold=2.0) -> RoundRobinCusum:
+    return RoundRobinCusum(MODEL3, threshold)
+
+
+def test_public_names():
+    assert policy.__all__ == [
+        "IllegalStateError",
+        "NumericError",
+        "Decision",
+        "RoundRobinCusum",
+        "RunResult",
+        "run_to_alarm",
+    ]
+
+
 class TestPolicyConfig:
+    """The threshold and order checks of the constructor."""
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_threshold(self, bad):
         with pytest.raises(ValueError, match="threshold"):
-            PolicyConfig(threshold=bad, unit_order=ORDER3)
+            RoundRobinCusum(MODEL3, bad)
 
     def test_rejects_empty_order(self):
-        with pytest.raises(ValueError, match="empty"):
-            PolicyConfig(threshold=1.0, unit_order=())
+        with pytest.raises(ValueError, match="permutation"):
+            RoundRobinCusum(MODEL3, 1.0, ())
 
     def test_rejects_repeats(self):
-        with pytest.raises(ValueError, match="repeat"):
-            PolicyConfig(threshold=1.0, unit_order=(unit(1), unit(1)))
+        for order in ((unit(1), unit(1), unit(2)), (unit(1), unit(2), unit(3), unit(3))):
+            with pytest.raises(ValueError, match="without repeats"):
+                RoundRobinCusum(MODEL3, 1.0, order)
 
 
 class TestInitPolicy:
     def test_starts_at_first_unit_with_zero_statistic(self):
-        m = chain_model(3)
-        s = init_policy(m, PolicyConfig(threshold=1.0, unit_order=m.units))
-        assert s.statistic == 0.0
-        assert s.cursor == 0
-        assert s.step_count == 0
-        assert not s.stopped
-        assert required_observation(s) == unit(1)
+        p = RoundRobinCusum(MODEL3, 1.0)
+        assert p.order == MODEL3.units
+        assert p.statistic == 0.0
+        assert p.cursor == 0
+        assert p.step_count == 0
+        assert not p.stopped
+        assert p.unit == unit(1)
 
     def test_accepts_any_permutation(self):
-        m = chain_model(3)
-        order = (unit(3), unit(1), unit(2))
-        s = init_policy(m, PolicyConfig(threshold=1.0, unit_order=order))
-        assert required_observation(s) == unit(3)
+        order = [unit(3), unit(1), unit(2)]
+        p = RoundRobinCusum(MODEL3, 1.0, order)
+        assert p.order == tuple(order)
+        assert p.unit == unit(3)
 
     def test_rejects_non_permutation(self):
-        m = chain_model(3)
         with pytest.raises(ValueError, match="permutation"):
-            init_policy(m, PolicyConfig(threshold=1.0, unit_order=(unit(1), unit(2))))
+            RoundRobinCusum(MODEL3, 1.0, (unit(1), unit(2)))
         with pytest.raises(ValueError, match="permutation"):
-            init_policy(
-                m, PolicyConfig(threshold=1.0, unit_order=(unit(1), unit(2), unit(4)))
-            )
+            RoundRobinCusum(MODEL3, 1.0, (unit(1), unit(2), unit(4)))
 
 
 class TestStepBoundaries:
     def test_alarm_at_exact_threshold(self):
-        s = fresh(threshold=2.0)
-        d = step(s, 2.0)
-        assert d.decision is Decision.ALARM
-        assert d.unit == unit(1)
-        assert d.time == 1
-        assert s.stopped
-        assert s.statistic == 2.0
+        p = fresh(threshold=2.0)
+        assert p.step(2.0) is Decision.ALARM
+        assert p.unit == unit(1)  # the alarming unit
+        assert p.step_count == 1
+        assert p.stopped
+        assert p.statistic == 2.0
 
     def test_switch_at_exact_zero(self):
-        s = fresh()
-        d = step(s, 0.0)
-        assert d.decision is Decision.SWITCH
-        assert d.unit == unit(2)  # unit to observe next
-        assert s.cursor == 1
-        assert not s.stopped
+        p = fresh()
+        assert p.step(0.0) is Decision.SWITCH
+        assert p.unit == unit(2)  # unit to observe next
+        assert p.cursor == 1
+        assert not p.stopped
 
     def test_continue_strictly_between(self):
-        s = fresh(threshold=2.0)
-        d = step(s, 1.0)
-        assert d.decision is Decision.CONTINUE
-        assert d.unit == unit(1)
-        assert s.cursor == 0
-        assert s.statistic == 1.0
+        p = fresh(threshold=2.0)
+        assert p.step(1.0) is Decision.CONTINUE
+        assert p.unit == unit(1)
+        assert p.cursor == 0
+        assert p.statistic == 1.0
 
     def test_alarm_checked_before_switch(self):
-        # threshold crossing wins even though the statistic is also <= 0 is impossible;
-        # instead check a value that hits the threshold exactly from a positive base
-        s = fresh(threshold=1.0)
-        step(s, 0.5)
-        d = step(s, 0.5)
-        assert d.decision is Decision.ALARM
-        assert s.statistic == 1.0
+        # an alarm ends the step: exactly A from a positive base alarms
+        p = fresh(threshold=1.0)
+        p.step(0.5)
+        assert p.step(0.5) is Decision.ALARM
+        assert p.statistic == 1.0
 
     def test_reset_clips_negative_statistic(self):
-        s = fresh(threshold=5.0)
-        step(s, -3.0)  # switch, statistic -3
-        assert s.statistic == -3.0
-        s.cursor = 0
-        d = step(s, 1.0)
+        p = fresh(threshold=5.0)
+        p.step(-3.0)  # switch, statistic -3
+        assert p.statistic == -3.0
+        p.cursor = 0
         # restart from 0, not from -3
-        assert s.statistic == 1.0
-        assert d.decision is Decision.CONTINUE
+        assert p.step(1.0) is Decision.CONTINUE
+        assert p.statistic == 1.0
 
     def test_alarm_possible_from_negative_base(self):
-        s = fresh(threshold=2.0)
-        step(s, -7.0)
-        d = step(s, 2.0)
-        assert d.decision is Decision.ALARM
-        assert s.statistic == 2.0
+        p = fresh(threshold=2.0)
+        p.step(-7.0)
+        assert p.step(2.0) is Decision.ALARM
+        assert p.statistic == 2.0
 
     def test_cursor_wraps_around(self):
-        s = fresh()
+        p = fresh()
         for want in (1, 2, 0, 1):
-            step(s, -1.0)
-            assert s.cursor == want
+            p.step(-1.0)
+            assert p.cursor == want
+            assert p.unit == ORDER3[want]
 
     def test_time_is_one_based_and_counts_all_steps(self):
-        s = fresh(threshold=10.0)
-        times = [step(s, v).time for v in (0.5, -0.5, 0.5, 0.5)]
-        assert times == [1, 2, 3, 4]
-        assert s.step_count == 4
+        p = fresh(threshold=10.0)
+        counts = []
+        for v in (0.5, -0.5, 0.5, 0.5):
+            p.step(v)
+            counts.append(p.step_count)
+        assert counts == [1, 2, 3, 4]
 
 
 class TestStepErrors:
     def test_stopped_state_refuses_steps(self):
-        s = fresh(threshold=1.0)
-        step(s, 1.0)
+        p = fresh(threshold=1.0)
+        p.step(1.0)
         with pytest.raises(IllegalStateError):
-            step(s, 0.1)
+            p.step(0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_llr_names_step_index(self, bad):
-        s = fresh(threshold=10.0)
-        step(s, 0.5)
-        step(s, 0.5)
+        p = fresh(threshold=10.0)
+        p.step(0.5)
+        p.step(0.5)
         with pytest.raises(NumericError, match="step 3"):
-            step(s, bad)
+            p.step(bad)
 
 
 def reference_run(values, threshold, n_units):
@@ -198,17 +205,15 @@ def reference_run(values, threshold, n_units):
     n_units=st.integers(1, 7),
 )
 def test_step_matches_reference_recursion(values, threshold, n_units):
-    order = tuple(unit(i) for i in range(1, n_units + 1))
-    s = PolicyState(config=PolicyConfig(threshold=threshold, unit_order=order))
+    p = RoundRobinCusum(chain_model(n_units), threshold)
     want = reference_run(values, threshold, n_units)
     for (kind, cursor, y, t), xi in zip(want, values):
-        d = step(s, xi)
-        assert d.decision.value == kind
-        assert s.cursor == cursor
-        assert s.statistic == y  # bitwise identical
-        assert d.time == t
-        assert d.unit == order[cursor]
-    assert s.stopped == (bool(want) and want[-1][0] == "alarm")
+        assert p.step(xi).value == kind
+        assert p.cursor == cursor
+        assert p.statistic == y  # bitwise identical
+        assert p.step_count == t
+        assert p.unit == p.order[cursor]
+    assert p.stopped == (bool(want) and want[-1][0] == "alarm")
 
 
 @settings(max_examples=100, deadline=None)
@@ -220,12 +225,12 @@ def test_step_matches_reference_recursion(values, threshold, n_units):
 )
 def test_step_is_deterministic(values, threshold):
     def run():
-        s = PolicyState(config=PolicyConfig(threshold=threshold, unit_order=ORDER3))
+        p = fresh(threshold)
         trace = []
         for xi in values:
-            d = step(s, xi)
-            trace.append((d.decision, d.unit, d.time, s.statistic, s.cursor))
-            if s.stopped:
+            d = p.step(xi)
+            trace.append((d, p.unit, p.step_count, p.statistic, p.cursor))
+            if p.stopped:
                 break
         return trace
 
@@ -235,15 +240,13 @@ def test_step_is_deterministic(values, threshold):
 class TestRunToAlarm:
     def test_determinism(self):
         m = chain_model(3)
-        cfg = PolicyConfig(threshold=3.0, unit_order=m.units)
-        a = run_to_alarm(m, cfg, rng=np.random.default_rng(11), max_steps=50_000)
-        b = run_to_alarm(m, cfg, rng=np.random.default_rng(11), max_steps=50_000)
+        a = run_to_alarm(m, 3.0, rng=np.random.default_rng(11), max_steps=50_000)
+        b = run_to_alarm(m, 3.0, rng=np.random.default_rng(11), max_steps=50_000)
         assert a == b
 
     def test_truncation_reports_instead_of_raising(self):
         m = chain_model(3)
-        cfg = PolicyConfig(threshold=200.0, unit_order=m.units)
-        r = run_to_alarm(m, cfg, rng=np.random.default_rng(0), max_steps=7)
+        r = run_to_alarm(m, 200.0, rng=np.random.default_rng(0), max_steps=7)
         assert r.truncated
         assert r.stopping_time is None
         assert r.alarming_unit is None
@@ -257,8 +260,7 @@ class TestRunToAlarm:
             label="shift",
             local_post={E: m.post_family[E][0] for E in m.units},
         )
-        cfg = PolicyConfig(threshold=3.0, unit_order=m.units)
-        r = run_to_alarm(m, cfg, hypothesis=h, rng=np.random.default_rng(5))
+        r = run_to_alarm(m, 3.0, hypothesis=h, rng=np.random.default_rng(5))
         assert not r.truncated
         assert sum(r.visit_counts.values()) == r.stopping_time
         assert r.final_statistic >= 3.0
@@ -267,8 +269,7 @@ class TestRunToAlarm:
 
     def test_delay_none_without_hypothesis(self):
         m = chain_model(2)
-        cfg = PolicyConfig(threshold=1.5, unit_order=m.units)
-        r = run_to_alarm(m, cfg, rng=np.random.default_rng(3))
+        r = run_to_alarm(m, 1.5, rng=np.random.default_rng(3))
         assert r.delay is None
         assert r.stopping_time is not None
 
@@ -282,31 +283,39 @@ class TestRunToAlarm:
         h = PostChangeHypothesis(
             label="jump", local_post={u: post}
         )
-        cfg = PolicyConfig(threshold=math.log(100.0), unit_order=(u,))
-        r = run_to_alarm(m, cfg, hypothesis=h, nu=4, rng=np.random.default_rng(0))
+        r = run_to_alarm(m, math.log(100.0), hypothesis=h, nu=4, rng=np.random.default_rng(0))
         assert r.stopping_time == 5
         assert r.delay == 1
 
     def test_alarm_before_change_gives_no_delay(self):
         # threshold so low that noise alone alarms well before nu
         m = chain_model(1)
-        cfg = PolicyConfig(threshold=0.05, unit_order=m.units)
         h = PostChangeHypothesis(
             label="shift",
             local_post={E: m.post_family[E][0] for E in m.units},
         )
-        r = run_to_alarm(m, cfg, hypothesis=h, nu=10**6, rng=np.random.default_rng(1))
+        r = run_to_alarm(m, 0.05, hypothesis=h, nu=10**6, rng=np.random.default_rng(1))
         assert r.stopping_time is not None
         assert r.stopping_time <= 10**6
         assert r.delay is None
 
     def test_rejects_bad_arguments(self):
         m = chain_model(2)
-        cfg = PolicyConfig(threshold=1.0, unit_order=m.units)
         with pytest.raises(ValueError, match="nu"):
-            run_to_alarm(m, cfg, nu=-1, rng=np.random.default_rng(0))
+            run_to_alarm(m, 1.0, nu=-1, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="max_steps"):
-            run_to_alarm(m, cfg, rng=np.random.default_rng(0), max_steps=0)
+            run_to_alarm(m, 1.0, rng=np.random.default_rng(0), max_steps=0)
+        with pytest.raises(ValueError, match="threshold"):
+            run_to_alarm(m, 0.0, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="permutation"):
+            run_to_alarm(m, 1.0, rng=np.random.default_rng(0), order=(unit(1),))
+
+    def test_starts_at_the_first_unit_of_the_given_order(self):
+        m = chain_model(3)
+        order = (unit(3), unit(1), unit(2))
+        r = run_to_alarm(m, 100.0, rng=np.random.default_rng(2), order=order, max_steps=1)
+        assert r.visit_counts == {unit(3): 1, unit(1): 0, unit(2): 0}
+        assert tuple(r.visit_counts) == order
 
     def test_result_is_plain_record(self):
         r = RunResult(

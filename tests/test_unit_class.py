@@ -28,6 +28,7 @@ from rrcusum.model import (
     LocalDistribution,
     PostChangeHypothesis,
     _mixture_draw,
+    _sample_and_score,
     affected_units,
     derive_rng,
     derive_seed,
@@ -245,9 +246,9 @@ def test_run_length_reads_the_pre_change_class_table(interleaved, monkeypatch):
     seen = {"first": [], "cls": None}
     run_excursions = montecarlo._run_excursions
 
-    def spy_excursions(model_, first_, *rest):
-        seen["first"].append(first_)
-        return run_excursions(model_, first_, *rest)
+    def spy_excursions(model_, E, c, *rest):
+        seen["first"].append((c, E))
+        return run_excursions(model_, E, c, *rest)
 
     def spy_renewal(ell, ell_se, p, p_se, cls):
         seen["cls"] = cls
@@ -256,7 +257,7 @@ def test_run_length_reads_the_pre_change_class_table(interleaved, monkeypatch):
     monkeypatch.setattr(montecarlo, "_run_excursions", spy_excursions)
     monkeypatch.setattr(montecarlo, "_renewal_arl", spy_renewal)
     montecarlo.estimate_arl(model, montecarlo.RunSpec(gamma=10.0, replications=200, seed=1), cap=200)
-    assert seen["first"] == [first]
+    assert seen["first"] == list(enumerate(first))
     assert seen["cls"].tolist() == want
 
 
@@ -352,6 +353,32 @@ def test_wrapped_laws_take_the_generic_path(gaussian_and_wrapped):
     assert not isinstance(wmodel.unit_class(E, whyp.local_post[E]).draw, GaussianMixtureKernel)
     # the default key is the law itself, so distinct wrappers of equal laws differ
     assert Wrapped(model.pre_local[E]).key() != Wrapped(model.pre_local[E]).key()
+
+
+def test_gaussian_law_with_a_foreign_family_member_samples_and_scores():
+    # the pre-change and observed laws are Gaussian, but one member of the
+    # family is not, so the law compiles no kernel
+    model, _ = build_preset("corr-pairs", K=4, m=3, s=3)
+    E = model.units[0]
+    pre, family = model.pre_local[E], model.post_family[E]
+    mixed_family = (Wrapped(family[0]),) + family[1:]
+    assert pre.compile_llr(pre, mixed_family) is None
+    mixed = ChangePointModel(
+        K=model.K,
+        m=model.m,
+        units=model.units,
+        pre_local=model.pre_local,
+        post_family={**model.post_family, E: mixed_family},
+    )
+    draw = mixed.unit_class(E).draw
+    assert not isinstance(draw, GaussianMixtureKernel)
+    rng, rng_ref, rng_kernel = (np.random.default_rng(4) for _ in range(3))
+    got = draw(rng, 300)
+    np.testing.assert_array_equal(got, _sample_and_score(mixed, E, pre, rng_ref, 300))
+    # the wrapper delegates, so the all-Gaussian kernel scores the same draws
+    kernel = model.unit_class(E).draw(rng_kernel, 300)
+    assert np.all(np.abs(got - kernel) <= 1e-9 * (1.0 + np.abs(kernel)))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state == rng_kernel.bit_generator.state
 
 
 def test_generic_and_compiled_paths_give_the_same_delay(gaussian_and_wrapped):
