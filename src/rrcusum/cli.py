@@ -263,7 +263,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.arl:
         model = scenarios.preset_model(args.preset, K=args.K, m=args.m, rho=args.rho, mu=args.mu)
-        spec = RunSpec(gamma=args.gamma, replications=2000 if args.reps is None else args.reps, seed=args.seed)
+        spec = RunSpec(gamma=args.gamma, replications=_reps(args, 2000, 2), seed=args.seed)
         cap = int(100 * args.gamma)
         est = estimate_arl(model, spec, cap=cap)
         row = [
@@ -282,7 +282,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     model, hypothesis = _build_scenario(args)
     spec = RunSpec(
         gamma=args.gamma,
-        replications=4000 if args.reps is None else args.reps,
+        replications=_reps(args, 4000, 2),
         seed=args.seed,
         nu=args.nu,
     )
@@ -318,7 +318,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    rows = run_study(args.study, replications=args.reps, seed=args.seed, nu=args.nu)
+    rows = run_study(args.study, replications=_reps(args, 4000, 2), seed=args.seed, nu=args.nu)
     _write_rows(STUDY_CSV_HEADER, [dataclasses.astuple(r) for r in rows], args.out)
     return 0
 

@@ -54,19 +54,22 @@ _EXCURSION_COLS0 columns per row, not _COLS0.
 
 The hot loop reuses its scratch. Every block of a stretch writes its
 increments, partial sums, path and switch counts into arrays allocated once
-per estimate (``_Blocks``), the spares live there too, and every Gaussian class
-kernel works in one slice buffer per thread, shared by all kernels, so a block
-allocates only the increments the kernel returns, the unconsumed increments
-it carries and boolean masks of at most 16 KiB. Arrays of 128 KiB and more that outlive a
-block, allocated and freed thousands of times per estimate, would be handed
-back to the system by the C allocator and fault their pages in again on the
-next block.
+per thread (``_Blocks``, kept across estimates), the spares live there too,
+and every Gaussian class kernel works in one slice buffer per thread, shared
+by all kernels, so a block allocates only the increments the kernel returns,
+the unconsumed increments it carries and boolean masks of at most 16 KiB.
+Arrays of 128 KiB and more that outlive a block, allocated and freed
+thousands of times per estimate, or once per estimate, would be handed back to
+the system by the C allocator and fault their pages in again. _simulate finds
+the classes present with np.bincount rather than np.unique, which imports
+numpy.ma (about 1.3 MB) on its first call.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import threading
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Collection, Sequence
@@ -272,8 +275,8 @@ class _Spare:
 class _Blocks:
     """The per-block arrays of _run_stretch (the increments x, partial sums
     w, the path and the switch counts) and the spares, allocated once per
-    estimate and overwritten by every block; see the module docstring for
-    why."""
+    thread (``_thread_blocks``) and overwritten by every block; see the module
+    docstring for why."""
 
     def __init__(self) -> None:
         self.x = np.empty(_BLOCK_ELEMENTS)
@@ -289,6 +292,21 @@ class _Blocks:
         for spare in self._spares[:n]:
             spare.size = 0
         return self._spares[:n]
+
+
+# Kept across estimates: blocks freed at the end of an estimate can leave the
+# top of the C heap free, which glibc trims and faults in again on the next
+# one (about 5,700 minor faults and 14 ms of system time per pass of the
+# benchmark's 27 delay estimates).
+_blocks = threading.local()
+
+
+def _thread_blocks() -> _Blocks:
+    """The calling thread's _Blocks, made on its first estimate."""
+    blocks = getattr(_blocks, "blocks", None)
+    if blocks is None:
+        blocks = _blocks.blocks = _Blocks()
+    return blocks
 
 
 def _run_stretch(
@@ -393,7 +411,7 @@ def _simulate(
             need = np.full(live.size, budget + 1)
         else:
             need = regime.stretch_end[stretch] - pos[live]
-        for c in np.unique(cls):
+        for c in np.flatnonzero(np.bincount(cls)):
             sel = cls == c
             rows = live[sel]
             _, s, sw, y[rows], alarmed[rows] = _run_stretch(
@@ -424,7 +442,7 @@ def _run_batches(
     """
     post = _compile_regime(model, order, hypothesis)
     pre = _compile_regime(model, order, None) if nu > 0 else None
-    blocks = _Blocks()
+    blocks = _thread_blocks()
     values = []
     truncations = 0
     discarded = 0
@@ -597,7 +615,7 @@ def estimate_arl(
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     _, first, cls = model.class_table(model.units)
-    blocks = _Blocks()
+    blocks = _thread_blocks()
     ell, ell_se, p, p_se = (np.empty(len(first)) for _ in range(4))
     truncations = 0
     for c, E in enumerate(first):

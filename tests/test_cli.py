@@ -277,7 +277,7 @@ class TestSimulateCommand:
         assert "error: cap must lie in [1, 2^63 - 1], got 10000000000000000000" in captured.err
 
     def test_arl_without_a_sampled_alarm_exits_1(self, capsys):
-        code = main(["simulate", "corr-pairs", "--arl", "--reps", "1", "--seed", "3", "--gamma", "1e3"])
+        code = main(["simulate", "corr-pairs", "--arl", "--reps", "2", "--seed", "4", "--gamma", "1e3"])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -345,8 +345,11 @@ class TestReplicationMinimum:
             (["bounds", "mean-change", "--reps", "9999"], 10000),
             (["bounds", "corr-pairs", "--reps", "100"], 10000),
             (["validate", "corr-pairs", "--K", "5", "--reps", "9999"], 10000),
+            (["simulate", "corr-pairs", "--reps", "1"], 2),
+            (["simulate", "corr-pairs", "--arl", "--reps", "1"], 2),
+            (["study", "1", "--reps", "1"], 2),
         ],
-        ids=["bounds-9999", "bounds-100", "validate-9999"],
+        ids=["bounds-9999", "bounds-100", "validate-9999", "simulate-1", "simulate-arl-1", "study-1"],
     )
     def test_below_minimum_exits_2_naming_it(self, argv, minimum, capsys):
         assert main(argv) == 2
@@ -359,6 +362,39 @@ class TestReplicationMinimum:
         path.write_text("[scenario]\npreset = corr-pairs\n[run]\nreps = 500\n")
         assert main(["bounds", "--config", str(path)]) == 2
         assert "--reps of at least 10000, got 500" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (["simulate"], "[scenario]\npreset = corr-pairs\n[run]\nreps = 1\n"),
+            (["simulate", "--arl"], "[scenario]\npreset = corr-pairs\n[run]\nreps = 1\n"),
+            (["study", "1"], "[run]\nreps = 1\n"),
+        ],
+        ids=["simulate", "simulate-arl", "study"],
+    )
+    def test_one_replication_from_a_config_file_exits_2(self, tmp_path, capsys, command, text):
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        assert main([*command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {command[0]} needs --reps of at least 2, got 1" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (["simulate", "corr-pairs", "--K", "5", "--gamma", "8", "--reps", "2"], 1),
+            (["simulate", "corr-pairs", "--arl", "--reps", "2", "--gamma", "20"], 1),
+            (["study", "3", "--reps", "2"], 18),
+        ],
+        ids=["simulate", "simulate-arl", "study"],
+    )
+    def test_two_replications_run(self, argv, rows, capsys):
+        assert main(argv) == 0
+        table = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(table) == rows
+        # the study CSV has no replications column
+        assert all(row.get("replications", "2") == "2" for row in table)
 
     def test_default_reps_is_the_minimum(self, capsys):
         assert main(["validate", "corr-pairs"]) == 0

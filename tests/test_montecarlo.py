@@ -12,6 +12,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -493,6 +494,19 @@ class TestEstimateDelay:
         a = estimate_delay(model, hyp, config)
         b = estimate_delay(model, hyp, config)
         assert a == b
+
+    def test_estimates_do_not_depend_on_earlier_ones(self):
+        # the estimates of one thread share its blocks and spares; another
+        # thread starts from blocks of its own
+        model, hyp, config = self.make()
+        first = estimate_delay(model, hyp, config)
+        wide = correlated_blocks_model(5, 3, 0.7)  # more classes, more spares
+        estimate_delay(wide, correlated_block_hypothesis(wide, 0.7, s=3), RunSpec(gamma=20.0, replications=50))
+        fresh = []
+        worker = threading.Thread(target=lambda: fresh.append(estimate_delay(model, hyp, config)))
+        worker.start()
+        worker.join()
+        assert estimate_delay(model, hyp, config) == first == fresh[0]
 
     def test_spares_do_not_outlive_a_batch(self, monkeypatch):
         # batch 1 of a two-batch run, here a partial one, gives the same
