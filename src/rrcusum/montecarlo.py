@@ -6,7 +6,8 @@ started at the statistic's carried value and reset at zero, so a whole visit
 (in fact a whole run of consecutive units with identically distributed
 increments) can be evolved with cumulative sums:
 
-    Y_t = W_t + max(y0, -min(0, W_1, ..., W_{t-1})),   W_t = sum of increments.
+    Y_t = W_t + max(y0, -min(0, W_1, ..., W_{t-1}))
+        = W_t - min(-max(y0, 0), W_1, ..., W_{t-1}),   W_t = sum of increments.
 
 Units are grouped into the model's unit classes (``ChangePointModel.class_table``:
 same pre-change law, candidate family, and law being observed); consecutive
@@ -51,6 +52,17 @@ exits at or above A (Siegmund 1976, Ann. Statist. 4). Each batch of
 excursions is one _run_stretch call that stops every row at its first switch;
 as most excursions end after 2-3 steps, its first block has
 _EXCURSION_COLS0 columns per row, not _COLS0.
+
+A block of at least _LOOP_ROWS rows, such as the run length's excursion
+blocks of 1024 rows and 4 to 16 columns, is stepped column by column: numpy
+runs an accumulate along a row as a scalar loop per row, so its partial sums,
+their running minimum and its switch counts each take one vector operation
+over all rows per column instead. Blocks of fewer rows, such as the
+stragglers of a delay batch with up to 2048 columns, keep the accumulates,
+which cost less there than a Python loop over the columns. Both layouts
+compute the second form of Y_t above, which equals the first exactly
+(negation, min and max are exact and a - b == a + (-b)), and give the same
+bits.
 
 The hot loop reuses its scratch. Every block of a stretch writes its
 increments, partial sums, path and switch counts into arrays allocated once
@@ -244,6 +256,9 @@ _COLS0 = 32
 # columns), and 1 or 2 columns took more blocks and more time than 4.
 _EXCURSION_COLS0 = 4
 _BLOCK_ELEMENTS = 1 << 14
+# Blocks of at least this many rows, and so at most _BLOCK_ELEMENTS / 128
+# columns, step column by column (see the module docstring).
+_LOOP_ROWS = 128
 
 
 class _Spare:
@@ -276,13 +291,16 @@ class _Blocks:
     """The per-block arrays of _run_stretch (the increments x, partial sums
     w, the path and the switch counts) and the spares, allocated once per
     thread (``_thread_blocks``) and overwritten by every block; see the module
-    docstring for why."""
+    docstring for why. A block of at least _LOOP_ROWS rows keeps w, the path
+    and the switch counts time-major, (columns, rows); x is always row-major.
+    The switch counts take the memory of w, which is dead once the path is
+    formed."""
 
     def __init__(self) -> None:
         self.x = np.empty(_BLOCK_ELEMENTS)
         self.w = np.empty(_BLOCK_ELEMENTS)
         self.path = np.empty(_BLOCK_ELEMENTS)
-        self.sw = np.empty(_BLOCK_ELEMENTS, dtype=np.int64)
+        self.sw = self.w.view(np.int64)
         self._spares: list[_Spare] = []
 
     def spares(self, n: int) -> list[_Spare]:
@@ -346,30 +364,44 @@ def _run_stretch(
         x = blocks.x[: k * n]
         spare.fill(x, rng, draw)
         x = x.reshape(k, n)
-        w = blocks.w[: k * n].reshape(k, n)
-        path = blocks.path[: k * n].reshape(k, n)
-        sw = blocks.sw[: k * n].reshape(k, n)
-        np.cumsum(x, axis=1, out=w)
-        # the running minimum of w before each step, then the path itself
-        path[:, 0] = 0.0
-        path[:, 1:] = w[:, :-1]
-        np.minimum.accumulate(path, axis=1, out=path)
-        np.negative(path, out=path)
-        np.maximum(y[run, None], path, out=path)
-        path += w
-        hit = path >= threshold
-        np.cumsum(path <= 0.0, axis=1, out=sw)
-        stop = hit | (sw >= (need[run] - switches[run])[:, None])
+        # path = W_t - min(-max(y0, 0), W_1, ..., W_{t-1}), W the partial sums
+        loop = k >= _LOOP_ROWS
+        shape = (n, k) if loop else (k, n)
+        # sw shares the memory of w, so it is written only once the path is formed
+        w, path, sw = (a[: k * n].reshape(shape) for a in (blocks.w, blocks.path, blocks.sw))
+        if loop:
+            # time-major, one vector op over all k rows per column
+            w[...] = x.T
+            W, P, S = list(w), list(path), list(sw)
+            np.negative(np.maximum(y[run], 0.0), out=P[0])
+            for t in range(1, n):
+                np.add(W[t - 1], W[t], out=W[t])
+                np.fmin(P[t - 1], W[t - 1], out=P[t])
+            np.subtract(w, path, out=path)
+            np.less_equal(path, 0.0, out=sw)
+            for t in range(1, n):
+                np.add(S[t - 1], S[t], out=S[t])
+            path, sw = path.T, sw.T
+        else:
+            np.cumsum(x, axis=1, out=w)
+            np.negative(np.maximum(y[run], 0.0), out=path[:, 0])
+            path[:, 1:] = w[:, :-1]
+            np.minimum.accumulate(path, axis=1, out=path)
+            np.subtract(w, path, out=path)
+            np.cumsum(path <= 0.0, axis=1, out=sw)
+        stop = (path >= threshold) | (sw >= (need[run] - switches[run])[:, None])
         ends = left <= n
         stop[ends, left[ends] - 1] = True
         j = stop.argmax(axis=1)
         rows = np.arange(k)
         done = stop[rows, j]
         j[~done] = n - 1
+        # where (r, j[r]) lies in the flat buffers
+        at = j * k + rows if loop else rows * n + j
         steps[run] += j + 1
-        switches[run] += sw[rows, j]
-        y[run] = path[rows, j]
-        alarmed[run] = hit[rows, j]
+        switches[run] += blocks.sw[at]
+        y[run] = end = blocks.path[at]
+        alarmed[run] = end >= threshold
         took = int(j.sum()) + k
         used += took
         if took < k * n:

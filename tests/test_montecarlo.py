@@ -302,15 +302,17 @@ def replay(blocks, y0, threshold, need, budget):
 
     Every block is (running rows, columns) in row order, so each row still
     running by scalar_stretch gets the next x.size / rows values of the block.
-    Returns per row the scalar outcome and the increments it consumed, and
-    per block the increments the rows that stopped in it left unconsumed, in
-    row order.
+    Returns per row the scalar outcome and the increments it consumed, per
+    block the increments the rows that stopped in it left unconsumed, in row
+    order, and per block its number of rows.
     """
     consumed = [np.empty(0) for _ in y0]
     outcome = [None] * len(y0)
     tails = []
+    ks = []
     for x in blocks:
         running = [r for r, got in enumerate(outcome) if got is None]
+        ks.append(len(running))
         cols, rest = divmod(x.size, len(running))
         assert rest == 0 and cols > 0
         left = []
@@ -323,7 +325,7 @@ def replay(blocks, y0, threshold, need, budget):
             left.append(x[i * cols + stop - before : (i + 1) * cols])
         tails.append(np.concatenate(left))
     assert None not in outcome
-    return outcome, consumed, tails
+    return outcome, consumed, tails, ks
 
 
 class TestRunStretch:
@@ -346,7 +348,7 @@ class TestRunStretch:
             montecarlo._Blocks(),
             spare,
         )
-        want, consumed, tails = replay(spare.blocks, y0, threshold, need, budget)
+        want, consumed, tails, ks = replay(spare.blocks, y0, threshold, need, budget)
         assert steps.tolist() == [w[0] for w in want]
         assert switches.tolist() == [w[1] for w in want]
         assert y.tolist() == [w[2] for w in want]
@@ -358,7 +360,7 @@ class TestRunStretch:
         # conservation: fresh draws and the carried spare cover the increments used and the spare left
         assert feed.drawn + carried == used + spare.size
         assert max(spare.sizes, default=0) <= montecarlo._BLOCK_ELEMENTS
-        return want, spare, np.concatenate(consumed)
+        return want, spare, np.concatenate(consumed), ks
 
     def test_targeted_rows(self):
         # The spare starts empty, so the first block of 32 columns gives each
@@ -377,7 +379,7 @@ class TestRunStretch:
         ]
         first = [p + [0.125] * (32 - len(p)) for p in prefixes]
         stream = np.concatenate([np.ravel(first), np.tile([0.5, -1.0], 1000)])
-        want, spare, _ = self.check(
+        want, spare, _, _ = self.check(
             stream,
             y0=[0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.5, 0.0],
             threshold=20.0,
@@ -410,17 +412,29 @@ class TestRunStretch:
     def test_random_rows(self, seed):
         rng = np.random.default_rng(seed)
         stream, rows = self.random_rows(rng, 70, np.arange(1 << 15))
-        _, spare, consumed = self.check(stream, **rows)
+        _, spare, consumed, _ = self.check(stream, **rows)
         assert spare.size > 0
         # a second call of few rows takes its first block from the spare alone
         carried = spare.buf[: spare.size].copy()
         more, rows = self.random_rows(rng, 3, np.arange(1 << 15, 1 << 16))
-        _, spare, consumed_more = self.check(more, **rows, spare=spare)
+        _, spare, consumed_more, _ = self.check(more, **rows, spare=spare)
         assert carried.size > spare.blocks[0].size
         np.testing.assert_array_equal(spare.blocks[0], carried[: spare.blocks[0].size])
         # no increment is consumed twice, within a call or across the two
         every = np.concatenate([consumed, consumed_more])
         assert np.unique(every).size == every.size
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_many_rows(self, seed):
+        # enough rows that the first blocks step column by column (time-major)
+        # and, as rows stop, later ones take the per-row accumulates
+        rows = 2 * montecarlo._LOOP_ROWS + 7
+        ids = np.arange(rows * 400 + montecarlo._BLOCK_ELEMENTS)
+        stream, args = self.random_rows(np.random.default_rng(seed), rows, ids)
+        want, _, consumed, ks = self.check(stream, **args)
+        assert max(ks) >= montecarlo._LOOP_ROWS > min(ks)
+        assert any(w[3] for w in want) and not all(w[3] for w in want)
+        assert np.unique(consumed).size == consumed.size
 
 
 def test_spare_conserves_every_drawn_increment():
@@ -471,6 +485,40 @@ def test_run_stretch_outputs_do_not_depend_on_earlier_calls():
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, c)
         assert not any(np.shares_memory(a, buf) for buf in scratch)
+
+
+@pytest.mark.parametrize("m, post, threshold", [(2, True, 8.0), (2, False, 2.0), (3, False, 2.0)])
+def test_run_stretch_layouts_agree(monkeypatch, m, post, threshold):
+    # the time-major column loop and the per-row accumulates give the same
+    # bits on Gaussian class draws; at m = 3 the pre-change llr mixes the 7
+    # members of a triple's family
+    model = correlated_blocks_model(5, m, 0.7)
+    hyp = correlated_block_hypothesis(model, 0.7, s=3)
+    E = max(hyp.affected_units)
+    assert len(model.post_family[E]) == (1 if m == 2 else 7)
+    draw = model.unit_class(E, hyp.local_post[E] if post else None).draw
+    r = np.random.default_rng(m)
+    rows = 700  # a first block of 23 columns
+    y0 = r.choice([-1.25, 0.0, 0.5, 3.0], rows)
+    budget = r.choice([5, 40, 3000], rows)  # 5 and 40 end inside a block
+    need = np.where(r.random(rows) < 0.5, r.choice([1, 3], rows), budget + 1)
+
+    def run(loop_rows):
+        monkeypatch.setattr(montecarlo, "_LOOP_ROWS", loop_rows)
+        blocks = montecarlo._Blocks()
+        spare = blocks.spares(1)[0]
+        out = montecarlo._run_stretch(np.random.default_rng(11), draw, y0, threshold, need, budget, blocks, spare)
+        return out, spare.buf[: spare.size].tobytes()
+
+    (used, *loop), loop_spare = run(1)
+    (used_rows, *per_row), row_spare = run(montecarlo._BLOCK_ELEMENTS + 1)
+    assert used == used_rows
+    for a, b in zip(loop, per_row):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert loop_spare == row_spare
+    steps, switches, y, alarmed = loop
+    assert alarmed.any() and (switches > 0).any()
+    assert ((steps == budget) & (budget == 5)).any() and ((steps == budget) & (budget == 40)).any()
 
 
 class TestEstimateDelay:
