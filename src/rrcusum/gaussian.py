@@ -168,7 +168,9 @@ class GaussianMixtureKernel:
     slices of at most _KERNEL_SLICE columns, instead of one triangular solve
     per member. A call draws exactly the normals ``law.sample`` draws, so the
     random stream is that of sampling and then calling ``mixture_llr``, and
-    the increments differ from that path's by rounding. A kernel holds only
+    the increments differ from that path's by rounding. ``fill(rng, out)``
+    writes the increments of ``self(rng, out.size)`` into a caller's array
+    instead of a fresh one. A kernel holds only
     its weights: every call works in one slice buffer per thread, shared by
     all kernels, so several threads may draw at once, from one kernel or
     from several.
@@ -201,6 +203,13 @@ class GaussianMixtureKernel:
 
     def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
         out = np.empty(n)
+        self.fill(rng, out)
+        return out
+
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Write out.size increments into the one-dimensional ``out``, from
+        the normals ``self(rng, out.size)`` draws."""
+        n = out.size
         # the slice's normals, its features and its member terms, in that order
         at_phi = self.dim * _KERNEL_SLICE
         at_t = at_phi + (len(self._pairs) + self.dim) * _KERNEL_SLICE
@@ -212,7 +221,6 @@ class GaussianMixtureKernel:
             # slice by slice in rows, the normals of one (n, dim) draw
             rng.standard_normal(out=z)
             self._llr(z.T, phi_buf, t_buf, out[lo : lo + rows])
-        return out
 
     def _llr(self, z: np.ndarray, phi_buf: np.ndarray, t_buf: np.ndarray, out: np.ndarray) -> None:
         rows = z.shape[1]

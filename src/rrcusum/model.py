@@ -110,7 +110,9 @@ class LocalDistribution(abc.ABC):
         both paths see the same random stream, and return a fresh float
         array that shares no memory with the draw's own state. A draw may
         carry ``moments``, the exact mean and variance of one increment, for
-        ``unit_class`` to hand on."""
+        ``unit_class`` to hand on, and ``fill(rng, out)``, which writes the
+        increments of ``draw(rng, out.size)`` into the one-dimensional
+        ``out`` in place."""
         return None
 
 
@@ -152,8 +154,10 @@ class UnitClass:
     increments are identically distributed.
 
     ``key`` identifies the class and ``draw(rng, n)`` returns n increments
-    in a fresh array. ``moments`` is the exact (mean, variance) of one
-    increment when the compiled draw knows it, else None.
+    in a fresh array; a compiled draw may also offer ``draw.fill(rng, out)``,
+    the same increments written into ``out`` (see
+    ``LocalDistribution.compile_llr``). ``moments`` is the exact (mean,
+    variance) of one increment when the compiled draw knows it, else None.
     """
 
     key: tuple

@@ -49,9 +49,12 @@ which is l/p for a single class. l_c is a plain Monte Carlo mean. p_c is at
 most 1/gamma, so it is estimated by importance sampling under the class's
 mixture law (``ChangePointModel.mixture_draw``), with weight e^{-S_N} on the
 exits at or above A (Siegmund 1976, Ann. Statist. 4). Each batch of
-excursions is one _run_stretch call that stops every row at its first switch;
-as most excursions end after 2-3 steps, its first block has
-_EXCURSION_COLS0 columns per row, not _COLS0.
+excursions is one _run_stretch call that stops every row at its first switch.
+Up to that drop the minimum in Y_t is -max(y0, 0), so such a call, or a
+delay stretch of one unit, runs as the plain first exit of W_t + max(y0, 0)
+from (0, A) (``_run_exits``), with no running minimum, to the same bits:
+fl(a + b) > 0 exactly when a + b > 0. As most excursions end after 2-3
+steps, their first block has _EXCURSION_COLS0 columns per row, not _COLS0.
 
 A block of at least _LOOP_ROWS rows, such as the run length's excursion
 blocks of 1024 rows and 4 to 16 columns, is stepped column by column: numpy
@@ -67,9 +70,10 @@ bits.
 The hot loop reuses its scratch. Every block of a stretch writes its
 increments, partial sums, path and switch counts into arrays allocated once
 per thread (``_Blocks``, kept across estimates), the spares live there too,
-and every Gaussian class kernel works in one slice buffer per thread, shared
-by all kernels, so a block allocates only the increments the kernel returns,
-the unconsumed increments it carries and boolean masks of at most 16 KiB.
+and a draw that offers ``fill``, as every Gaussian class kernel does, scores
+its increments straight into the block, working in one slice buffer per
+thread shared by all kernels. So a block allocates only the unconsumed
+increments it carries and boolean masks of at most 16 KiB.
 Arrays of 128 KiB and more that outlive a block, allocated and freed
 thousands of times per estimate, or once per estimate, would be handed back to
 the system by the C allocator and fault their pages in again. _simulate finds
@@ -272,14 +276,19 @@ class _Spare:
         self.size = 0
 
     def fill(self, out: np.ndarray, rng: np.random.Generator, draw: Callable) -> None:
-        """Fill ``out`` with the oldest spare increments, then with fresh draws."""
+        """Fill ``out`` with the oldest spare increments, then with fresh
+        draws, scored in place when the draw offers ``fill``."""
         t = min(self.size, out.size)
         out[:t] = self.buf[:t]
         self.size -= t
         # a one-dimensional forward copy, so the overlap needs no temporary
         self.buf[: self.size] = self.buf[t : t + self.size]
         if t < out.size:
-            out[t:] = draw(rng, out.size - t)
+            fill = getattr(draw, "fill", None)
+            if fill is None:
+                out[t:] = draw(rng, out.size - t)
+            else:
+                fill(rng, out[t:])
 
     def keep(self, x: np.ndarray) -> None:
         """Append increments that were drawn and not consumed."""
@@ -351,6 +360,8 @@ def _run_stretch(
     switches, statistic, alarmed): the number of increments consumed over all
     rows, then one array entry per row.
     """
+    if need.size and need.max() == 1:
+        return _run_exits(rng, draw, y, threshold, budget, blocks, spare, cols)
     y = y.astype(float)
     steps = np.zeros(y.size, dtype=np.int64)
     switches = np.zeros(y.size, dtype=np.int64)
@@ -409,6 +420,65 @@ def _run_stretch(
         run = run[~done]
         cols *= 2
     return used, steps, switches, y, alarmed
+
+
+def _run_exits(
+    rng: np.random.Generator,
+    draw: Callable,
+    y: np.ndarray,
+    threshold: float,
+    budget: np.ndarray,
+    blocks: _Blocks,
+    spare: _Spare,
+    cols: int,
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_run_stretch, to the same bits and with the same blocks, for rows
+    that all stop at their first drop: the plain first exit of the path
+    W_t + max(y0, 0) from (0, threshold) (see the module docstring)."""
+    y = y.astype(float)
+    steps = np.zeros(y.size, dtype=np.int64)
+    run = np.arange(y.size)
+    used = 0
+    while run.size:
+        k = run.size
+        left = budget[run] - steps[run]
+        n = int(min(cols, _BLOCK_ELEMENTS // k, left.max()))
+        x = blocks.x[: k * n]
+        spare.fill(x, rng, draw)
+        x = x.reshape(k, n)
+        lift = np.maximum(y[run], 0.0)
+        loop = k >= _LOOP_ROWS
+        if loop:
+            path = blocks.path[: k * n].reshape(n, k)
+            path[...] = x.T
+            P = list(path)
+            for t in range(1, n):
+                np.add(P[t - 1], P[t], out=P[t])
+            path += lift
+            path = path.T
+        else:
+            path = blocks.path[: k * n].reshape(k, n)
+            np.cumsum(x, axis=1, out=path)
+            path += lift[:, None]
+        stop = path >= threshold
+        stop |= path <= 0.0
+        if n >= left.min():  # some budget ends in this block
+            ends = left <= n
+            stop[ends, left[ends] - 1] = True
+        j = stop.argmax(axis=1)
+        rows = np.arange(k)
+        done = stop[rows, j]
+        j[~done] = n - 1
+        steps[run] += j + 1
+        y[run] = blocks.path[j * k + rows if loop else rows * n + j]
+        took = int(j.sum()) + k
+        used += took
+        if took < k * n:
+            spare.keep(x[np.arange(n) > j[:, None]])
+        run = run[~done]
+        cols *= 2
+    # a row ends at or below zero exactly when it stopped at its drop
+    return used, steps, (y <= 0.0).astype(np.int64), y, y >= threshold
 
 
 def _simulate(
@@ -570,6 +640,7 @@ def _run_excursions(
     steps = np.empty(replications)
     weights = np.empty(replications)
     truncations = 0
+    plain, sampled = model.unit_class(E).draw, model.mixture_draw(E)
     for b in range(-(-replications // _BATCH)):
         rng = derive_rng(seed, c, b)
         lo = b * _BATCH
@@ -578,12 +649,12 @@ def _run_excursions(
         need = np.ones(hi - lo, dtype=np.int64)
         budget = np.full(hi - lo, cap, dtype=np.int64)
         _, steps[lo:hi], sw, _, hit = _run_stretch(
-            rng, model.unit_class(E).draw, start, threshold, need, budget, blocks, blocks.spares(1)[0],
+            rng, plain, start, threshold, need, budget, blocks, blocks.spares(1)[0],
             _EXCURSION_COLS0,
         )
         truncations += int(np.count_nonzero((sw == 0) & ~hit))
         _, _, sw, y, hit = _run_stretch(
-            rng, model.mixture_draw(E), start, threshold, need, budget, blocks, blocks.spares(1)[0],
+            rng, sampled, start, threshold, need, budget, blocks, blocks.spares(1)[0],
             _EXCURSION_COLS0,
         )
         cut = (sw == 0) & ~hit

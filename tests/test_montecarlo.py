@@ -436,6 +436,63 @@ class TestRunStretch:
         assert any(w[3] for w in want) and not all(w[3] for w in want)
         assert np.unique(consumed).size == consumed.size
 
+    @pytest.mark.parametrize("loop_rows", [1, montecarlo._BLOCK_ELEMENTS + 1], ids=["time-major", "row-major"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_first_exits(self, monkeypatch, loop_rows, seed):
+        # every row stops at its first drop, as every excursion does, so the
+        # call takes the lean exit path; in both layouts it is the scalar
+        # stretch from y0 < 0, = 0 and > 0, with budgets that end inside the
+        # first block of 32 columns and the second of 64
+        monkeypatch.setattr(montecarlo, "_LOOP_ROWS", loop_rows)
+        run_exits, calls = montecarlo._run_exits, []
+
+        def counting(*args):
+            calls.append(len(args[2]))
+            return run_exits(*args)
+
+        monkeypatch.setattr(montecarlo, "_run_exits", counting)
+        rng = np.random.default_rng(seed)
+        rows = 400
+        ids = np.arange(rows * 600 + montecarlo._BLOCK_ELEMENTS)
+        # small steps, so that many rows outlive their budgets of 5 and 40
+        stream = rng.integers(-24, 24, size=ids.size) / 64.0 + ids * 2.0**-30
+        budget = rng.choice([5, 40, 3000], rows)
+        want, _, consumed, ks = self.check(
+            stream,
+            y0=rng.choice([-1.25, 0.0, 0.75, 2.5], rows).tolist(),
+            threshold=3.0,
+            need=[1] * rows,
+            budget=budget.tolist(),
+        )
+        assert calls == [rows] and len(ks) > 2
+        steps, switches, _, alarmed = (np.array(v) for v in zip(*want))
+        assert set(switches.tolist()) == {0, 1} and alarmed.any()
+        assert ((steps == budget) & (switches == 0) & ~alarmed & (budget == 5)).any()
+        assert ((steps == budget) & (switches == 0) & ~alarmed & (budget == 40)).any()
+        assert np.unique(consumed).size == consumed.size
+
+
+def test_spare_scores_in_place_only_when_the_draw_offers_it():
+    model = correlated_blocks_model(5, 3, 0.7)
+    kernel = model.unit_class(max(model.units)).draw
+
+    class FillOnly:
+        def __call__(self, rng, n):
+            raise AssertionError("the spare asked for a fresh array")
+
+        def fill(self, rng, out):
+            kernel.fill(rng, out)
+
+    got = []
+    for draw in (FillOnly(), lambda rng, n: kernel(rng, n)):
+        spare = montecarlo._Spare()
+        spare.keep(np.arange(30.0))
+        out = np.empty(9000)
+        spare.fill(out, np.random.default_rng(4), draw)
+        got.append(out.tobytes())
+    assert got[0] == got[1]
+    assert np.frombuffer(got[0])[:30].tolist() == list(range(30))
+
 
 def test_spare_conserves_every_drawn_increment():
     # one call: fresh draws = increments used + increments left in the spare
@@ -519,6 +576,38 @@ def test_run_stretch_layouts_agree(monkeypatch, m, post, threshold):
     steps, switches, y, alarmed = loop
     assert alarmed.any() and (switches > 0).any()
     assert ((steps == budget) & (budget == 5)).any() and ((steps == budget) & (budget == 40)).any()
+
+
+# Every estimate is reproducible bit for bit at its seed. These are the
+# float.hex() of (mean, stderr) of four of them; a change that moves one on
+# purpose, by changing the random stream or the engine's arithmetic, updates
+# it here and names the change in CHANGES.md.
+PINNED = {
+    # corr-pairs run lengths: one class at m = 2, the 7-member mixture at m = 3
+    "arl-m2-g1e3": ("0x1.bce7afaa75670p+12", "0x1.efe2f4e548c80p+7"),
+    "arl-m3-g1e5": ("0x1.6ece5716e235ep+19", "0x1.cbd3cd217a8cep+14"),
+    # in the canonical order each affected triple is a stretch of one unit,
+    # entered at a switch (y <= 0) or, from the change time, mid-visit (y > 0)
+    "delay-m3-s2-nu60": ("0x1.1e8c08c08c08cp+8", "0x1.29546c4372777p+3"),
+    "delay-mean-change": ("0x1.c410624dd2f1bp+3", "0x1.b2fa1b66df94ep-3"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_estimates_are_pinned_bit_for_bit(name):
+    arl = dict(replications=2000, seed=7)
+    delay = dict(gamma=100.0, replications=1000, seed=7)
+    est = {
+        "arl-m2-g1e3": lambda: estimate_arl(build_preset("corr-pairs")[0], RunSpec(gamma=1e3, **arl), cap=100_000),
+        "arl-m3-g1e5": lambda: estimate_arl(
+            build_preset("corr-pairs", m=3)[0], RunSpec(gamma=1e5, **arl), cap=10_000_000
+        ),
+        "delay-m3-s2-nu60": lambda: estimate_delay(
+            *build_preset("corr-pairs", m=3, s=2), RunSpec(nu=60, ordering=Ordering.AS_GIVEN, **delay)
+        ),
+        "delay-mean-change": lambda: estimate_delay(*build_preset("mean-change", K=4, s=2), RunSpec(**delay)),
+    }[name]()
+    assert (est.mean.hex(), est.stderr.hex()) == PINNED[name]
 
 
 class TestEstimateDelay:

@@ -22,7 +22,7 @@ from rrcusum.bounds import (
     lower_bound_first_order,
     validate_model,
 )
-from rrcusum.gaussian import GaussianLocal, GaussianMixtureKernel
+from rrcusum.gaussian import _KERNEL_SLICE, GaussianLocal, GaussianMixtureKernel
 from rrcusum.model import (
     ChangePointModel,
     LocalDistribution,
@@ -109,6 +109,20 @@ def test_kernel_draw_equals_a_fresh_kernel(n):
         np.testing.assert_array_equal(
             kernel(np.random.default_rng(11), n), fresh(np.random.default_rng(11), n)
         )
+
+
+def test_kernel_fills_in_place_what_it_draws():
+    # the in-place form writes the increments a draw returns, here into a view
+    # of a larger array across three slices, and leaves the same random stream
+    n = 2 * _KERNEL_SLICE + 5
+    for kernel, laws in _kernels()[:2]:  # one member at m = 2, seven at m = 3
+        rng_fill, rng_draw = np.random.default_rng(6), np.random.default_rng(6)
+        buf = np.full(n + 3, np.nan)
+        kernel.fill(rng_fill, buf[2:-1])
+        want = kernel(rng_draw, n)
+        assert buf[2:-1].tobytes() == want.tobytes(), len(laws[2])
+        assert np.isnan(buf[:2]).all() and np.isnan(buf[-1])
+        assert rng_fill.bit_generator.state == rng_draw.bit_generator.state
 
 
 def test_kernels_of_different_shapes_interleave_bit_for_bit():
