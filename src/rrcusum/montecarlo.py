@@ -50,22 +50,26 @@ most 1/gamma, so it is estimated by importance sampling under the class's
 mixture law (``ChangePointModel.mixture_draw``), with weight e^{-S_N} on the
 exits at or above A (Siegmund 1976, Ann. Statist. 4). Each batch of
 excursions is one _run_stretch call that stops every row at its first switch.
-Up to that drop the minimum in Y_t is -max(y0, 0), so such a call, or a
-delay stretch of one unit, runs as the plain first exit of W_t + max(y0, 0)
-from (0, A) (``_run_exits``), with no running minimum, to the same bits:
-fl(a + b) > 0 exactly when a + b > 0. As most excursions end after 2-3
-steps, their first block has _EXCURSION_COLS0 columns per row, not _COLS0.
+Up to that drop the minimum in Y_t is -max(y0, 0), so when every row of a
+call stops at its first drop, as in an excursion or a delay stretch of one
+unit, _run_stretch takes its first-exit branch: the path is W_t + max(y0, 0),
+with no running minimum and no switch counts, and a row stops on leaving
+(0, A), to the same bits: fl(a + b) > 0 exactly when a + b > 0. As most
+excursions end after 2-3 steps, their first block has _EXCURSION_COLS0
+columns per row, not _COLS0.
 
-A block of at least _LOOP_ROWS rows, such as the run length's excursion
-blocks of 1024 rows and 4 to 16 columns, is stepped column by column: numpy
-runs an accumulate along a row as a scalar loop per row, so its partial sums,
-their running minimum and its switch counts each take one vector operation
-over all rows per column instead. Blocks of fewer rows, such as the
-stragglers of a delay batch with up to 2048 columns, keep the accumulates,
-which cost less there than a Python loop over the columns. Both layouts
-compute the second form of Y_t above, which equals the first exactly
-(negation, min and max are exact and a - b == a + (-b)), and give the same
-bits.
+_run_stretch is the engine's one block loop, and its blocks take one of two
+layouts by their number of rows. numpy runs an accumulate along a row as a
+scalar loop per row, so a block of at least _LOOP_ROWS rows, such as the run
+length's excursion blocks of 1024 rows and 4 to 16 columns, is time-major in
+memory and stepped column by column, one vector operation over all rows per
+column. A block of fewer rows, such as the stragglers of a delay batch with
+up to 2048 columns, is row-major and keeps the accumulates, which cost less
+there than a Python loop over the columns. ``_scan`` reads the layout off the
+block and runs its partial sums, their running minimum and its switch counts
+either way. Both layouts compute the second form of Y_t above, which equals
+the first exactly (negation, min and max are exact and a - b == a + (-b)),
+and give the same bits.
 
 The hot loop reuses its scratch. Every block of a stretch writes its
 increments, partial sums, path and switch counts into arrays allocated once
@@ -261,7 +265,8 @@ _COLS0 = 32
 _EXCURSION_COLS0 = 4
 _BLOCK_ELEMENTS = 1 << 14
 # Blocks of at least this many rows, and so at most _BLOCK_ELEMENTS / 128
-# columns, step column by column (see the module docstring).
+# columns, are time-major and step column by column; blocks of fewer rows are
+# row-major and step by numpy's accumulates (see the module docstring).
 _LOOP_ROWS = 128
 
 
@@ -300,10 +305,10 @@ class _Blocks:
     """The per-block arrays of _run_stretch (the increments x, partial sums
     w, the path and the switch counts) and the spares, allocated once per
     thread (``_thread_blocks``) and overwritten by every block; see the module
-    docstring for why. A block of at least _LOOP_ROWS rows keeps w, the path
-    and the switch counts time-major, (columns, rows); x is always row-major.
-    The switch counts take the memory of w, which is dead once the path is
-    formed."""
+    docstring for why. _run_stretch views w, the path and the switch counts
+    as (rows, columns), time-major in memory for a block of at least
+    _LOOP_ROWS rows; x is always row-major. The switch counts take the memory
+    of w, which is dead once the path is formed."""
 
     def __init__(self) -> None:
         self.x = np.empty(_BLOCK_ELEMENTS)
@@ -336,6 +341,19 @@ def _thread_blocks() -> _Blocks:
     return blocks
 
 
+def _scan(ufunc, a: np.ndarray) -> None:
+    """a[:, t] = ufunc(a[:, t - 1], a[:, t]) for t = 1, 2, ... in place, along
+    the steps of a (rows, columns) block: one vector operation over all rows
+    per column when the block is time-major in memory, numpy's accumulate
+    along each row (a scalar loop per row) when it is row-major."""
+    if a.strides[0] < a.strides[1]:
+        A = list(a.T)
+        for t in range(1, len(A)):
+            ufunc(A[t - 1], A[t], out=A[t])
+    else:
+        ufunc.accumulate(a, axis=1, out=a)
+
+
 def _run_stretch(
     rng: np.random.Generator,
     draw: Callable,
@@ -360,12 +378,11 @@ def _run_stretch(
     switches, statistic, alarmed): the number of increments consumed over all
     rows, then one array entry per row.
     """
-    if need.size and need.max() == 1:
-        return _run_exits(rng, draw, y, threshold, budget, blocks, spare, cols)
+    # every row stops at its first drop: a plain first exit from (0, threshold)
+    exits = bool(need.size) and need.max() == 1
     y = y.astype(float)
     steps = np.zeros(y.size, dtype=np.int64)
     switches = np.zeros(y.size, dtype=np.int64)
-    alarmed = np.zeros(y.size, dtype=bool)
     run = np.arange(y.size)
     used = 0
     while run.size:
@@ -375,93 +392,31 @@ def _run_stretch(
         x = blocks.x[: k * n]
         spare.fill(x, rng, draw)
         x = x.reshape(k, n)
-        # path = W_t - min(-max(y0, 0), W_1, ..., W_{t-1}), W the partial sums
+        # (rows, columns) views, time-major in memory for many rows
         loop = k >= _LOOP_ROWS
         shape = (n, k) if loop else (k, n)
-        # sw shares the memory of w, so it is written only once the path is formed
         w, path, sw = (a[: k * n].reshape(shape) for a in (blocks.w, blocks.path, blocks.sw))
         if loop:
-            # time-major, one vector op over all k rows per column
-            w[...] = x.T
-            W, P, S = list(w), list(path), list(sw)
-            np.negative(np.maximum(y[run], 0.0), out=P[0])
-            for t in range(1, n):
-                np.add(W[t - 1], W[t], out=W[t])
-                np.fmin(P[t - 1], W[t - 1], out=P[t])
-            np.subtract(w, path, out=path)
-            np.less_equal(path, 0.0, out=sw)
-            for t in range(1, n):
-                np.add(S[t - 1], S[t], out=S[t])
-            path, sw = path.T, sw.T
+            w, path, sw = w.T, path.T, sw.T
+        if exits:
+            # path = W_t + max(y0, 0), W the partial sums
+            path[...] = x
+            _scan(np.add, path)
+            path += np.maximum(y[run], 0.0)[:, None]
+            stop = path >= threshold
+            stop |= path <= 0.0
         else:
-            np.cumsum(x, axis=1, out=w)
+            # path = W_t - min(-max(y0, 0), W_1, ..., W_{t-1})
+            w[...] = x
+            _scan(np.add, w)
             np.negative(np.maximum(y[run], 0.0), out=path[:, 0])
             path[:, 1:] = w[:, :-1]
-            np.minimum.accumulate(path, axis=1, out=path)
+            _scan(np.fmin, path)
             np.subtract(w, path, out=path)
-            np.cumsum(path <= 0.0, axis=1, out=sw)
-        stop = (path >= threshold) | (sw >= (need[run] - switches[run])[:, None])
-        ends = left <= n
-        stop[ends, left[ends] - 1] = True
-        j = stop.argmax(axis=1)
-        rows = np.arange(k)
-        done = stop[rows, j]
-        j[~done] = n - 1
-        # where (r, j[r]) lies in the flat buffers
-        at = j * k + rows if loop else rows * n + j
-        steps[run] += j + 1
-        switches[run] += blocks.sw[at]
-        y[run] = end = blocks.path[at]
-        alarmed[run] = end >= threshold
-        took = int(j.sum()) + k
-        used += took
-        if took < k * n:
-            spare.keep(x[np.arange(n) > j[:, None]])
-        run = run[~done]
-        cols *= 2
-    return used, steps, switches, y, alarmed
-
-
-def _run_exits(
-    rng: np.random.Generator,
-    draw: Callable,
-    y: np.ndarray,
-    threshold: float,
-    budget: np.ndarray,
-    blocks: _Blocks,
-    spare: _Spare,
-    cols: int,
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """_run_stretch, to the same bits and with the same blocks, for rows
-    that all stop at their first drop: the plain first exit of the path
-    W_t + max(y0, 0) from (0, threshold) (see the module docstring)."""
-    y = y.astype(float)
-    steps = np.zeros(y.size, dtype=np.int64)
-    run = np.arange(y.size)
-    used = 0
-    while run.size:
-        k = run.size
-        left = budget[run] - steps[run]
-        n = int(min(cols, _BLOCK_ELEMENTS // k, left.max()))
-        x = blocks.x[: k * n]
-        spare.fill(x, rng, draw)
-        x = x.reshape(k, n)
-        lift = np.maximum(y[run], 0.0)
-        loop = k >= _LOOP_ROWS
-        if loop:
-            path = blocks.path[: k * n].reshape(n, k)
-            path[...] = x.T
-            P = list(path)
-            for t in range(1, n):
-                np.add(P[t - 1], P[t], out=P[t])
-            path += lift
-            path = path.T
-        else:
-            path = blocks.path[: k * n].reshape(k, n)
-            np.cumsum(x, axis=1, out=path)
-            path += lift[:, None]
-        stop = path >= threshold
-        stop |= path <= 0.0
+            # sw shares the memory of w, so it is written only once the path is formed
+            np.less_equal(path, 0.0, out=sw)
+            _scan(np.add, sw)
+            stop = (path >= threshold) | (sw >= (need[run] - switches[run])[:, None])
         if n >= left.min():  # some budget ends in this block
             ends = left <= n
             stop[ends, left[ends] - 1] = True
@@ -470,15 +425,21 @@ def _run_exits(
         done = stop[rows, j]
         j[~done] = n - 1
         steps[run] += j + 1
-        y[run] = blocks.path[j * k + rows if loop else rows * n + j]
+        # where (r, j[r]) lies in the flat buffers
+        at = j * k + rows if loop else rows * n + j
+        if not exits:
+            switches[run] += blocks.sw[at]
+        y[run] = blocks.path[at]
         took = int(j.sum()) + k
         used += took
         if took < k * n:
             spare.keep(x[np.arange(n) > j[:, None]])
         run = run[~done]
         cols *= 2
-    # a row ends at or below zero exactly when it stopped at its drop
-    return used, steps, (y <= 0.0).astype(np.int64), y, y >= threshold
+    if exits:
+        # a row ends at or below zero exactly when it stopped at its drop
+        switches = (y <= 0.0).astype(np.int64)
+    return used, steps, switches, y, y >= threshold
 
 
 def _simulate(

@@ -440,17 +440,10 @@ class TestRunStretch:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_first_exits(self, monkeypatch, loop_rows, seed):
         # every row stops at its first drop, as every excursion does, so the
-        # call takes the lean exit path; in both layouts it is the scalar
+        # call takes the first-exit branch; in both layouts it is the scalar
         # stretch from y0 < 0, = 0 and > 0, with budgets that end inside the
         # first block of 32 columns and the second of 64
         monkeypatch.setattr(montecarlo, "_LOOP_ROWS", loop_rows)
-        run_exits, calls = montecarlo._run_exits, []
-
-        def counting(*args):
-            calls.append(len(args[2]))
-            return run_exits(*args)
-
-        monkeypatch.setattr(montecarlo, "_run_exits", counting)
         rng = np.random.default_rng(seed)
         rows = 400
         ids = np.arange(rows * 600 + montecarlo._BLOCK_ELEMENTS)
@@ -464,7 +457,7 @@ class TestRunStretch:
             need=[1] * rows,
             budget=budget.tolist(),
         )
-        assert calls == [rows] and len(ks) > 2
+        assert len(ks) > 2
         steps, switches, _, alarmed = (np.array(v) for v in zip(*want))
         assert set(switches.tolist()) == {0, 1} and alarmed.any()
         assert ((steps == budget) & (switches == 0) & ~alarmed & (budget == 5)).any()
@@ -544,11 +537,16 @@ def test_run_stretch_outputs_do_not_depend_on_earlier_calls():
         assert not any(np.shares_memory(a, buf) for buf in scratch)
 
 
-@pytest.mark.parametrize("m, post, threshold", [(2, True, 8.0), (2, False, 2.0), (3, False, 2.0)])
-def test_run_stretch_layouts_agree(monkeypatch, m, post, threshold):
+@pytest.mark.parametrize(
+    "m, post, threshold, first_exits",
+    [(2, True, 8.0, False), (2, False, 2.0, False), (3, False, 2.0, False), (2, True, 8.0, True)],
+    ids=["2-True-8.0", "2-False-2.0", "3-False-2.0", "2-True-8.0-first-exits"],
+)
+def test_run_stretch_layouts_agree(monkeypatch, m, post, threshold, first_exits):
     # the time-major column loop and the per-row accumulates give the same
     # bits on Gaussian class draws; at m = 3 the pre-change llr mixes the 7
-    # members of a triple's family
+    # members of a triple's family, and rows that all stop at their first
+    # drop take the first-exit branch
     model = correlated_blocks_model(5, m, 0.7)
     hyp = correlated_block_hypothesis(model, 0.7, s=3)
     E = max(hyp.affected_units)
@@ -559,6 +557,8 @@ def test_run_stretch_layouts_agree(monkeypatch, m, post, threshold):
     y0 = r.choice([-1.25, 0.0, 0.5, 3.0], rows)
     budget = r.choice([5, 40, 3000], rows)  # 5 and 40 end inside a block
     need = np.where(r.random(rows) < 0.5, r.choice([1, 3], rows), budget + 1)
+    if first_exits:
+        need[:] = 1
 
     def run(loop_rows):
         monkeypatch.setattr(montecarlo, "_LOOP_ROWS", loop_rows)
@@ -578,10 +578,15 @@ def test_run_stretch_layouts_agree(monkeypatch, m, post, threshold):
     assert ((steps == budget) & (budget == 5)).any() and ((steps == budget) & (budget == 40)).any()
 
 
-# Every estimate is reproducible bit for bit at its seed. These are the
-# float.hex() of (mean, stderr) of four of them; a change that moves one on
-# purpose, by changing the random stream or the engine's arithmetic, updates
-# it here and names the change in CHANGES.md.
+# Every estimate is reproducible bit for bit at its seed, on one platform and
+# numpy version. These are the float.hex() of (mean, stderr) of four of them,
+# recorded with numpy 2.4.6 on an x86-64 CPU with AVX-512; a change that moves
+# one on purpose, by changing the random stream or the engine's arithmetic,
+# updates it here and names the change in CHANGES.md. "arl-m3-g1e5" fails
+# under OPENBLAS_CORETYPE=Haswell and under
+# NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", as its importance
+# weights pass through per-CPU BLAS and exp/log loops; the other three hold
+# under both, which CI checks.
 PINNED = {
     # corr-pairs run lengths: one class at m = 2, the 7-member mixture at m = 3
     "arl-m2-g1e3": ("0x1.bce7afaa75670p+12", "0x1.efe2f4e548c80p+7"),
