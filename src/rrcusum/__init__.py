@@ -46,13 +46,11 @@ from .montecarlo import (
     Ordering,
     RunSpec,
     StudyConfig,
-    StudyRow,
     estimate_arl,
     estimate_delay,
-    run_custom_study,
-    run_study,
     worst_case_permutation,
 )
+from .studies import StudyRow, run_study
 from .scenarios import (
     PRESETS,
     build_preset,

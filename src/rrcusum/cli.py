@@ -22,9 +22,10 @@ import math
 import os
 import sys
 
-from . import montecarlo, scenarios
+from . import scenarios
 from .bounds import bounds_report, validate_model
-from .montecarlo import RunSpec, estimate_arl, estimate_delay, run_study
+from .montecarlo import RunSpec, estimate_arl, estimate_delay
+from .studies import STUDIES, run_study
 
 #: Fixed schema (version 1) of the study CSV; consumers rely on these names.
 #: They name the fields of ``StudyRow`` in order.
@@ -197,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = _add_command(sub, "simulate", cmd_simulate, "delay or run length estimate")
     s.add_argument("--arl", action="store_true", help="estimate the pre-change average run length")
     st = _add_command(sub, "study", cmd_study, "standard delay study as CSV")
-    st.add_argument("study", type=int, choices=sorted(montecarlo.STUDIES))
+    st.add_argument("study", type=int, choices=sorted(STUDIES))
     _add_command(sub, "validate", cmd_validate, "Monte Carlo checks of the drift assumptions")
     return top
 

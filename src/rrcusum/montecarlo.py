@@ -91,39 +91,30 @@ import enum
 import math
 import threading
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Collection, Sequence
 
 import numpy as np
 
-from .bounds import (
-    compute_unit_statistics,
-    lower_bound_first_order,
-    nonasymptotic_upper_bound,
-)
+# unused here: bench/tracing.py patches this name until ROADMAP item 1
+from .bounds import compute_unit_statistics
 from .model import (
     ChangePointModel,
     PostChangeHypothesis,
     Unit,
     affected_units,
     derive_rng,
-    derive_seed,
     sample_mean,
 )
-from .scenarios import correlated_block_hypothesis, correlated_blocks_model
 
 __all__ = [
     "Ordering",
     "RunSpec",
     "StudyConfig",
     "DelayEstimate",
-    "StudyRow",
     "worst_case_permutation",
     "estimate_delay",
     "estimate_arl",
-    "run_study",
-    "run_custom_study",
-    "STUDIES",
 ]
 
 DEFAULT_DELAY_CAP = 10_000_000
@@ -160,8 +151,11 @@ class RunSpec:
 
 @dataclass(frozen=True, kw_only=True)
 class StudyConfig(RunSpec):
-    """A correlated-block delay study: K sources, m per unit, correlation rho,
-    one run of the policy per block size in ``s_values``."""
+    """A run spec with the correlated-block fields K, m, rho and ``s_values``.
+
+    Nothing in the package reads those four fields; the class stays because
+    bench/workloads.py builds it (ROADMAP items 1 and 11).
+    """
 
     K: int = 10
     m: int = 2
@@ -694,123 +688,3 @@ def estimate_arl(
     mean, stderr = _renewal_arl(ell, ell_se, p, p_se, cls)
     return DelayEstimate(mean=mean, stderr=stderr, replications=config.replications, truncations=truncations)
 
-
-# ---------------------------------------------------------------------------
-# Studies
-
-
-@dataclass(frozen=True)
-class StudyRow:
-    """One point of a delay study: a (gamma, m, s) combination."""
-
-    study: str
-    K: int
-    m: int
-    rho: float
-    gamma: float
-    s: int
-    num_correlated_pairs: int
-    mean_delay: float
-    stderr: float
-    truncations: int
-    lower_bound: float
-    upper_bound: float
-    upper_bound_coarse: float
-
-
-#: Study number -> (rho, gamma values, m values)
-STUDIES: dict[int, tuple[float, tuple[float, ...], tuple[int, ...]]] = {
-    1: (0.7, (100.0, 100_000.0), (2,)),
-    2: (0.7, (100.0,), (2, 3)),
-    3: (0.95, (100.0,), (2, 3)),
-}
-
-
-def run_custom_study(
-    config: StudyConfig,
-    label: str = "custom",
-    stats_reps: int = 100_000,
-    ladder_reps: int = 20_000,
-) -> list[StudyRow]:
-    """Delay estimates and bounds over config.s_values for one (m, gamma)."""
-    model = correlated_blocks_model(config.K, config.m, config.rho)
-    rows = []
-    stats_cache: dict = {}
-    for idx, s in enumerate(config.s_values):
-        hypothesis = correlated_block_hypothesis(model, config.rho, s=s)
-        point = replace(config, seed=derive_seed(config.seed, config.m, idx))
-        est = estimate_delay(model, hypothesis, point)
-        lower = lower_bound_first_order(config.gamma, model, hypothesis)
-        stats = compute_unit_statistics(
-            model,
-            hypothesis,
-            reps=stats_reps,
-            ladder_reps=ladder_reps,
-            seed=config.seed,
-            cache=stats_cache,
-        )
-        bound = nonasymptotic_upper_bound(math.log(config.gamma), model, hypothesis, stats)
-        rows.append(
-            StudyRow(
-                study=label,
-                K=config.K,
-                m=config.m,
-                rho=config.rho,
-                gamma=config.gamma,
-                s=s,
-                num_correlated_pairs=s * (s - 1) // 2,
-                mean_delay=est.mean,
-                stderr=est.stderr,
-                truncations=est.truncations,
-                lower_bound=lower,
-                upper_bound=bound.total,
-                upper_bound_coarse=bound.coarse_total,
-            )
-        )
-    return rows
-
-
-def run_study(
-    study: int,
-    replications: int | None = None,
-    seed: int = 0,
-    nu: int = 0,
-    stats_reps: int = 100_000,
-    ladder_reps: int = 20_000,
-) -> list[StudyRow]:
-    """One of the three standard delay studies over block sizes 2..10.
-
-    Study 1: rho 0.7, m = 2, gamma in {1e2, 1e5}. Study 2: rho 0.7, gamma 1e2,
-    m in {2, 3}. Study 3: as study 2 with rho 0.95. All use K = 10 sources,
-    4000 replications by default, the change at time nu, and the fixed
-    canonical permutation of units (all size-m subsets in lexicographic
-    order). Since the affected block occupies the top sources, that order
-    visits the affected units late in the cycle; for m = 2 every affected
-    pair comes after every unaffected one, so the canonical order coincides
-    with the worst-case reordering.
-    """
-    if study not in STUDIES:
-        raise ValueError(f"study must be one of {sorted(STUDIES)}, got {study}")
-    rho, gammas, ms = STUDIES[study]
-    rows: list[StudyRow] = []
-    for gi, gamma in enumerate(gammas):
-        for m in ms:
-            config = StudyConfig(
-                K=10,
-                m=m,
-                rho=rho,
-                gamma=gamma,
-                replications=4000 if replications is None else replications,
-                seed=derive_seed(seed, study, gi, m),
-                nu=nu,
-                ordering=Ordering.AS_GIVEN,
-            )
-            rows.extend(
-                run_custom_study(
-                    config,
-                    label=str(study),
-                    stats_reps=stats_reps,
-                    ladder_reps=ladder_reps,
-                )
-            )
-    return rows

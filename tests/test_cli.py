@@ -16,7 +16,7 @@ import pytest
 
 from rrcusum import cli
 from rrcusum.cli import ARL_CSV_HEADER, CSV_SCHEMA_VERSION, STUDY_CSV_HEADER, main
-from rrcusum.montecarlo import StudyRow
+from rrcusum.studies import StudyRow
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 

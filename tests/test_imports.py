@@ -4,6 +4,7 @@ dependency, not a runtime one. Running an estimator loads nothing more than
 
 from __future__ import annotations
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -67,3 +68,15 @@ def test_estimators_load_no_module_beyond_the_import():
     origin, *loaded = _run(_ESTIMATORS)
     assert pathlib.Path(origin).is_relative_to(SRC)
     assert loaded == [""], f"modules loaded by the estimators: {loaded[0]}"
+
+
+def test_engine_imports_no_preset_or_study():
+    # the presets and the studies import the engine, not the other way round
+    tree = ast.parse((SRC / "rrcusum" / "montecarlo.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)  # from . import scenarios
+    assert not {name.rsplit(".", 1)[-1] for name in names} & {"scenarios", "studies"}, sorted(names)

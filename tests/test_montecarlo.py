@@ -1,4 +1,5 @@
-"""Monte Carlo estimators: orderings, the vectorised run engine, the studies.
+"""Monte Carlo estimators: orderings, the vectorised run engine, and the
+standard studies built on them (``rrcusum.studies``).
 
 The block engine is distributionally equivalent to the step-by-step policy
 loop, not pathwise identical, so the cross-validation tests compare means
@@ -18,18 +19,24 @@ import numpy as np
 import pytest
 
 from rrcusum import montecarlo
-from rrcusum.model import ChangePointModel, PostChangeHypothesis, Unit, UnitClass, _mixture_draw, sample_mean, unit
+from rrcusum.bounds import compute_unit_statistics, lower_bound_first_order, nonasymptotic_upper_bound
+from rrcusum.model import (
+    ChangePointModel,
+    PostChangeHypothesis,
+    Unit,
+    UnitClass,
+    _mixture_draw,
+    derive_seed,
+    sample_mean,
+    unit,
+)
 from rrcusum.montecarlo import (
-    STUDIES,
     DelayEstimate,
     Ordering,
     RunSpec,
     StudyConfig,
-    StudyRow,
     estimate_arl,
     estimate_delay,
-    run_custom_study,
-    run_study,
     worst_case_permutation,
 )
 from rrcusum.policy import run_to_alarm
@@ -39,6 +46,7 @@ from rrcusum.scenarios import (
     correlated_blocks_model,
     mean_change_model,
 )
+from rrcusum.studies import STUDIES, StudyRow, run_study
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -963,25 +971,36 @@ class TestStudies:
         assert a == b
         assert len(a) == 18
         assert sorted({r.gamma for r in a}) == [100.0, 100_000.0]
+        # the row at gamma 1e5, s = 5 from public calls: its (gamma, m) group
+        # is the second of study 1, its statistics run at the group's seed and
+        # its delay, the fourth of the group, at a seed derived from that
+        # (at s = 4 the point's index would equal m)
+        model = correlated_blocks_model(10, 2, 0.7)
+        hyp = correlated_block_hypothesis(model, 0.7, s=5)
+        group = derive_seed(7, 1, 1, 2)
+        spec = RunSpec(gamma=1e5, replications=12, seed=derive_seed(group, 2, 3), ordering=Ordering.AS_GIVEN)
+        est = estimate_delay(model, hyp, spec)
+        stats = compute_unit_statistics(model, hyp, reps=10_000, ladder_reps=10_000, seed=group)
+        bound = nonasymptotic_upper_bound(math.log(1e5), model, hyp, stats)
+        assert a[12] == StudyRow(
+            study="1",
+            K=10,
+            m=2,
+            rho=0.7,
+            gamma=1e5,
+            s=5,
+            num_correlated_pairs=10,
+            mean_delay=est.mean,
+            stderr=est.stderr,
+            truncations=est.truncations,
+            lower_bound=lower_bound_first_order(1e5, model, hyp),
+            upper_bound=bound.total,
+            upper_bound_coarse=bound.coarse_total,
+        )
 
     def test_run_study_rejects_unknown_study(self):
         with pytest.raises(ValueError, match="study must be one of"):
             run_study(4)
-
-    @pytest.mark.slow
-    def test_run_custom_study_label(self):
-        config = StudyConfig(
-            K=4,
-            m=2,
-            rho=0.7,
-            gamma=math.exp(1.5),
-            s_values=(2,),
-            replications=100,
-            seed=11,
-        )
-        rows = run_custom_study(config, label="wc", stats_reps=10_000, ladder_reps=10_000)
-        assert rows[0].study == "wc"
-        assert rows[0].s == 2
 
     def test_ordering_changes_the_sampling_sequence(self):
         # a block at the bottom sources puts the affected pairs at the front
