@@ -145,6 +145,13 @@ _KERNEL_SLICE = 4096
 _scratch = threading.local()
 
 
+def _polar_candidates(pairs: int) -> int:
+    """Uniform pairs to draw for ``pairs`` in the quarter disc, which holds a
+    share pi/4 of them: 4.6 standard deviations to spare at a slice of 4096,
+    so that a second draw is rare."""
+    return pairs + (5 * pairs) // 16 + 16
+
+
 def _slice_scratch(size: int) -> np.ndarray:
     """The calling thread's scratch, grown to at least ``size`` floats; it never shrinks."""
     buf = getattr(_scratch, "buf", None)
@@ -166,19 +173,31 @@ class GaussianMixtureKernel:
     where phi(z) holds the products z_i z_j (i <= j) and z itself, and c_k
     absorbs -log F. A batch of n costs one (F, p) @ (p, n) product, taken in
     slices of at most _KERNEL_SLICE columns, instead of one triangular solve
-    per member. A call draws exactly the normals ``law.sample`` draws, so the
-    random stream is that of sampling and then calling ``mixture_llr``, and
-    the increments differ from that path's by rounding. ``fill(rng, out)``
-    writes the increments of ``self(rng, out.size)`` into a caller's array
-    instead of a fresh one. A kernel holds only
-    its weights: every call works in one slice buffer per thread, shared by
-    all kernels, so several threads may draw at once, from one kernel or
-    from several.
+    per member. Such a call draws exactly the normals ``law.sample`` draws,
+    so the random stream is that of sampling and then calling
+    ``mixture_llr``, and the increments differ from that path's by rounding.
+    ``fill(rng, out)`` writes the increments of ``self(rng, out.size)`` into
+    a caller's array instead of a fresh one. A kernel holds only its
+    weights: every call works in one slice buffer per thread, shared by all
+    kernels, so several threads may draw at once, from one kernel or from
+    several.
 
     With one member the increment is X = z'Qz + beta'z + c, with Q = (A0 -
     A) / 2 and beta = b0 - b from ``_quadratic``, so ``moments`` holds its
     exact mean tr Q + c and variance 2 tr(Q^2) + |beta|^2. A mixture has no
     such closed form, and its ``moments`` is None.
+
+    A pair class, one member of a law of dim 2 with beta = 0, draws its
+    exact law instead of ``law.sample``'s stream. With lam_lo <= lam_hi the
+    eigenvalues of Q, X = c + lam_hi w_1^2 + lam_lo w_2^2 for independent
+    standard normals w, and w_1^2 + w_2^2 = 2E is independent of
+    B = w_2^2 / (w_1^2 + w_2^2), which has the law of u^2 / (u^2 + v^2) for
+    (u, v) uniform on the quarter disc (the polar method, Marsaglia and Bray
+    1964, SIAM Review 6). So X = 2E (lam_hi + (lam_lo - lam_hi) B) + c, from
+    one exponential and about 4/pi pairs of uniforms, which cost less than
+    two normals. Every step is a product, sum or quotient of numpy's own
+    samples, with no exp or log loop, so the bits do not depend on the
+    CPU's vector extensions.
     """
 
     def __init__(self, law: GaussianLocal, pre: GaussianLocal, family: Sequence[GaussianLocal]):
@@ -196,10 +215,17 @@ class GaussianMixtureKernel:
         self._weights = np.array(weights)
         self._const = np.array(const)[:, None]
         self.moments: tuple[float, float] | None = None
+        self._polar: tuple[float, float, float] | None = None
         if len(family) == 1:
             # a, b are the one member's
             q, beta = 0.5 * (a0 - a), b0 - b
             self.moments = (float(np.trace(q)) + const[0], 2.0 * float(np.sum(q * q.T)) + float(beta @ beta))
+            if law.dim == 2 and not beta.any():
+                # the eigenvalues of the Q the weights use, from its upper
+                # triangle, in closed form: eigvalsh maps more of the BLAS
+                mid = 0.5 * float(q[0, 0] + q[1, 1])
+                r = math.hypot(0.5 * float(q[0, 0] - q[1, 1]), float(q[0, 1]))
+                self._polar = (2.0 * (mid + r), -4.0 * r, const[0])
 
     def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
         out = np.empty(n)
@@ -208,7 +234,10 @@ class GaussianMixtureKernel:
 
     def fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Write out.size increments into the one-dimensional ``out``, from
-        the normals ``self(rng, out.size)`` draws."""
+        the draws ``self(rng, out.size)`` makes."""
+        if self._polar is not None:
+            self._fill_polar(rng, out)
+            return
         n = out.size
         # the slice's normals, its features and its member terms, in that order
         at_phi = self.dim * _KERNEL_SLICE
@@ -221,6 +250,42 @@ class GaussianMixtureKernel:
             # slice by slice in rows, the normals of one (n, dim) draw
             rng.standard_normal(out=z)
             self._llr(z.T, phi_buf, t_buf, out[lo : lo + rows])
+
+    def _fill_polar(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """X = 2E (lam_hi + (lam_lo - lam_hi) B) + c, slice by slice: the
+        slice's exponentials E, then pairs of uniforms until as many have
+        landed in the quarter disc, each giving B = u^2 / (u^2 + v^2)."""
+        lam2, span2, c = self._polar
+        n = out.size
+        # the slice's B, then its candidate pairs
+        buf = _slice_scratch(_KERNEL_SLICE + 2 * _polar_candidates(_KERNEL_SLICE))
+        # u = v = 0 divides 0 by 0, and is rejected
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo in range(0, n, _KERNEL_SLICE):
+                rows = min(_KERNEL_SLICE, n - lo)
+                x = out[lo : lo + rows]
+                rng.standard_exponential(out=x)
+                got = 0
+                while got < rows:
+                    k = _polar_candidates(rows - got)
+                    uv = buf[_KERNEL_SLICE : _KERNEL_SLICE + 2 * k]
+                    rng.random(out=uv)
+                    np.multiply(uv, uv, out=uv)
+                    u, s = uv[:k], uv[k:]
+                    s += u
+                    np.divide(u, s, out=u)
+                    inside = (s > 0.0) & (s < 1.0)
+                    # the accepted B, oldest first, written over s
+                    kept = np.compress(inside, u, out=s[: np.count_nonzero(inside)])[: rows - got]
+                    buf[got : got + kept.size] = kept
+                    got += kept.size
+                # lam2 and span2 carry the factor 2, and scaling by 2 is
+                # exact, so this is 2E (lam_hi + (lam_lo - lam_hi) B) + c to the bit
+                b = buf[:rows]
+                b *= span2
+                b += lam2
+                x *= b
+                x += c
 
     def _llr(self, z: np.ndarray, phi_buf: np.ndarray, t_buf: np.ndarray, out: np.ndarray) -> None:
         rows = z.shape[1]

@@ -106,9 +106,12 @@ class LocalDistribution(abc.ABC):
         """A ``draw(rng, n)`` returning the mixture llr of ``family`` against
         ``pre`` at n observations from this law, or None when the law has no
         compiled form; the caller then samples and evaluates the llr. A draw
-        must consume ``rng`` exactly as ``self.sample(rng, n)`` does, so that
-        both paths see the same random stream, and return a fresh float
-        array that shares no memory with the draw's own state. A draw may
+        must give n independent increments of that llr's exact law and
+        return a fresh float array that shares no memory with the draw's own
+        state. It need not consume ``rng`` as ``self.sample(rng, n)`` does:
+        the Gaussian kernel does for most classes, and draws a pair class
+        (one zero-mean member of a two-coordinate law) from exponentials and
+        uniforms instead of normals. A draw may
         carry ``moments``, the exact mean and variance of one increment, for
         ``unit_class`` to hand on, and ``fill(rng, out)``, which writes the
         increments of ``draw(rng, out.size)`` into the one-dimensional
@@ -154,8 +157,9 @@ class UnitClass:
     increments are identically distributed.
 
     ``key`` identifies the class and ``draw(rng, n)`` returns n increments
-    in a fresh array; a compiled draw may also offer ``draw.fill(rng, out)``,
-    the same increments written into ``out`` (see
+    in a fresh array, drawn from their exact law but not necessarily from
+    the stream of ``law.sample``; a compiled draw may also offer
+    ``draw.fill(rng, out)``, the same increments written into ``out`` (see
     ``LocalDistribution.compile_llr``). ``moments`` is the exact (mean,
     variance) of one increment when the compiled draw knows it, else None.
     """

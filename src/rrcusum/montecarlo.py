@@ -22,9 +22,10 @@ produce the same stopping time law; the test suite cross-validates them.
 
 Replications run in batches of _BATCH rows that advance together: each round
 moves every running row through the rest of its current stretch, with one
-block of draws per class shared by all rows in that class. Batch b draws from
-its own sub-stream of the configured seed, ``derive_rng(seed, b)``, so results
-are reproducible bit for bit.
+block of draws per class shared by all rows in that class. The batches of an
+estimate draw one after another from one sub-stream of the configured seed,
+``derive_rng(seed, 0)``, so results are reproducible bit for bit, and a run
+of at most _BATCH replications is its own first batch.
 
 Every drawn increment is scored. A block gives each running row the same
 number of increments, and a row that stops partway through leaves the rest
@@ -32,9 +33,12 @@ unconsumed. Its stop depends only on the increments up to and including the
 stopping step (optional stopping), so the increments past it are still
 independent draws from the class law. They are carried, oldest first, into a
 spare of the class (``_Spare``) that serves its next block before any fresh
-draw. Each batch keeps one spare per class and each excursion call one of its
-own; a spare never outlives its batch, so batches stay independent. What is
-drawn and not used is the spare left at the end of a batch.
+draw, in the same batch or the next: the rows of a later batch are
+independent of the earlier ones all the same. A delay run keeps one spare
+per class of each regime, the pre-change regime's apart from the
+post-change one's, for all its batches, and the run length one per kind of
+excursion for all the batches of a class. What is drawn and not used is what
+those spares hold at the end.
 
 The average run length to false alarm is not simulated run by run. Before the
 change every visit to a unit starts at statistic 0, so the cycles of one visit
@@ -48,15 +52,17 @@ the units i = 1..U of one cycle give
 which is l/p for a single class. l_c is a plain Monte Carlo mean. p_c is at
 most 1/gamma, so it is estimated by importance sampling under the class's
 mixture law (``ChangePointModel.mixture_draw``), with weight e^{-S_N} on the
-exits at or above A (Siegmund 1976, Ann. Statist. 4). Each batch of
-excursions is one _run_stretch call that stops every row at its first switch.
+exits at or above A (Siegmund 1976, Ann. Statist. 4). Class c draws every
+excursion from ``derive_rng(seed, c)``, and each batch of excursions of one
+kind is one _run_stretch call that stops every row at its first switch.
 Up to that drop the minimum in Y_t is -max(y0, 0), so when every row of a
 call stops at its first drop, as in an excursion or a delay stretch of one
 unit, _run_stretch takes its first-exit branch: the path is W_t + max(y0, 0),
 with no running minimum and no switch counts, and a row stops on leaving
 (0, A), to the same bits: fl(a + b) > 0 exactly when a + b > 0. As most
 excursions end after 2-3 steps, their first block has _EXCURSION_COLS0
-columns per row, not _COLS0.
+columns per row, not _COLS0; what a block draws past the rows' exits serves
+the next batch.
 
 _run_stretch is the engine's one block loop, and its blocks take one of two
 layouts by their number of rows. numpy runs an accumulate along a row as a
@@ -253,10 +259,12 @@ def _compile_regime(
 
 _BATCH = 1024
 _COLS0 = 32
-# First block of an excursion call: a block of _COLS0 was mostly spare (the
-# arl workload drew 2.75 increments per increment used, against 1.31 at 4
-# columns), and 1 or 2 columns took more blocks and more time than 4.
-_EXCURSION_COLS0 = 4
+# First block of an excursion call. With the spares carried across batches a
+# wide first block wastes only the tail of a class's last batch, so its width
+# trades blocks against the draws spares serve: on a shared 2-core x86-64
+# machine an arl workload pass took 5.7 ms at 8 columns, against 6.1 at 4,
+# 5.9 at 12 and 6.8 at 2, and drew 1.08 increments per increment used.
+_EXCURSION_COLS0 = 8
 _BLOCK_ELEMENTS = 1 << 14
 # Blocks of at least this many rows, and so at most _BLOCK_ELEMENTS / 128
 # columns, are time-major and step column by column; blocks of fewer rows are
@@ -444,13 +452,14 @@ def _simulate(
     pos: np.ndarray,
     y: np.ndarray,
     blocks: _Blocks,
+    spares: list[_Spare],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Runs of the policy under a fixed regime until alarm or budget steps,
     one per row, starting at the positions and statistics given.
 
     Each round advances every running row through the rest of its current
-    stretch, with one _run_stretch call per class. Every class keeps one
-    spare for all its calls. Returns (steps, alarmed, position, statistic)
+    stretch, with one _run_stretch call per class. Class c draws from
+    spares[c] for all its calls. Returns (steps, alarmed, position, statistic)
     per row; position indexes the unit the policy is at when the run ends.
     """
     pos = np.array(pos, dtype=np.int64)
@@ -459,7 +468,6 @@ def _simulate(
     alarmed = np.zeros(pos.size, dtype=bool)
     n_units = regime.stretch_of.size
     single = regime.class_of.size == 1
-    spares = blocks.spares(len(regime.draws))
     live = np.arange(pos.size)
     while live.size:
         stretch = regime.stretch_of[pos[live]]
@@ -492,27 +500,31 @@ def _run_batches(
 ) -> tuple[np.ndarray, int, int]:
     """Delays (or capped run lengths) of ``replications`` runs.
 
-    Batch b holds replications b * _BATCH onwards, at most _BATCH of them, and
-    draws from ``derive_rng(seed, b)``. Returns (values, truncations,
-    discarded). A replication is discarded when it alarms at or before the
-    change time nu.
+    Batch b holds replications b * _BATCH onwards, at most _BATCH of them.
+    Every batch draws from the one stream ``derive_rng(seed, 0)``, and each
+    class of each regime keeps its spare from batch to batch, the regime
+    before the change apart from the one after it. Returns (values,
+    truncations, discarded). A replication is discarded when it alarms at or
+    before the change time nu.
     """
     post = _compile_regime(model, order, hypothesis)
     pre = _compile_regime(model, order, None) if nu > 0 else None
     blocks = _thread_blocks()
+    spares = blocks.spares(len(post.draws) + (len(pre.draws) if pre is not None else 0))
+    post_spares, pre_spares = spares[: len(post.draws)], spares[len(post.draws) :]
+    rng = derive_rng(seed, 0)
     values = []
     truncations = 0
     discarded = 0
     for b in range(-(-replications // _BATCH)):
-        rng = derive_rng(seed, b)
         rows = min(_BATCH, replications - b * _BATCH)
         pos = np.zeros(rows, dtype=np.int64)
         y = np.zeros(rows)
         if pre is not None:
-            _, alarmed, pos, y = _simulate(rng, pre, threshold, nu, pos, y, blocks)
+            _, alarmed, pos, y = _simulate(rng, pre, threshold, nu, pos, y, blocks, pre_spares)
             discarded += int(alarmed.sum())
             pos, y = pos[~alarmed], y[~alarmed]
-        steps, alarmed, _, _ = _simulate(rng, post, threshold, cap, pos, y, blocks)
+        steps, alarmed, _, _ = _simulate(rng, post, threshold, cap, pos, y, blocks, post_spares)
         truncations += int((~alarmed).sum())
         values.append(steps)
     return np.concatenate(values), truncations, discarded
@@ -527,9 +539,9 @@ def estimate_delay(
     hypothesis, with the change at time config.nu. Runs still going after
     ``DEFAULT_DELAY_CAP`` steps are truncated there.
 
-    With the worst-case ordering the unaffected units are sampled first. Each
-    batch of replications is seeded independently from config.seed, so the
-    estimate is reproducible bit for bit.
+    With the worst-case ordering the unaffected units are sampled first. The
+    replications draw from one sub-stream of config.seed, so the estimate is
+    reproducible bit for bit.
     """
     affected = affected_units(model, hypothesis)
     if not affected:
@@ -582,10 +594,11 @@ def _run_excursions(
     """Excursions of one visit to pre-change class c, whose first unit is E,
     from statistic 0 to the first switch or alarm.
 
-    The class runs ceil(replications / _BATCH) batches, in order; its batch b
-    draws from ``derive_rng(seed, c, b)`` and holds min(_BATCH, replications -
-    b * _BATCH) excursions of each kind: plain ones under the class's
-    pre-change law, then importance-sampled ones under its mixture law. Every
+    The class draws from the one stream ``derive_rng(seed, c)`` and runs
+    ceil(replications / _BATCH) batches, in order; batch b holds
+    min(_BATCH, replications - b * _BATCH) excursions of each kind: plain ones
+    under the class's pre-change law, then importance-sampled ones under its
+    mixture law. Each kind keeps one spare for all the batches. Every
     excursion stops after at most ``cap`` steps. Returns the replications exit
     times of the plain excursions, the replications weights of the sampled
     ones and the number of truncations. A weight is e^{-S_N} on an alarm,
@@ -596,21 +609,20 @@ def _run_excursions(
     weights = np.empty(replications)
     truncations = 0
     plain, sampled = model.unit_class(E).draw, model.mixture_draw(E)
+    plain_spare, sampled_spare = blocks.spares(2)
+    rng = derive_rng(seed, c)
     for b in range(-(-replications // _BATCH)):
-        rng = derive_rng(seed, c, b)
         lo = b * _BATCH
         hi = min(lo + _BATCH, replications)
         start = np.zeros(hi - lo)
         need = np.ones(hi - lo, dtype=np.int64)
         budget = np.full(hi - lo, cap, dtype=np.int64)
         _, steps[lo:hi], sw, _, hit = _run_stretch(
-            rng, plain, start, threshold, need, budget, blocks, blocks.spares(1)[0],
-            _EXCURSION_COLS0,
+            rng, plain, start, threshold, need, budget, blocks, plain_spare, _EXCURSION_COLS0
         )
         truncations += int(np.count_nonzero((sw == 0) & ~hit))
         _, _, sw, y, hit = _run_stretch(
-            rng, sampled, start, threshold, need, budget, blocks, blocks.spares(1)[0],
-            _EXCURSION_COLS0,
+            rng, sampled, start, threshold, need, budget, blocks, sampled_spare, _EXCURSION_COLS0
         )
         cut = (sw == 0) & ~hit
         truncations += int(np.count_nonzero(cut))
@@ -657,9 +669,9 @@ def estimate_arl(
     1, is the step budget of every excursion. A truncated plain excursion
     enters the mean exit time at the cap and a truncated sampled one enters the
     alarm probability at 1/gamma, its largest possible contribution, so with
-    truncations the estimate is a lower bound. Each batch of excursions is
-    seeded independently from config.seed, so the estimate is reproducible
-    bit for bit.
+    truncations the estimate is a lower bound. Each class draws from its
+    own sub-stream of config.seed, so the estimate is reproducible bit for
+    bit.
 
     Every excursion runs in the calling process. ``threads`` must be at least
     1 and is otherwise ignored: it stays only because the benchmark's pool

@@ -10,8 +10,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from rrcusum import bounds, montecarlo
+from rrcusum import bounds, gaussian, montecarlo
 from rrcusum.bounds import (
     bounds_report,
     compute_unit_statistics,
@@ -34,7 +35,7 @@ from rrcusum.model import (
     derive_seed,
     unit,
 )
-from rrcusum.montecarlo import Ordering, StudyConfig, estimate_delay
+from rrcusum.montecarlo import Ordering, RunSpec, StudyConfig, estimate_arl, estimate_delay
 from rrcusum.scenarios import build_preset, mean_change_hypothesis, mean_change_model
 
 PRESET_CASES = [
@@ -57,7 +58,12 @@ def _laws(model, hyp, E):
         yield hyp.local_post[E]
 
 
-@pytest.mark.parametrize("case", PRESET_CASES, ids=_case_id)
+# every class of corr-pairs at m = 2 is a pair class: one zero-mean member of
+# a two-coordinate law, whose kernel draws its exact law with no normals
+PAIR_CASE = ("corr-pairs", dict(K=6, m=2, s=4))
+
+
+@pytest.mark.parametrize("case", [c for c in PRESET_CASES if c != PAIR_CASE], ids=_case_id)
 @pytest.mark.parametrize("n", [1, 257, 9000])  # 9000 spans three kernel slices
 def test_kernel_matches_mixture_llr_and_random_stream(case, n):
     name, kw = case
@@ -72,6 +78,48 @@ def test_kernel_matches_mixture_llr_and_random_stream(case, n):
             assert got.shape == (n,)
             assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want))), (E, law)
             assert rng_kernel.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("rho", [0.7, 0.95], ids=["rho0.7", "rho0.95"])
+def test_pair_kernel_draws_its_exact_law(rho):
+    # the pre- and post-change class of an affected pair: 10^6 draws against
+    # the exact moments and, by a two-sample KS test, against sampling the
+    # law and scoring it
+    name, kw = PAIR_CASE
+    model, hyp = build_preset(name, **kw, rho=rho)
+    E = max(hyp.affected_units)
+    n = 1_000_000
+    for law in (model.pre_local[E], hyp.local_post[E]):
+        cls = model.unit_class(E, law)
+        assert isinstance(cls.draw, GaussianMixtureKernel)
+        rng_kernel, rng_ref = np.random.default_rng(31), np.random.default_rng(31)
+        x = cls.draw(rng_kernel, n)
+        law.sample(rng_ref, n)
+        assert rng_kernel.bit_generator.state != rng_ref.bit_generator.state  # not law.sample's stream
+        mean, var = cls.moments
+        centred = x - x.mean()
+        m2, m4 = np.mean(centred**2), np.mean(centred**4)
+        assert abs(x.mean() - mean) < 4.0 * math.sqrt(var / n), (law, x.mean(), mean)
+        assert abs(x.var() - var) < 4.0 * math.sqrt((m4 - m2**2) / n), (law, x.var(), var)
+        ref = _sample_and_score(model, E, law, np.random.default_rng(32), n)
+        assert stats.ks_2samp(x, ref).pvalue > 1e-3, law
+
+
+def test_pair_kernel_draws_again_until_every_row_has_its_pair(monkeypatch):
+    # with as many candidate pairs as rows left, about a fifth of every draw
+    # falls outside the quarter disc, so each slice takes several rounds
+    rounds = []
+    monkeypatch.setattr(gaussian, "_polar_candidates", lambda pairs: rounds.append(pairs) or pairs)
+    name, kw = PAIR_CASE
+    model, hyp = build_preset(name, **kw)
+    E = max(hyp.affected_units)
+    cls = model.unit_class(E, hyp.local_post[E])
+    n = 200_000
+    x = cls.draw(np.random.default_rng(9), n)
+    assert len(rounds) > 2 * -(-n // _KERNEL_SLICE)
+    mean, var = cls.moments
+    assert np.isfinite(x).all()
+    assert abs(x.mean() - mean) < 4.0 * math.sqrt(var / n)
 
 
 def _kernels():
@@ -405,6 +453,22 @@ def test_generic_and_compiled_paths_give_the_same_delay(gaussian_and_wrapped):
     generic = estimate_delay(wmodel, whyp, config)
     assert generic.mean == pytest.approx(fast.mean, rel=1e-12)
     assert generic.stderr == pytest.approx(fast.stderr, rel=1e-9)
+
+
+def test_pair_kernel_and_sample_and_score_agree_end_to_end():
+    # the pair kernel draws another stream than sampling and scoring, so
+    # the two paths give independent estimates of one delay and one run length
+    model, hyp = build_preset("corr-pairs", K=5, m=2, s=3)
+    wmodel, whyp = _wrap(model, hyp)
+    delay = RunSpec(gamma=20.0, replications=2000, seed=5, ordering=Ordering.AS_GIVEN)
+    arl = RunSpec(gamma=20.0, replications=2000, seed=5)
+    pairs = [
+        (estimate_delay(model, hyp, delay), estimate_delay(wmodel, whyp, delay)),
+        (estimate_arl(model, arl, cap=2000), estimate_arl(wmodel, arl, cap=2000)),
+    ]
+    for fast, generic in pairs:
+        assert fast.truncations == generic.truncations == 0
+        assert abs(fast.mean - generic.mean) < 3.0 * math.hypot(fast.stderr, generic.stderr), (fast, generic)
 
 
 def test_generic_and_compiled_paths_give_the_same_ladder_estimate(gaussian_and_wrapped):
