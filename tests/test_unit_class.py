@@ -23,7 +23,7 @@ from rrcusum.bounds import (
     lower_bound_first_order,
     validate_model,
 )
-from rrcusum.gaussian import _KERNEL_SLICE, GaussianLocal, GaussianMixtureKernel
+from rrcusum.gaussian import _KERNEL_SLICE, GaussianLocal, GaussianMixtureKernel, _polar_candidates
 from rrcusum.model import (
     ChangePointModel,
     LocalDistribution,
@@ -63,18 +63,57 @@ def _laws(model, hyp, E):
 PAIR_CASE = ("corr-pairs", dict(K=6, m=2, s=4))
 
 
-@pytest.mark.parametrize("case", [c for c in PRESET_CASES if c != PAIR_CASE], ids=_case_id)
+def _polar_observations(model, E, law, rng, n):
+    """Observations of a pair class's law, drawn from ``rng`` as its kernel
+    draws: per slice the exponentials E, then uniform pairs (u, v) kept in
+    the quarter disc, giving B = u^2 / (u^2 + v^2). The squared coordinates
+    of w = (sqrt(2E (1 - B)), sqrt(2E B)) in the eigenbasis of Q, high
+    eigenvalue first, give z = V w and the observation L z + mu."""
+    family = model.post_family[E]
+    assert len(family) == 1
+    a0, _, _ = gaussian._quadratic(law, model.pre_local[E])
+    a, _, _ = gaussian._quadratic(law, family[0])
+    _, vecs = np.linalg.eigh(0.5 * (a0 - a))  # ascending: low, high
+    e_all, b_all = [], []
+    for lo in range(0, n, _KERNEL_SLICE):
+        rows = min(_KERNEL_SLICE, n - lo)
+        e_all.append(rng.standard_exponential(rows))
+        kept = []
+        got = 0
+        while got < rows:
+            k = _polar_candidates(rows - got)
+            uv = rng.random(2 * k) ** 2
+            u, s = uv[:k], uv[:k] + uv[k:]
+            inside = (s > 0.0) & (s < 1.0)
+            b = (u[inside] / s[inside])[: rows - got]
+            kept.append(b)
+            got += b.size
+        b_all.append(np.concatenate(kept))
+    e, b = np.concatenate(e_all), np.concatenate(b_all)
+    w = np.stack((np.sqrt(2.0 * e * (1.0 - b)), np.sqrt(2.0 * e * b)))
+    z = vecs[:, 1:2] * w[0] + vecs[:, 0:1] * w[1]
+    return (law.chol @ z).T + law.mean
+
+
+@pytest.mark.parametrize("case", PRESET_CASES, ids=_case_id)
 @pytest.mark.parametrize("n", [1, 257, 9000])  # 9000 spans three kernel slices
 def test_kernel_matches_mixture_llr_and_random_stream(case, n):
+    # a pair class scores the observations its polar draw stands for; every
+    # other class scores law.sample's, from the same random stream
     name, kw = case
     model, hyp = build_preset(name, **kw)
     for E in model.units:
         for law in _laws(model, hyp, E):
             draw = model.unit_class(E, law).draw
             assert isinstance(draw, GaussianMixtureKernel)
+            assert (draw._polar is not None) == (case == PAIR_CASE)
             rng_kernel, rng_ref = np.random.default_rng(17), np.random.default_rng(17)
             got = draw(rng_kernel, n)
-            want = np.asarray(model.mixture_llr(E, law.sample(rng_ref, n)))
+            if case == PAIR_CASE:
+                x = _polar_observations(model, E, law, rng_ref, n)
+            else:
+                x = law.sample(rng_ref, n)
+            want = np.asarray(model.mixture_llr(E, x))
             assert got.shape == (n,)
             assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want))), (E, law)
             assert rng_kernel.bit_generator.state == rng_ref.bit_generator.state
